@@ -26,7 +26,7 @@ pub struct Cell {
     pub events: u64,
     /// Simulated completion time (units).
     pub completion_time: u64,
-    /// Best wall-clock seconds over the repetitions (sequential engine).
+    /// Best wall-clock seconds over the repetitions.
     pub wall_secs: f64,
     /// `events / wall_secs` for the best repetition.
     pub events_per_sec: f64,
@@ -34,28 +34,16 @@ pub struct Cell {
     /// monotonic per-process high-water mark, so this is cumulative across
     /// the grid — the last cell's value is the run's peak.
     pub peak_rss_bytes: u64,
-    /// Shard count for the parallel measurement; 1 means the cell ran on
-    /// the sequential engine only.
-    pub shards: usize,
-    /// Best wall-clock seconds over the repetitions through the sharded
-    /// engine (equal to `wall_secs` when `shards` is 1). The sharded
-    /// report is checked bit-identical to the sequential one before the
-    /// timing is accepted.
-    pub wall_secs_parallel: f64,
 }
 
 /// The fixed benchmark grid. The `Option<OpenTraffic>` is the open-traffic
-/// config — `None` for the closed (single task tree) cells — and the final
-/// `usize` is the shard count (cells with more than one shard run the
-/// co-processor-off configuration the parallel engine requires, and are
-/// timed through both engines).
+/// config — `None` for the closed (single task tree) cells.
 pub type GridSpec = (
     String,
     TopologySpec,
     WorkloadSpec,
     StrategySpec,
     Option<OpenTraffic>,
-    usize,
 );
 
 /// The fixed benchmark grid.
@@ -78,7 +66,6 @@ pub fn grid_specs() -> Vec<GridSpec> {
                     workload,
                     strategy,
                     None,
-                    1,
                 ));
             }
         }
@@ -96,22 +83,6 @@ pub fn grid_specs() -> Vec<GridSpec> {
         WorkloadSpec::fib(11),
         cwn,
         Some(open),
-        1,
-    ));
-    // One sharded cell: a 1024-PE grid, co-processor off, timed through
-    // the sequential engine and through the 8-shard parallel engine (whose
-    // report must match bit-for-bit). `wall_secs_parallel` is an honest
-    // reading of this machine — on a single hardware core the windowed
-    // barriers cost more than they recover.
-    let topology = TopologySpec::grid(32);
-    let (cwn, _) = paper_strategies(&topology);
-    specs.push((
-        "par-fib:20/grid:32/cwn".to_string(),
-        topology,
-        WorkloadSpec::fib(20),
-        cwn,
-        None,
-        8,
     ));
     // Put the headline cell first.
     specs.sort_by_key(|(name, ..)| (name != "fib:20/grid:10/cwn") as u8);
@@ -122,19 +93,15 @@ pub fn grid_specs() -> Vec<GridSpec> {
 /// progress line per cell to stderr.
 pub fn run_grid(reps: usize, seed: u64, backend: QueueBackend) -> Vec<Cell> {
     let mut cells = Vec::new();
-    for (name, topology, workload, strategy, open, shards) in grid_specs() {
-        let mut builder = SimulationBuilder::new()
+    for (name, topology, workload, strategy, open) in grid_specs() {
+        let config = SimulationBuilder::new()
             .topology(topology)
             .workload(workload)
             .strategy(strategy)
             .queue_backend(backend)
             .seed(seed)
-            .open(open);
-        if shards > 1 {
-            // The parallel engine's eligibility contract.
-            builder = builder.coprocessor(false);
-        }
-        let config = builder.config();
+            .open(open)
+            .config();
         let mut best_secs = f64::INFINITY;
         let mut report = None;
         for _ in 0..reps {
@@ -146,22 +113,6 @@ pub fn run_grid(reps: usize, seed: u64, backend: QueueBackend) -> Vec<Cell> {
             report = Some(r);
         }
         let report = report.expect("at least one repetition");
-        let mut best_par_secs = best_secs;
-        if shards > 1 {
-            best_par_secs = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let (r, _) = config
-                    .run_sharded(shards)
-                    .unwrap_or_else(|e| panic!("throughput cell {name} ({shards} shards): {e}"));
-                best_par_secs = best_par_secs.min(t0.elapsed().as_secs_f64());
-                assert_eq!(
-                    format!("{r:#?}"),
-                    format!("{report:#?}"),
-                    "throughput cell {name}: {shards}-shard report diverged from sequential"
-                );
-            }
-        }
         let cell = Cell {
             name,
             events: report.events,
@@ -169,18 +120,13 @@ pub fn run_grid(reps: usize, seed: u64, backend: QueueBackend) -> Vec<Cell> {
             wall_secs: best_secs,
             events_per_sec: report.events as f64 / best_secs.max(1e-9),
             peak_rss_bytes: peak_rss_bytes(),
-            shards,
-            wall_secs_parallel: best_par_secs,
         };
         eprintln!(
-            "{:<24} {:>9} events  {:>8.3} ms  {:>12.0} events/s  ({} shard{}: {:.3} ms)",
+            "{:<24} {:>9} events  {:>8.3} ms  {:>12.0} events/s",
             cell.name,
             cell.events,
             cell.wall_secs * 1e3,
             cell.events_per_sec,
-            cell.shards,
-            if cell.shards == 1 { "" } else { "s" },
-            cell.wall_secs_parallel * 1e3,
         );
         cells.push(cell);
     }
@@ -210,13 +156,14 @@ pub fn peak_rss_bytes() -> u64 {
     field("VmHWM:").or_else(|| field("VmRSS:")).unwrap_or(0)
 }
 
-/// Render the measured cells as the `oracle-bench-throughput/v2` JSON.
-/// v2 adds the per-cell `peak_rss_bytes`, `shards`, and
-/// `wall_secs_parallel` fields (`wall_secs` stays the sequential reading,
-/// so v1 consumers keyed on `events_per_sec` still compare like-for-like).
+/// Render the measured cells as the `oracle-bench-throughput/v3` JSON.
+/// v2 added the per-cell `peak_rss_bytes` field; v3 drops v2's per-cell
+/// `shards` and `wall_secs_parallel` fields. `wall_secs` and
+/// `events_per_sec` are unchanged since v1, so consumers keyed on them
+/// still compare like-for-like.
 pub fn to_json(cells: &[Cell], reps: usize, seed: u64) -> String {
     let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"oracle-bench-throughput/v2\",");
+    let _ = writeln!(s, "  \"schema\": \"oracle-bench-throughput/v3\",");
     let _ = writeln!(s, "  \"reps\": {reps},");
     let _ = writeln!(s, "  \"seed\": {seed},");
     let _ = writeln!(s, "  \"peak_rss_bytes\": {},", peak_rss_bytes());
@@ -228,15 +175,8 @@ pub fn to_json(cells: &[Cell], reps: usize, seed: u64) -> String {
             s,
             "    {{\"name\": \"{}\", \"events\": {}, \"completion_time\": {}, \
              \"wall_secs\": {:.6}, \"events_per_sec\": {:.0}, \
-             \"peak_rss_bytes\": {}, \"shards\": {}, \"wall_secs_parallel\": {:.6}}}{comma}",
-            c.name,
-            c.events,
-            c.completion_time,
-            c.wall_secs,
-            c.events_per_sec,
-            c.peak_rss_bytes,
-            c.shards,
-            c.wall_secs_parallel,
+             \"peak_rss_bytes\": {}}}{comma}",
+            c.name, c.events, c.completion_time, c.wall_secs, c.events_per_sec, c.peak_rss_bytes,
         );
     }
     s.push_str("  ]\n}\n");
@@ -315,8 +255,6 @@ mod tests {
                 wall_secs: 0.01,
                 events_per_sec: 10_000.0,
                 peak_rss_bytes: 4096,
-                shards: 1,
-                wall_secs_parallel: 0.01,
             },
             Cell {
                 name: "d/e/f".into(),
@@ -325,8 +263,6 @@ mod tests {
                 wall_secs: 0.02,
                 events_per_sec: 10_000.0,
                 peak_rss_bytes: 8192,
-                shards: 8,
-                wall_secs_parallel: 0.05,
             },
         ]
     }
@@ -334,9 +270,8 @@ mod tests {
     #[test]
     fn json_roundtrips_events_per_sec() {
         let json = to_json(&sample_cells(), 3, 1);
-        assert!(json.contains("\"schema\": \"oracle-bench-throughput/v2\""));
-        assert!(json.contains("\"shards\": 8, \"wall_secs_parallel\": 0.050000"));
-        assert!(json.contains("\"peak_rss_bytes\": 4096"));
+        assert!(json.contains("\"schema\": \"oracle-bench-throughput/v3\""));
+        assert!(json.contains("\"peak_rss_bytes\": 4096}"));
         assert_eq!(lookup_events_per_sec(&json, "a/b/c"), Some(10_000.0));
         assert_eq!(lookup_events_per_sec(&json, "d/e/f"), Some(10_000.0));
         assert_eq!(lookup_events_per_sec(&json, "missing"), None);
@@ -373,8 +308,6 @@ mod tests {
             wall_secs: 1.0,
             events_per_sec: 1.0,
             peak_rss_bytes: 0,
-            shards: 1,
-            wall_secs_parallel: 1.0,
         }];
         assert!(!check(&stranger, &reference, 0.25));
     }
@@ -383,13 +316,9 @@ mod tests {
     fn headline_cell_is_first() {
         let specs = grid_specs();
         assert_eq!(specs[0].0, "fib:20/grid:10/cwn");
-        assert_eq!(specs.len(), 14);
+        assert_eq!(specs.len(), 13);
         let open: Vec<_> = specs.iter().filter(|s| s.4.is_some()).collect();
         assert_eq!(open.len(), 1, "exactly one open-arrival cell");
         assert!(open[0].0.starts_with("open-"));
-        let sharded: Vec<_> = specs.iter().filter(|s| s.5 > 1).collect();
-        assert_eq!(sharded.len(), 1, "exactly one sharded cell");
-        assert!(sharded[0].0.starts_with("par-"));
-        assert!(sharded[0].4.is_none(), "sharded cell must stay eligible");
     }
 }

@@ -132,7 +132,7 @@ oracle-cli — ORACLE load-distribution simulator (Kale, ICPP 1988 reproduction)
 
 commands:
   run       --topology T --strategy S --workload W [--seed N] [--csv]
-            [--shards N|auto] [--no-coprocessor] [--series]
+            [--no-coprocessor] [--series]
             [--per-pe] [--state-mode auto|dense|sparse] [--load-period T]
             [--trace N] [--trace-out FILE]
             [--trace-format jsonl|chrome] [--trace-last N]
@@ -167,17 +167,8 @@ commands:
             wall times, queue-depth high-water mark, control tags);
             --faults @FILE loads a plan file (blank/# lines ignored, one
             or more `+`-separated terms per line);
-            --shards N splits the single run across N conservative-sync
-            workers (`auto` = all cores) with bit-identical results;
-            counts above the machine's PE count (or the engine's cap of
-            64 workers) are clamped, so no worker ever owns nothing;
-            configurations the sharded engine cannot split (tracing,
-            faults, open traffic, co-processor mode) run sequentially,
-            with a stderr note naming the reason;
             --no-coprocessor models software message routing (PEs pay
-            the routing cost themselves) — required for --shards to
-            engage, since co-processor deliveries run strategy code at
-            channel timestamps;
+            the routing cost themselves);
             --per-pe emits the O(num-PEs) per-PE report vectors (off by
             default: headline aggregates are O(1) in PE count);
             --state-mode forces the dense or sparse per-PE/channel state
@@ -246,13 +237,9 @@ spec grammars:
   faults:   `+`-separated terms of crash:PE@T | link:CH@DOWN..UP | loss:P% |
             slow:PE@FROM..UNTILxFACTOR | recover:TIMEOUTxRETRIES | none
 
-parallelism precedence (each resolved per command invocation):
+parallelism precedence (resolved per command invocation):
   --threads N   batch worker pool; flag > default (all cores). 0 rejected:
                 \"--threads N (N >= 1; omit the flag for auto)\"
-  --shards N    per-run sharded engine; flag > default (1 = sequential).
-                `auto` = all cores; clamped to min(PE count, 64);
-                ineligible runs fall back untouched.
-  The two compose: each batch worker may itself run sharded.
 
 exit codes: 0 success (saturation is a measured outcome, not a failure) |
             2 simulation failed (invariant violation, goals lost, stall,
@@ -267,12 +254,17 @@ struct Flags<'a> {
 }
 
 impl<'a> Flags<'a> {
-    fn value_of(&self, flag: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+    /// The value following `flag`, `None` when the flag is absent. A flag
+    /// given as the last token has no value: that is an error, not a
+    /// silent fall-back to the default.
+    fn value_of(&self, flag: &str) -> Result<Option<&'a str>, String> {
+        let Some(i) = self.args.iter().position(|a| a == flag) else {
+            return Ok(None);
+        };
+        match self.args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{flag} needs a value")),
+        }
     }
 
     fn has(&self, flag: &str) -> bool {
@@ -283,7 +275,7 @@ impl<'a> Flags<'a> {
     where
         T::Err: std::fmt::Display,
     {
-        match self.value_of(flag) {
+        match self.value_of(flag)? {
             None => Ok(default),
             Some(v) => v.parse().map_err(|e| format!("{flag} {v:?}: {e}")),
         }
@@ -293,7 +285,7 @@ impl<'a> Flags<'a> {
 /// Apply the shared `--threads N` flag: cap the worker pool every batch in
 /// this process uses. Thread count changes wall clock only, never results.
 fn apply_threads(flags: &Flags) -> Result<(), String> {
-    match flags.value_of("--threads") {
+    match flags.value_of("--threads")? {
         None => oracle::runner::clear_default_threads(),
         Some(v) => {
             let threads: usize = v.parse().map_err(|e| format!("--threads {v:?}: {e}"))?;
@@ -309,28 +301,15 @@ fn apply_threads(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Apply the shared `--shards N|auto` flag: split each single run across N
-/// conservative-sync workers (`auto` = all physical cores). Results are
-/// bit-identical at any shard count; ineligible configurations (tracing,
-/// faults, open traffic, co-processor mode, …) fall back to the
-/// sequential engine transparently.
-fn apply_shards(flags: &Flags) -> Result<(), String> {
-    match flags.value_of("--shards") {
-        None => oracle::runner::clear_default_shards(),
-        Some("auto") => oracle::runner::set_default_shards(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        ),
-        Some(v) => {
-            let shards: usize = v.parse().map_err(|e| format!("--shards {v:?}: {e}"))?;
-            if shards == 0 {
-                return Err(
-                    "--shards must be at least 1, or `auto` (1 = sequential engine)".into(),
-                );
-            }
-            oracle::runner::set_default_shards(shards);
-        }
+/// Refuse the removed `--shards` flag loudly: ignoring it would make an old
+/// command line look like it still selects an engine.
+fn reject_shards(flags: &Flags) -> Result<(), String> {
+    if flags.has("--shards") {
+        return Err(
+            "--shards: the sharded engine was removed and every run uses \
+             the sequential engine; --threads N parallelises batch and experiment runs"
+                .into(),
+        );
     }
     Ok(())
 }
@@ -339,7 +318,7 @@ fn apply_shards(flags: &Flags) -> Result<(), String> {
 /// non-comment lines are joined with `+` (so a file may list one term per
 /// line — the format chaos reproducers are written in).
 fn parse_faults_flag(flags: &Flags) -> Result<oracle::model::FaultPlan, Failure> {
-    let Some(value) = flags.value_of("--faults") else {
+    let Some(value) = flags.value_of("--faults")? else {
         return Ok(oracle::model::FaultPlan::none());
     };
     let text = match value.strip_prefix('@') {
@@ -371,7 +350,7 @@ const DEFAULT_EXPORT_TRACE_CAP: usize = 1_000_000;
 /// Resolve the open-traffic flags (`--arrivals`, `--duration`, `--warmup`)
 /// and the `open:` workload spelling into the machine's traffic config.
 fn parse_open_flags(flags: &Flags, workload: &AnyWorkload) -> Result<Option<OpenTraffic>, Failure> {
-    let arrivals = match (workload, flags.value_of("--arrivals")) {
+    let arrivals = match (workload, flags.value_of("--arrivals")?) {
         (AnyWorkload::Open(_), Some(_)) => {
             return Err(Failure::config(
                 "--arrivals conflicts with an open: workload — pick one spelling",
@@ -393,7 +372,7 @@ fn parse_open_flags(flags: &Flags, workload: &AnyWorkload) -> Result<Option<Open
             "--admission",
             "--breaker",
         ] {
-            if flags.value_of(flag).is_some() {
+            if flags.value_of(flag)?.is_some() {
                 return Err(Failure::config(format!(
                     "{flag} requires --arrivals SPEC or an open: workload"
                 )));
@@ -404,25 +383,25 @@ fn parse_open_flags(flags: &Flags, workload: &AnyWorkload) -> Result<Option<Open
     let duration: u64 = flags.parse("--duration", oracle::runner::DEFAULT_OPEN_DURATION)?;
     let mut open = OpenTraffic::new(arrivals, duration);
     open.warmup = flags.parse("--warmup", open.warmup)?;
-    if let Some(v) = flags.value_of("--deadline") {
+    if let Some(v) = flags.value_of("--deadline")? {
         open.deadline = Some(
             v.parse()
                 .map_err(|e| Failure::config(format!("--deadline {v:?}: {e}")))?,
         );
     }
-    if let Some(v) = flags.value_of("--retry") {
+    if let Some(v) = flags.value_of("--retry")? {
         open.retry = Some(
             v.parse::<RetryPolicy>()
                 .map_err(|e| Failure::config(format!("--retry {v:?}: {e}")))?,
         );
     }
-    if let Some(v) = flags.value_of("--admission") {
+    if let Some(v) = flags.value_of("--admission")? {
         open.admission = Some(
             v.parse::<AdmissionPolicy>()
                 .map_err(|e| Failure::config(format!("--admission {v:?}: {e}")))?,
         );
     }
-    if let Some(v) = flags.value_of("--breaker") {
+    if let Some(v) = flags.value_of("--breaker")? {
         open.breaker = Some(
             v.parse()
                 .map_err(|e| Failure::config(format!("--breaker {v:?}: {e}")))?,
@@ -457,12 +436,12 @@ fn open_outcome_failure(report: &Report) -> Result<(), Failure> {
 
 fn cmd_run(args: &[String]) -> Result<(), Failure> {
     let flags = Flags { args };
-    apply_shards(&flags)?;
+    reject_shards(&flags)?;
     let mut trace_cap: usize = flags.parse("--trace", 0)?;
     let trace_last: usize = flags.parse("--trace-last", 0)?;
-    let trace_out = flags.value_of("--trace-out");
+    let trace_out = flags.value_of("--trace-out")?;
     let trace_format: TraceFormat = flags.parse("--trace-format", TraceFormat::Jsonl)?;
-    let series_out = flags.value_of("--series-out");
+    let series_out = flags.value_of("--series-out")?;
     let trace_mode = if trace_last > 0 {
         trace_cap = trace_cap.max(trace_last);
         TraceMode::KeepLast
@@ -472,9 +451,9 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     if trace_out.is_some() && trace_cap == 0 {
         trace_cap = DEFAULT_EXPORT_TRACE_CAP;
     }
-    let heatmap_path = flags.value_of("--heatmap");
+    let heatmap_path = flags.value_of("--heatmap")?;
 
-    if let Some(path) = flags.value_of("--resume") {
+    if let Some(path) = flags.value_of("--resume")? {
         if trace_cap > 0 || heatmap_path.is_some() {
             return Err(Failure::config(
                 "--resume replays the checkpointed config; --trace/--heatmap do not apply",
@@ -513,7 +492,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     machine_cfg.per_pe_series =
         flags.has("--series") || heatmap_path.is_some() || series_out.is_some();
     machine_cfg.per_pe_metrics = flags.has("--per-pe");
-    machine_cfg.state_mode = match flags.value_of("--state-mode").unwrap_or("auto") {
+    machine_cfg.state_mode = match flags.value_of("--state-mode")?.unwrap_or("auto") {
         "auto" => StateMode::Auto,
         "dense" => StateMode::Dense,
         "sparse" => StateMode::Sparse,
@@ -523,7 +502,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
             )))
         }
     };
-    if let Some(v) = flags.value_of("--load-period") {
+    if let Some(v) = flags.value_of("--load-period")? {
         let period: u64 = v
             .parse()
             .map_err(|e| Failure::config(format!("--load-period {v:?}: {e}")))?;
@@ -536,15 +515,6 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         .machine(machine_cfg)
         .config();
 
-    let shards = oracle::runner::default_shards();
-    if shards > 1 {
-        if let Ok(m) = config.machine() {
-            if let Some(reason) = oracle::model::ineligibility(&m, shards) {
-                eprintln!("note: --shards {shards} falls back to the sequential engine: {reason}");
-            }
-        }
-    }
-
     let checkpoint_every: u64 = flags.parse("--checkpoint-every", 0)?;
     if checkpoint_every > 0 {
         if trace_cap > 0 || heatmap_path.is_some() {
@@ -552,7 +522,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
                 "--checkpoint-every does not combine with --trace/--heatmap",
             ));
         }
-        let dir = flags.value_of("--checkpoint-dir").unwrap_or("checkpoints");
+        let dir = flags.value_of("--checkpoint-dir")?.unwrap_or("checkpoints");
         let out =
             oracle::checkpoint::run_with_checkpoints(&config, checkpoint_every, Path::new(dir))
                 .map_err(checkpoint_failure)?;
@@ -634,7 +604,7 @@ fn cmd_trace_check(args: &[String]) -> Result<(), Failure> {
     };
     let flags = Flags { args: &args[1..] };
     let text = std::fs::read_to_string(path).map_err(|e| Failure::io(format!("{path}: {e}")))?;
-    let format = match flags.value_of("--format") {
+    let format = match flags.value_of("--format")? {
         Some(f) => f.parse::<TraceFormat>().map_err(Failure::config)?,
         None => oracle::traceio::sniff_format(&text),
     };
@@ -828,16 +798,13 @@ fn print_report(report: &Report, flags: &Flags) {
 /// Chaos-fuzzing sweep frontend over [`oracle::chaos`].
 fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
     let flags = Flags { args };
-    // Chaos cases carry fault plans, so sharded execution falls back to
-    // the sequential engine case by case — accepting the flag here keeps
-    // one command line valid across a whole CI matrix.
-    apply_shards(&flags)?;
+    reject_shards(&flags)?;
     let mut config = oracle::chaos::ChaosConfig::default();
     config.cases = flags.parse("--cases", config.cases)?;
     config.seed = flags.parse("--seed", config.seed)?;
     config.audit_every = flags.parse("--audit-every", config.audit_every)?;
     let threads: usize = flags.parse("--threads", 0)?;
-    if flags.value_of("--threads").is_some() {
+    if flags.value_of("--threads")?.is_some() {
         if threads == 0 {
             return Err(Failure::config("--threads must be at least 1"));
         }
@@ -845,7 +812,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
     }
     let stall_secs: u64 = flags.parse("--stall-secs", config.stall_timeout.as_secs())?;
     config.stall_timeout = std::time::Duration::from_secs(stall_secs);
-    let out_dir = flags.value_of("--out");
+    let out_dir = flags.value_of("--out")?;
 
     println!(
         "chaos sweep: {} cases, master seed {}, {} threads, auditor every {} events",
@@ -899,6 +866,7 @@ fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
         ));
     };
     let flags = Flags { args: &args[1..] };
+    reject_shards(&flags)?;
     let fidelity = if flags.has("--quick") {
         Fidelity::Quick
     } else {
@@ -906,7 +874,6 @@ fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
     };
     let seed: u64 = flags.parse("--seed", 1)?;
     apply_threads(&flags)?;
-    apply_shards(&flags)?;
 
     match name.as_str() {
         "table1" => {
@@ -1100,8 +1067,8 @@ fn cmd_batch(args: &[String]) -> Result<(), Failure> {
         return Err(Failure::config("batch needs a suite file"));
     };
     let flags = Flags { args: &args[1..] };
+    reject_shards(&flags)?;
     apply_threads(&flags)?;
-    apply_shards(&flags)?;
     let text = std::fs::read_to_string(path).map_err(|e| Failure::io(format!("{path}: {e}")))?;
     let mut specs = oracle::runner::parse_suite(&text)?;
     let profile = flags.has("--profile");
@@ -1260,8 +1227,8 @@ mod tests {
     fn value_of_finds_pairs() {
         let a = flags(&["--seed", "42", "--csv"]);
         let f = Flags { args: &a };
-        assert_eq!(f.value_of("--seed"), Some("42"));
-        assert_eq!(f.value_of("--missing"), None);
+        assert_eq!(f.value_of("--seed"), Ok(Some("42")));
+        assert_eq!(f.value_of("--missing"), Ok(None));
         assert!(f.has("--csv"));
         assert!(!f.has("--series"));
     }
@@ -1535,19 +1502,49 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_is_validated_and_cleared() {
-        let apply = |args: &[&str]| {
-            let a = flags(args);
-            apply_shards(&Flags { args: &a })
-        };
-        apply(&["--shards", "3"]).expect("positive shard count accepted");
-        assert_eq!(oracle::runner::default_shards(), 3);
-        let err = apply(&["--shards", "0"]).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
-        apply(&["--shards", "auto"]).expect("auto accepted");
-        assert!(oracle::runner::default_shards() >= 1);
-        apply(&[]).expect("absent flag clears the default");
-        assert_eq!(oracle::runner::default_shards(), 1);
+    fn trailing_value_flag_is_a_config_error() {
+        let a = flags(&["--csv", "--seed"]);
+        let f = Flags { args: &a };
+        let err = f.parse("--seed", 1u64).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+        let err = cmd_run(&flags(&[
+            "--topology",
+            "grid:4",
+            "--workload",
+            "fib:10",
+            "--strategy",
+            "cwn:4x1",
+            "--csv",
+            "--seed",
+        ]))
+        .unwrap_err();
+        assert_eq!((err.kind, err.code), ("config", 3));
+        assert!(err.message.contains("--seed"), "{}", err.message);
+        let err = cmd_run(&flags(&["--workload", "fib:10", "--trace-out"])).unwrap_err();
+        assert_eq!(err.code, 3);
+        assert!(err.message.contains("--trace-out"), "{}", err.message);
+    }
+
+    #[test]
+    fn removed_shards_flag_is_rejected() {
+        let run = ["--workload", "fib:8", "--shards", "2"];
+        let batch = ["suites/resilience.txt", "--shards", "2"];
+        let experiment = ["table2", "--quick", "--shards", "2"];
+        let chaos = ["--cases", "1", "--shards", "auto"];
+        for (cmd, result) in [
+            ("run", cmd_run(&flags(&run))),
+            ("batch", cmd_batch(&flags(&batch))),
+            ("experiment", cmd_experiment(&flags(&experiment))),
+            ("chaos", cmd_chaos(&flags(&chaos))),
+        ] {
+            let err = result.expect_err(cmd);
+            assert_eq!((err.kind, err.code), ("config", 3), "{cmd}");
+            assert!(
+                err.message.contains("--shards") && err.message.contains("--threads"),
+                "{cmd}: {}",
+                err.message
+            );
+        }
     }
 
     #[test]

@@ -37,33 +37,15 @@ impl RunConfig {
         )
     }
 
-    /// Execute this configuration. Honours the process-wide
-    /// [`crate::runner::set_default_shards`] setting: with a shard count
-    /// above 1, eligible runs execute on the sharded parallel engine
-    /// (bit-identical results), everything else runs sequentially.
+    /// Execute this configuration.
     pub fn run(&self) -> Result<Report, SimError> {
-        match crate::runner::default_shards() {
-            0 | 1 => self.machine()?.run(),
-            shards => Ok(self.run_sharded(shards)?.0),
-        }
+        self.machine()?.run()
     }
 
     /// Execute and also return the event trace (empty unless
-    /// `machine.trace_capacity` is set). Tracing is ineligible for sharded
-    /// execution, so a default-shards setting simply falls back when a
-    /// trace buffer is configured.
+    /// `machine.trace_capacity` is set).
     pub fn run_traced(&self) -> Result<(Report, oracle_model::Trace), SimError> {
-        match crate::runner::default_shards() {
-            0 | 1 => self.machine()?.run_traced(),
-            shards => self.run_sharded(shards),
-        }
-    }
-
-    /// Execute this configuration on `shards` shards of the parallel
-    /// engine (ineligible configurations fall back to the sequential
-    /// engine transparently; results are bit-identical either way).
-    pub fn run_sharded(&self, shards: usize) -> Result<(Report, oracle_model::Trace), SimError> {
-        oracle_model::run_parallel(&|| self.machine(), shards)
+        self.machine()?.run_traced()
     }
 
     /// Execute and additionally check the computed result against the

@@ -72,35 +72,6 @@ pub fn clear_default_threads() {
     THREAD_OVERRIDE.store(0, Ordering::Relaxed);
 }
 
-/// Process-wide default shard count for single-run execution; 0 means "not
-/// set" (sequential). Distinct from [`THREAD_OVERRIDE`]: threads spread a
-/// *batch* across runs, shards split *one run* across workers. The two
-/// compose — each batch worker may itself run sharded — but oversubscribing
-/// a small machine with both rarely pays.
-static SHARD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the shard count every subsequent [`RunConfig::run`][crate::builder::RunConfig::run]
-/// uses — the hook behind the CLI's `--shards N|auto` flag. Values of 0 or
-/// 1 select the sequential engine (there is nothing invalid about them:
-/// one shard *is* sequential execution). Shard count never affects results
-/// — the parallel engine is bit-identical, and ineligible configurations
-/// fall back to sequential execution transparently.
-pub fn set_default_shards(shards: usize) {
-    SHARD_OVERRIDE.store(shards, Ordering::Relaxed);
-}
-
-/// Remove the [`set_default_shards`] override: runs go back to the
-/// sequential engine.
-pub fn clear_default_shards() {
-    SHARD_OVERRIDE.store(0, Ordering::Relaxed);
-}
-
-/// Shard count single runs use by default: the [`set_default_shards`]
-/// value if set, else 1 (sequential).
-pub fn default_shards() -> usize {
-    SHARD_OVERRIDE.load(Ordering::Relaxed).max(1)
-}
-
 /// Number of worker threads used by [`run_batch`]: the
 /// [`set_default_threads`] override if one is set, else the machine's
 /// available parallelism.
@@ -479,14 +450,6 @@ mod tests {
             "rejection must cite the grammar, got: {msg}"
         );
         assert!(std::panic::catch_unwind(|| run_batch_with_threads(&[], 0)).is_err());
-    }
-
-    #[test]
-    fn shard_override_is_respected_and_clearable() {
-        set_default_shards(4);
-        assert_eq!(default_shards(), 4);
-        clear_default_shards();
-        assert_eq!(default_shards(), 1, "default is the sequential engine");
     }
 
     #[test]

@@ -302,62 +302,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// `(time, key)` of the next pending event without removing it: the
-    /// same walk as [`CalendarQueue::peek_time`], plus a min-key scan of
-    /// the found slot. Non-destructive — the wheel window does not move
-    /// (the window jump lives in `pop_keyed` only).
-    pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.wheel_len == 0 {
-            return self
-                .overflow
-                .peek()
-                .map(|Reverse(d)| (SimTime(d.at), d.key));
-        }
-        let mut t = self.now.units().max(self.window_start);
-        loop {
-            let mut cur = self.head[(t & MASK) as usize];
-            if cur != NIL {
-                let mut best = self.pool[cur as usize].key;
-                cur = self.pool[cur as usize].next;
-                while cur != NIL {
-                    best = best.min(self.pool[cur as usize].key);
-                    cur = self.pool[cur as usize].next;
-                }
-                return Some((SimTime(t), best));
-            }
-            t += 1;
-            debug_assert!(
-                t < self.window_start + WHEEL_SLOTS as u64,
-                "wheel_len > 0 but no occupied slot in the window"
-            );
-        }
-    }
-
-    /// Move the clock forward to `t` without popping anything (see
-    /// [`crate::EventQueue::advance_to`]). Events scheduled afterwards may
-    /// land in the overflow heap even when near `t` — the first pop
-    /// re-centers the wheel window, so this costs a decant, not
-    /// correctness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past or would skip over a pending event.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(
-            t >= self.now,
-            "advance_to({t}) but the clock is at {}",
-            self.now
-        );
-        debug_assert!(
-            self.peek_time().is_none_or(|p| p >= t),
-            "advance_to({t}) would skip a pending event"
-        );
-        self.now = t;
-    }
-
     /// Remove and return the next event, advancing the clock.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -554,7 +498,7 @@ mod tests {
     #[test]
     fn random_explicit_keys_match_heap() {
         // Keyed scheduling with keys assigned out of insertion order — the
-        // contract the sharded engine relies on.
+        // machine model's `(actor << 32) | seq` keys arrive this way.
         let mut rng = Rng::seed_from_u64(41);
         let mut cal = CalendarQueue::new();
         let mut heap = EventQueue::new();

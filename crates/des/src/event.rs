@@ -4,8 +4,8 @@
 //! Simultaneous events fire in ascending *key* order. Callers that do not
 //! care about cross-actor tie ordering use [`EventQueue::schedule_at`], which
 //! hands out strictly increasing keys (so same-instant ties fire FIFO);
-//! callers that need a *stable* tie order — one that survives re-partitioning
-//! the event set across shards — assign their own keys with
+//! callers that need a tie order independent of insertion order — one
+//! defined by who scheduled the event — assign their own keys with
 //! [`EventQueue::schedule_keyed_at`]. Either way every simulation run is a
 //! pure function of its configuration and seed — the property the
 //! reproduction's determinism tests rely on.
@@ -154,32 +154,6 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
-    /// `(time, key)` of the next pending event without removing it. The
-    /// parallel engine's window reduction compares shard fronts with this.
-    pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|Reverse(s)| (s.at, s.key))
-    }
-
-    /// Move the clock forward to `t` without popping anything, so events
-    /// scheduled relative to `now` (and trace timestamps) use the shard
-    /// window's time even on a shard with no event of its own at `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past or would skip over a pending event.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(
-            t >= self.now,
-            "advance_to({t}) but the clock is at {}",
-            self.now
-        );
-        debug_assert!(
-            self.peek_time().is_none_or(|p| p >= t),
-            "advance_to({t}) would skip a pending event"
-        );
-        self.now = t;
     }
 
     /// Remove and return the next event, advancing the clock to its

@@ -28,7 +28,6 @@ pub mod profile;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;
-pub mod sync;
 pub mod time;
 
 pub use backend::{DualQueue, QueueSnapshot};
@@ -40,5 +39,4 @@ pub use profile::{KindId, KindProfile, ProfileReport, Profiler};
 pub use rng::Rng;
 pub use snapshot::{SnapError, SnapReader, SnapWriter};
 pub use stats::{BusyTracker, Histogram, IntervalSeries, LogHistogram, OnlineStats};
-pub use sync::{Mailbox, SpinBarrier};
 pub use time::SimTime;

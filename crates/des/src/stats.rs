@@ -549,30 +549,6 @@ impl IntervalSeries {
         self.width
     }
 
-    /// Fold another series into this one by per-interval addition.
-    ///
-    /// Both series must sample the same underlying clock. If their widths
-    /// differ (one of them outgrew [`Self::MAX_INTERVALS`] and coarsened),
-    /// the finer series is coarsened to the common width first — coarsening
-    /// is exact pairwise addition, so the merged buckets equal what a single
-    /// series fed every `add_busy` span from both sources would hold,
-    /// regardless of the order the spans arrived in.
-    pub fn merge(&mut self, other: &IntervalSeries) {
-        let mut other = other.clone();
-        while self.width < other.width {
-            self.coarsen();
-        }
-        while other.width < self.width {
-            other.coarsen();
-        }
-        if self.busy.len() < other.busy.len() {
-            self.busy.resize(other.busy.len(), 0);
-        }
-        for (dst, src) in self.busy.iter_mut().zip(other.busy.iter()) {
-            *dst += *src;
-        }
-    }
-
     /// Record that the resource was busy over `[from, to)`, splitting the
     /// span across interval boundaries.
     pub fn add_busy(&mut self, from: SimTime, to: SimTime) {

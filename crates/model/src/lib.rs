@@ -31,7 +31,6 @@ pub mod machine;
 pub mod message;
 pub mod metrics;
 pub mod open;
-pub mod parallel;
 pub mod pe;
 pub mod program;
 pub mod snapshot;
@@ -50,7 +49,6 @@ pub use open::{
     AdmissionPolicy, ArrivalProcess, ArrivalSpec, EdgeSet, OpenTraffic, ParseArrivalError,
     ParseOverloadError, RetryPolicy, ADMISSION_GRAMMAR, ARRIVAL_GRAMMAR, RETRY_GRAMMAR,
 };
-pub use parallel::{ineligibility, run_parallel, run_parallel_machine};
 pub use program::{Continuation, Expansion, Program, TaskList, TaskSpec};
 pub use strategy::{Strategy, StrategyState};
 pub use trace::{Trace, TraceEvent, TraceMode};

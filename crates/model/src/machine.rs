@@ -195,20 +195,17 @@ pub struct Core {
     /// neighbour list.
     pub(crate) nbr_index: Vec<u16>,
     /// Construction-time RNG (PE speed spreads). Never drawn from during a
-    /// run: runtime randomness comes from the per-PE streams below, so that
-    /// the sharded parallel engine can give each shard exactly the streams
-    /// of the PEs it owns.
+    /// run: runtime randomness comes from the per-PE streams below.
     pub(crate) rng: Rng,
     /// One independent RNG stream per PE. Every runtime draw is charged to
-    /// the PE whose event is being handled — the property that makes a
-    /// run's randomness a pure function of (seed, per-PE event sequence)
-    /// and therefore independent of how events interleave across shards.
+    /// the PE whose event is being handled, so a run's randomness is a pure
+    /// function of (seed, per-PE event sequence). The stream layout is part
+    /// of the pinned results: changing it changes every golden.
     pub(crate) pe_rngs: Vec<Rng>,
     /// Per-actor event-ordering sequence counters (actor 0 = environment,
     /// then one per PE, then one per channel). An event's queue key is
     /// `(actor << 32) | seq`, so simultaneous events fire in a fixed
-    /// actor-then-issue order that survives re-partitioning the event set
-    /// across shards.
+    /// actor-then-issue order — the same-time order the goldens pin.
     pub(crate) key_seq: Vec<u32>,
     /// Per-creator goal-id sequence counters (creator 0 = environment —
     /// root goals and open-traffic arrivals — then one per PE). A goal's id
@@ -223,8 +220,8 @@ pub struct Core {
     pub(crate) hop_hist: Histogram,
     /// Dispatch latency (creation to execution start), one accumulator per
     /// PE (dense or sparse per `config.state_mode`), folded in PE order at
-    /// report time. Per-PE accumulation keeps the floating-point fold
-    /// order identical between the sequential and the sharded engine.
+    /// report time. The fixed PE-order fold makes the floating-point sum
+    /// independent of event interleaving and of the state mode.
     pub(crate) dispatch_latency: DispatchLatency,
     /// Summed user-busy time across all PEs, per sampling interval.
     pub(crate) global_series: IntervalSeries,
@@ -257,11 +254,6 @@ pub struct Core {
     /// simulated time at the previous one (for the monotonicity check).
     pub(crate) next_audit: u64,
     pub(crate) last_audit_now: u64,
-    /// Sharded-execution context (`Some` only inside a shard worker of the
-    /// parallel engine). Transient: never snapshotted, never set on the
-    /// sequential engine, which pays exactly one null check for it on the
-    /// channel-offer path.
-    pub(crate) par: Option<Box<ParCtx>>,
     /// Live-graph routing distances (`Some` once any fault has changed the
     /// reachable topology). Derived state: rebuilt eagerly on every crash
     /// and link transition, and after a snapshot restore — never encoded.
@@ -280,37 +272,6 @@ pub(crate) struct LiveRoutes {
     /// the caller's problem — a packet is never at a dead PE). `u32`
     /// because a path topology's diameter alone can exceed `u16::MAX`.
     dist: Vec<u32>,
-}
-
-/// Per-shard context of the parallel engine (see `crate::parallel`).
-///
-/// Lives inside the `Core` so that the one hook the engine needs deep in
-/// the event handlers — deferring offers to channels shared with other
-/// shards — can see it without threading a parameter through every
-/// strategy callback.
-pub(crate) struct ParCtx {
-    /// True for channels whose members span shards: offers to them are
-    /// deferred and applied in a deterministic merge order at the next
-    /// phase boundary, because two shards may offer to the same channel in
-    /// the same timestamp.
-    pub(crate) defer_chan: Vec<bool>,
-    /// Ordering key of the event currently being handled (the offer-merge
-    /// sort key, so deferred offers apply in exactly the sequential order).
-    pub(crate) cur_key: u64,
-    /// Tie-break among several offers emitted by one event.
-    pub(crate) offer_sub: u32,
-    /// Offers deferred during the current phase, drained by the engine.
-    pub(crate) deferred: Vec<DeferredOffer>,
-}
-
-/// One channel offer captured for deterministic cross-shard replay.
-pub(crate) struct DeferredOffer {
-    /// Key of the event that emitted the offer.
-    pub(crate) gen_key: u64,
-    /// Emission index within that event.
-    pub(crate) sub: u32,
-    pub(crate) channel: ChannelId,
-    pub(crate) flight: Flight,
 }
 
 impl Core {
@@ -357,8 +318,7 @@ impl Core {
     /// The deterministic PRNG stream of `pe` (all strategy randomness must
     /// come from here, charged to the PE making the decision). Per-PE
     /// streams make a run's randomness independent of how events from
-    /// different PEs interleave — the property the sharded parallel engine
-    /// relies on for bit-identical results.
+    /// different PEs interleave.
     #[inline]
     pub fn rng(&mut self, pe: PeId) -> &mut Rng {
         &mut self.pe_rngs[pe.idx()]
@@ -369,7 +329,7 @@ impl Core {
     /// one code per PE, then one per channel. Total — every event maps to
     /// exactly one actor, and only that actor's handler mutates the
     /// actor's state.
-    pub(crate) fn event_actor(&self, ev: &Event) -> u32 {
+    fn event_actor(&self, ev: &Event) -> u32 {
         match ev {
             Event::PeDone(pe)
             | Event::Timer(pe, _)
@@ -384,20 +344,11 @@ impl Core {
         }
     }
 
-    /// First ordering key of the channel actor class: at a single
-    /// timestamp, every PE- and environment-class event sorts before every
-    /// channel-class event. The parallel engine's phase split rests on
-    /// this boundary.
-    #[inline]
-    pub(crate) fn chan_key_base(&self) -> u64 {
-        ((1 + self.pes.len()) as u64) << 32
-    }
-
     /// Schedule `ev` at the absolute instant `at` under the deterministic
     /// key schedule: `(actor << 32) | seq` with a per-actor sequence. All
     /// simulation events must go through here (or
     /// [`Core::schedule_event_after`]) — a raw auto-keyed insert would
-    /// break the cross-shard tie order.
+    /// break the pinned same-time order.
     pub(crate) fn schedule_event_at(&mut self, at: SimTime, ev: Event) {
         let actor = self.event_actor(&ev) as usize;
         let seq = self.key_seq[actor];
@@ -939,31 +890,9 @@ impl Core {
         }
     }
 
+    /// Hand `flight` to the channel: it starts transferring now if the
+    /// channel is idle, otherwise it joins the channel's FIFO backlog.
     pub(crate) fn offer_to_channel(&mut self, ch: ChannelId, flight: Flight) {
-        // Sharded execution: offers to channels shared with another shard
-        // are captured and applied at the next phase boundary in the
-        // deterministic `(time, generating key, emission index)` order —
-        // two shards may offer to the same boundary channel within one
-        // timestamp, and the channel's FIFO must see the sequential order.
-        if let Some(par) = self.par.as_deref_mut() {
-            if par.defer_chan[ch.idx()] {
-                let sub = par.offer_sub;
-                par.offer_sub += 1;
-                par.deferred.push(DeferredOffer {
-                    gen_key: par.cur_key,
-                    sub,
-                    channel: ch,
-                    flight,
-                });
-                return;
-            }
-        }
-        self.apply_offer(ch, flight);
-    }
-
-    /// Hand `flight` to the channel right now (the deferred-offer replay
-    /// path of the parallel engine joins here).
-    pub(crate) fn apply_offer(&mut self, ch: ChannelId, flight: Flight) {
         let cost = self.packet_cost(&flight.packet);
         let now = self.events.now();
         if self.channels.get_mut(ch).offer(flight, now) {
@@ -974,9 +903,8 @@ impl Core {
     /// Complete the in-flight transfer on `ch`: pop it, start the next
     /// backlogged one (scheduling its completion), and account the
     /// traffic. The channel-owner half of a `ChannelDone`; delivery-side
-    /// effects live in `Machine::deliver_flight` so the parallel engine
-    /// can split the two across shards.
-    pub(crate) fn complete_channel(&mut self, ch: ChannelId) -> Flight {
+    /// effects live in `Machine::deliver_flight`.
+    fn complete_channel(&mut self, ch: ChannelId) -> Flight {
         let now = self.events.now();
         let costs = self.costs; // Copy: needed while the channel is borrowed.
         let cost_of = |p: &Packet| match p {
@@ -1018,9 +946,8 @@ impl Core {
     ///
     /// Ids are `(creator << 32) | seq` with a per-creator sequence
     /// (creator 0 = environment, so the root goal of a closed run keeps id
-    /// 0): globally unique without a shared counter, which lets shards of
-    /// the parallel engine mint ids independently yet identically to the
-    /// sequential run.
+    /// 0): globally unique without a shared counter. The id layout is part
+    /// of the pinned results (strategies and traces see it).
     fn make_goal(&mut self, spec: TaskSpec, parent: Option<(PeId, GoalId)>) -> GoalMsg {
         let creator = parent.map_or(0, |(pe, _)| 1 + pe.0) as usize;
         let seq = self.goal_seq[creator];
@@ -1267,7 +1194,7 @@ impl Core {
     /// True once the run is over: the root result was produced (closed
     /// runs), or the time horizon was reached / the saturation trip wire
     /// fired (open runs).
-    pub(crate) fn completed(&self) -> bool {
+    fn completed(&self) -> bool {
         match &self.open {
             None => self.root_result.is_some(),
             Some(open) => open.saturated.is_some() || self.events.now().units() >= open.duration,
@@ -1430,7 +1357,6 @@ impl Machine {
                     u64::MAX
                 },
                 last_audit_now: 0,
-                par: None,
                 live_routes: None,
                 topo,
                 costs,
@@ -1655,7 +1581,7 @@ impl Machine {
     // Event handlers.
     // ------------------------------------------------------------------
 
-    pub(crate) fn handle_event(&mut self, ev: Event) {
+    fn handle_event(&mut self, ev: Event) {
         match ev {
             Event::PeDone(pe) => self.handle_pe_done(pe),
             Event::ChannelDone(ch) => self.handle_channel_done(ch),
@@ -2297,19 +2223,15 @@ impl Machine {
 
     fn handle_channel_done(&mut self, ch: ChannelId) {
         let flight = self.core.complete_channel(ch);
-        self.deliver_flight(ch, flight, None);
+        self.deliver_flight(ch, flight);
     }
 
     /// Deliver a completed transfer: the loss draw, the bus snoop, and the
-    /// per-destination handoff. `owned` (parallel engine only) restricts
-    /// the member-side effects to the PEs a shard owns — the completing
-    /// shard broadcasts the flight and every shard applies its own slice.
-    pub(crate) fn deliver_flight(&mut self, ch: ChannelId, flight: Flight, owned: Option<&[bool]>) {
+    /// per-destination handoff.
+    fn deliver_flight(&mut self, ch: ChannelId, flight: Flight) {
         // Fault plan: each completed transfer may be lost in delivery. The
         // draw comes from the dedicated fault stream and is skipped
-        // entirely at zero loss, so an empty plan changes nothing. (The
-        // parallel engine never reaches this draw: a fault plan makes a
-        // run ineligible for sharding.)
+        // entirely at zero loss, so an empty plan changes nothing.
         if self.core.plan.message_loss > 0.0
             && self.core.fault_rng.chance(self.core.plan.message_loss)
         {
@@ -2334,7 +2256,6 @@ impl Machine {
             return;
         }
 
-        let mine = |pe: PeId| owned.is_none_or(|o| o[pe.idx()]);
         // On a bus, every member sees every transmission: all of them snoop
         // the piggy-backed load word even when the packet itself is
         // addressed to one PE. (On a 2-member link this is identical to
@@ -2342,7 +2263,7 @@ impl Machine {
         if let Some(load) = flight.piggyback_load {
             for i in 0..self.core.topo.channel_members(ch).len() {
                 let m = self.core.topo.channel_members(ch)[i];
-                if m != flight.from && mine(m) {
+                if m != flight.from {
                     self.core.update_known_load(m, flight.from, load);
                 }
             }
@@ -2350,14 +2271,12 @@ impl Machine {
 
         match flight.dest {
             FlightDest::Unicast(to) => {
-                if mine(to) {
-                    self.deliver(to, flight.from, flight.piggyback_load, flight.packet)
-                }
+                self.deliver(to, flight.from, flight.piggyback_load, flight.packet)
             }
             FlightDest::Broadcast => {
                 for i in 0..self.core.topo.channel_members(ch).len() {
                     let to = self.core.topo.channel_members(ch)[i];
-                    if to != flight.from && mine(to) {
+                    if to != flight.from {
                         self.deliver(to, flight.from, flight.piggyback_load, flight.packet);
                     }
                 }
@@ -2651,8 +2570,7 @@ impl Machine {
 
         let (hop_histogram, hop_overflow, avg_goal_distance) = Report::hop_fields(&core.hop_hist);
         // Fold the per-PE accumulators in PE order — fixed order, so the
-        // sequential and parallel engines (and the sparse and dense state
-        // modes) produce bit-identical floats.
+        // sparse and dense state modes produce bit-identical floats.
         let dispatch = core.dispatch_latency.fold();
         let dispatch_latency_mean = dispatch.mean();
         let dispatch_latency_max = dispatch.max().unwrap_or(0.0);

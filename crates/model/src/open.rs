@@ -20,7 +20,7 @@
 //!   windows + saturation threshold, plus the overload-protection knobs
 //!   ([`RetryPolicy`], [`AdmissionPolicy`], per-request deadlines, and the
 //!   per-region circuit breaker).
-//! * [`OpenState`] — the runtime side (pub(crate)): the dedicated arrival
+//! * `OpenState` — the runtime side (pub(crate)): the dedicated arrival
 //!   RNG stream, in-flight request table, sojourn/queue-length histograms,
 //!   the saturation trip wire, and the mutable overload state (token
 //!   bucket, pending retries, breaker table, shed/abandon counters).

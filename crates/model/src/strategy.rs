@@ -127,35 +127,4 @@ pub trait Strategy: Send {
     fn goals_held(&self) -> u64 {
         0
     }
-
-    /// Whether the scheme is safe to run under the sharded parallel engine
-    /// (`crate::parallel`). Safe means: every callback for PE `p` reads and
-    /// writes only per-`p` state (its own slice of any per-PE vectors, `p`'s
-    /// RNG stream, `p`'s load and known-load tables) — never a structure
-    /// keyed by goals or shared across PEs. Schemes with cross-PE shared
-    /// state (a global in-flight map, parked-goal custody) must leave this
-    /// `false`; the engine then falls back to sequential execution
-    /// transparently. Defaults to `false`: a scheme must be *shown* safe,
-    /// not assumed safe.
-    fn parallel_safe(&self) -> bool {
-        false
-    }
-
-    /// Fold the per-PE slices of another instance's snapshotted state into
-    /// this one, for the PEs marked in `owned`. The parallel engine runs one
-    /// strategy clone per shard and reassembles the canonical instance by
-    /// calling this once per shard with that shard's ownership mask. The
-    /// payload is a [`Strategy::snapshot_state`] capture from an instance of
-    /// the *same* scheme. The default is correct for stateless schemes
-    /// (nothing to fold) and still validates the name tag.
-    fn merge_owned(&mut self, from: &StrategyState, _owned: &[bool]) -> Result<(), String> {
-        if from.name != self.name() {
-            return Err(format!(
-                "merging shard state of `{}` into `{}`",
-                from.name,
-                self.name()
-            ));
-        }
-        Ok(())
-    }
 }

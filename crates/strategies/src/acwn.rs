@@ -247,39 +247,6 @@ impl Strategy for AdaptiveCwn {
         self.outstanding = outstanding;
         Ok(())
     }
-
-    // The outstanding-request bitmap is per-PE, and redistribution
-    // transfers are directed single hops between neighbours.
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
-    fn merge_owned(&mut self, from: &StrategyState, owned: &[bool]) -> Result<(), String> {
-        if from.name != self.name() {
-            return Err(format!(
-                "merging shard state of `{}` into `{}`",
-                from.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `adaptive-cwn` shard payload: {e}");
-        let mut r = SnapReader::new(&from.bytes);
-        let n = r.usize().map_err(bad)?;
-        if n != self.outstanding.len() || n != owned.len() {
-            return Err(format!(
-                "`adaptive-cwn` shard state covers {n} PEs but this machine has {}",
-                self.outstanding.len()
-            ));
-        }
-        for slot in self.outstanding.iter_mut().zip(owned) {
-            let v = r.bool().map_err(bad)?;
-            if *slot.1 {
-                *slot.0 = v;
-            }
-        }
-        r.finish().map_err(bad)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -32,10 +32,6 @@ impl Strategy for KeepLocal {
         // Only possible for directed transfers; accept them.
         core.accept_goal(pe, goal);
     }
-
-    fn parallel_safe(&self) -> bool {
-        true
-    }
 }
 
 /// Send each goal on a random walk of `walk_hops` hops, then accept it.
@@ -83,11 +79,6 @@ impl Strategy for RandomWalk {
         } else {
             self.step(core, pe, goal);
         }
-    }
-
-    // Every draw comes from the handling PE's own RNG stream.
-    fn parallel_safe(&self) -> bool {
-        true
     }
 }
 
@@ -166,38 +157,6 @@ impl Strategy for RoundRobin {
         }
         r.finish().map_err(bad)?;
         self.next = next;
-        Ok(())
-    }
-
-    // The cyclic cursor is per-PE: only `next[pe]` is read or written.
-    fn parallel_safe(&self) -> bool {
-        true
-    }
-
-    fn merge_owned(&mut self, from: &StrategyState, owned: &[bool]) -> Result<(), String> {
-        if from.name != self.name() {
-            return Err(format!(
-                "merging shard state of `{}` into `{}`",
-                from.name,
-                self.name()
-            ));
-        }
-        let bad = |e| format!("corrupt `round-robin` shard payload: {e}");
-        let mut r = SnapReader::new(&from.bytes);
-        let n = r.usize().map_err(bad)?;
-        if n != self.next.len() || n != owned.len() {
-            return Err(format!(
-                "`round-robin` shard state covers {n} PEs but this machine has {}",
-                self.next.len()
-            ));
-        }
-        for slot in self.next.iter_mut().zip(owned) {
-            let v = r.u32().map_err(bad)?;
-            if *slot.1 {
-                *slot.0 = v;
-            }
-        }
-        r.finish().map_err(bad)?;
         Ok(())
     }
 }

@@ -123,11 +123,6 @@ impl Strategy for Cwn {
             None => core.accept_goal(pe, goal),
         }
     }
-
-    // Stateless, and every callback reads only its own PE's load view.
-    fn parallel_safe(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -107,11 +107,6 @@ impl Strategy for Diffusion {
             self.cycle(core, pe);
         }
     }
-
-    // Stateless; each cycle reads only the timer PE's queue and load view.
-    fn parallel_safe(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

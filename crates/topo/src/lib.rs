@@ -22,9 +22,7 @@ pub mod hypercube;
 pub mod kary;
 pub mod mesh;
 pub mod misc;
-pub mod partition;
 pub mod spec;
 
 pub use graph::{random_regular, ChannelId, Neighbor, PeId, SpecError, Topology};
-pub use partition::{partition, Partition};
 pub use spec::TopologySpec;

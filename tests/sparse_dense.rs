@@ -2,8 +2,7 @@
 //! representations ([`StateMode::Sparse`] vs [`StateMode::Dense`]) must
 //! produce **bit-identical** `Report`s — completion time, utilization
 //! quantiles, traffic counters, hop histograms, top-K tables, float
-//! folds, all of it — on every cell, under both event-queue backends, and
-//! under the sharded engine as well as the sequential one.
+//! folds, all of it — on every cell and under both event-queue backends.
 //!
 //! This is the load-bearing guarantee of the O(active)-memory refactor:
 //! sparse mode is a *representation* change, never a *results* change. The
@@ -23,41 +22,30 @@ fn render(
     build: &dyn Fn() -> SimulationBuilder,
     mode: StateMode,
     backend: QueueBackend,
-    shards: usize,
 ) -> String {
     let mut config = build()
         .state_mode(mode)
         .queue_backend(backend)
-        .coprocessor(false) // sharded engine requires the co-processor off
+        .coprocessor(false)
         .config();
     config.machine.audit_every = 100;
-    let report = if shards > 1 {
-        config
-            .run_sharded(shards)
-            .unwrap_or_else(|e| panic!("{mode:?}/{backend:?}/{shards} shards failed: {e:?}"))
-            .0
-    } else {
-        config
-            .run()
-            .unwrap_or_else(|e| panic!("{mode:?}/{backend:?} failed: {e:?}"))
-    };
+    let report = config
+        .run()
+        .unwrap_or_else(|e| panic!("{mode:?}/{backend:?} failed: {e:?}"));
     report.check_invariants();
     format!("{report:#?}")
 }
 
-/// Sparse and dense must render identically for every backend × engine
-/// combination of this configuration.
+/// Sparse and dense must render identically under both queue backends.
 fn assert_sparse_matches_dense(name: &str, build: impl Fn() -> SimulationBuilder) {
     for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        for shards in [1usize, 2] {
-            let dense = render(&build, StateMode::Dense, backend, shards);
-            let sparse = render(&build, StateMode::Sparse, backend, shards);
-            assert!(
-                sparse == dense,
-                "{name} under {backend:?} with {shards} shard(s): sparse state \
-                 diverged from dense\n--- dense ---\n{dense}\n--- sparse ---\n{sparse}"
-            );
-        }
+        let dense = render(&build, StateMode::Dense, backend);
+        let sparse = render(&build, StateMode::Sparse, backend);
+        assert!(
+            sparse == dense,
+            "{name} under {backend:?}: sparse state diverged from dense\n\
+             --- dense ---\n{dense}\n--- sparse ---\n{sparse}"
+        );
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! The grid is (workload × topology × strategy): the paper's two
 //! interconnection schemes, three task-tree shapes, and both load
-//! distribution methods. The headline cell — the one the tracked speedup
+//! distribution methods, plus one open-arrival cell and one 1024-PE
+//! `grid:32` cell. The headline cell — the one the tracked speedup
 //! trajectory quotes — is `fib:20/grid:10/cwn`, always first.
 //!
 //! The committed `BENCH_throughput.json` at the repo root is the tracked
@@ -83,6 +84,19 @@ pub fn grid_specs() -> Vec<GridSpec> {
         WorkloadSpec::fib(11),
         cwn,
         Some(open),
+    ));
+    // One 1024-PE cell: paper CWN with the co-processor on (the default).
+    // Its instants hold hundreds of same-time events, which the 100-PE
+    // cells never produce, so it keeps the event queue's same-instant
+    // pops under the regression gate.
+    let topology = TopologySpec::grid(32);
+    let (cwn, _) = paper_strategies(&topology);
+    specs.push((
+        "fib:20/grid:32/cwn".to_string(),
+        topology,
+        WorkloadSpec::fib(20),
+        cwn,
+        None,
     ));
     // Put the headline cell first.
     specs.sort_by_key(|(name, ..)| (name != "fib:20/grid:10/cwn") as u8);
@@ -316,7 +330,7 @@ mod tests {
     fn headline_cell_is_first() {
         let specs = grid_specs();
         assert_eq!(specs[0].0, "fib:20/grid:10/cwn");
-        assert_eq!(specs.len(), 13);
+        assert_eq!(specs.len(), 14);
         let open: Vec<_> = specs.iter().filter(|s| s.4.is_some()).collect();
         assert_eq!(open.len(), 1, "exactly one open-arrival cell");
         assert!(open[0].0.starts_with("open-"));

@@ -2,10 +2,10 @@
 //!
 //! The simulator core works against [`DualQueue`], an enum over the two
 //! interchangeable event lists — the binary-heap [`EventQueue`] and the
-//! bucket-based [`CalendarQueue`]. Enum dispatch keeps the queue choice a
+//! timing-wheel [`CalendarQueue`]. Enum dispatch keeps the queue choice a
 //! runtime configuration knob without infecting the public `Machine` /
 //! `Strategy` API with a generic parameter, and the two variants share the
-//! exact deterministic ordering contract (time, then insertion sequence), so
+//! exact deterministic ordering contract (time, then ordering key), so
 //! swapping backends never changes a simulated result — `tests/cross_queue.rs`
 //! pins that on the full paper workloads.
 
@@ -45,9 +45,11 @@ pub struct QueueSnapshot<E> {
 /// ```
 #[derive(Clone)]
 pub enum DualQueue<E> {
-    /// Binary-heap event list ([`EventQueue`]) — the default.
+    /// Binary-heap event list ([`EventQueue`]).
     Heap(EventQueue<E>),
-    /// Calendar-queue event list ([`CalendarQueue`], Brown 1988).
+    /// Calendar-queue event list ([`CalendarQueue`], Brown 1988): a
+    /// unit-width timing wheel whose current instant drains from a due
+    /// heap. The machine model's default.
     Calendar(CalendarQueue<E>),
 }
 
@@ -255,21 +257,16 @@ mod tests {
         assert_eq!(heap.len(), 0);
     }
 
-    #[test]
-    fn snapshot_round_trip_preserves_pop_order_across_backends() {
-        // Build two identical schedules, snapshot one mid-run, restore the
-        // snapshot into BOTH backend kinds, and check every later pop.
-        let mut reference = DualQueue::<u64>::heap();
-        let mut snap_source = DualQueue::<u64>::calendar();
-        let mut rng = Rng::seed_from_u64(13);
-        for i in 0..200u64 {
-            // Delays up to 2000 exercise both the wheel and the overflow.
-            let d = rng.below(2_000);
-            reference.schedule_after(d, i);
-            snap_source.schedule_after(d, i);
-        }
-        for _ in 0..60 {
-            assert_eq!(reference.pop(), snap_source.pop());
+    /// Pop `reference` and `snap_source` (identical schedules) in lockstep
+    /// `pops` times, snapshot `snap_source`, restore the snapshot into BOTH
+    /// backend kinds and in place, and check every later pop.
+    fn assert_round_trip(
+        mut reference: DualQueue<u64>,
+        mut snap_source: DualQueue<u64>,
+        pops: usize,
+    ) {
+        for _ in 0..pops {
+            assert_eq!(reference.pop_keyed(), snap_source.pop_keyed());
         }
         let snap = snap_source.take_snapshot();
         assert!(snap_source.is_empty());
@@ -278,14 +275,54 @@ mod tests {
         snap_source.restore_snapshot(snap);
         assert_eq!(snap_source.now(), reference.now());
         assert_eq!(snap_source.events_processed(), reference.events_processed());
+        // A zero-delay insert straight after the restore joins the instant
+        // the snapshot was taken in, behind its smaller keys.
+        let now = reference.now();
+        for q in [&mut reference, &mut as_heap, &mut as_cal, &mut snap_source] {
+            q.schedule_keyed_at(now, (1 << 51) | 999_999, u64::MAX);
+        }
         loop {
-            let want = reference.pop();
-            assert_eq!(as_heap.pop(), want);
-            assert_eq!(as_cal.pop(), want);
-            assert_eq!(snap_source.pop(), want);
+            let want = reference.pop_keyed();
+            assert_eq!(as_heap.pop_keyed(), want);
+            assert_eq!(as_cal.pop_keyed(), want);
+            assert_eq!(snap_source.pop_keyed(), want);
             if want.is_none() {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn snapshot_round_trip_preserves_pop_order_across_backends() {
+        // Sparse: delays up to 2000 exercise both the wheel and the
+        // overflow.
+        let mut reference = DualQueue::<u64>::heap();
+        let mut snap_source = DualQueue::<u64>::calendar();
+        let mut rng = Rng::seed_from_u64(13);
+        for i in 0..200u64 {
+            let d = rng.below(2_000);
+            reference.schedule_after(d, i);
+            snap_source.schedule_after(d, i);
+        }
+        assert_round_trip(reference, snap_source, 60);
+
+        // Dense: 300 keyed events at one instant with non-monotone keys,
+        // plus a later instant. The snapshot is taken part-way through the
+        // first instant, after zero-delay inserts have joined it.
+        let mut reference = DualQueue::<u64>::heap();
+        let mut snap_source = DualQueue::<u64>::calendar();
+        let mut keyed = |at: u64, i: u64, a: &mut DualQueue<u64>, b: &mut DualQueue<u64>| {
+            let key = (rng.below(1 << 20) << 32) | i;
+            a.schedule_keyed_at(SimTime(at), key, i);
+            b.schedule_keyed_at(SimTime(at), key, i);
+        };
+        for i in 0..350u64 {
+            keyed(5 + i / 300, i, &mut reference, &mut snap_source);
+        }
+        assert_eq!(reference.pop_keyed(), snap_source.pop_keyed());
+        for i in 1_000..1_020u64 {
+            keyed(5, i, &mut reference, &mut snap_source);
+        }
+        assert_round_trip(reference, snap_source, 100);
     }
 }

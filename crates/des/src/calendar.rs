@@ -4,24 +4,29 @@
 //! contemporary with the paper).
 //!
 //! This implementation is the degenerate-but-fast corner of Brown's design
-//! space, chosen for the ORACLE simulation's measured event density of tens
-//! of events per time unit: a *unit-width* wheel of `WHEEL_SLOTS` buckets
-//! covering the window `[window_start, window_start + WHEEL_SLOTS)`, plus a
-//! binary-heap overflow for events beyond the window. With one timestamp
-//! per bucket, a bucket holds only same-instant events, so `schedule` is a
-//! bounds check and a push, and `pop` walks the clock forward to the next
-//! non-empty bucket and extracts that bucket's minimum-*key* entry with a
-//! short linked-list scan (buckets hold at most a few tens of entries at
-//! the densities the simulator produces). When the wheel drains, the window
-//! jumps straight to the earliest overflow timestamp and due overflow
-//! events are decanted into the wheel in `(time, key)` order — there is no
-//! full-calendar scan anywhere.
+//! space: a *unit-width* wheel of `WHEEL_SLOTS` buckets covering the window
+//! `[window_start, window_start + WHEEL_SLOTS)`, plus a binary-heap overflow
+//! for events beyond the window. With one timestamp per bucket, a bucket
+//! holds only same-instant events, so `schedule` is a bounds check and an
+//! O(1) append.
+//!
+//! Same-instant events are numerous: the machine model's `(actor << 32 |
+//! seq)` keys put every event of an instant in one bucket, and a 1024-PE
+//! run queues hundreds to thousands of them. So a bucket is never scanned
+//! for its minimum. When `pop` walks the clock forward to the next
+//! non-empty bucket, it moves that bucket's whole list into one reusable
+//! *due heap* ordered by key, and pops from it in O(log b) for a bucket of
+//! `b` events. Events scheduled at the instant being drained (zero-delay
+//! events created by its handlers) go straight into the due heap. When the
+//! wheel drains, the window jumps straight to the earliest overflow
+//! timestamp and due overflow events are decanted into the wheel — there is
+//! no full-calendar scan anywhere.
 //!
 //! [`CalendarQueue`] implements the same interface and — crucially — the
 //! same *deterministic order* as [`crate::EventQueue`] (time, then ordering
-//! key), so the two are interchangeable; property tests check order
-//! equality on random, sparse, and interleaved schedules, and
-//! `benches/engine.rs` compares their throughput.
+//! key), so the two are interchangeable; unit and property tests check
+//! order equality on random, sparse, dense-instant and interleaved
+//! schedules.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -37,9 +42,10 @@ const MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Sentinel "no node" index into the wheel's node pool.
 const NIL: u32 = u32::MAX;
 
-/// A pooled wheel entry: the payload and its ordering key, plus the pool
-/// index of the next entry in the same slot's list (or, for free nodes, the
-/// next free node).
+/// A pooled entry: the payload and its ordering key, plus the pool index
+/// of the next entry in the same slot's list (or, for free nodes, the next
+/// free node). Nodes in the due heap keep their payload here; `next` is
+/// unused while they wait there.
 #[derive(Clone)]
 struct Node<E> {
     payload: Option<E>,
@@ -95,9 +101,9 @@ pub struct CalendarQueue<E> {
     /// Head of the free list through `pool` (`NIL` when exhausted).
     free: u32,
     /// `head[t & MASK]`/`tail[t & MASK]` delimit the list of every pending
-    /// event at exactly time `t`, for `t` in `[window_start, window_start +
+    /// event at exactly time `t`, for `t` in `(now, window_start +
     /// WHEEL_SLOTS)`. One timestamp per slot — the window is exactly one
-    /// wheel revolution. Pop extracts the minimum-key entry of a slot.
+    /// wheel revolution.
     head: Vec<u32>,
     tail: Vec<u32>,
     /// Start of the window the wheel currently covers. Only moves forward,
@@ -105,7 +111,12 @@ pub struct CalendarQueue<E> {
     window_start: u64,
     /// Events at or beyond `window_start + WHEEL_SLOTS`.
     overflow: BinaryHeap<Reverse<Deferred<E>>>,
-    /// Pending events currently on the wheel (as opposed to in overflow).
+    /// Every pending event at exactly `now`, as `(key, pool index)`,
+    /// smallest key on top. Filled from a wheel slot when the clock reaches
+    /// it; later schedules at `now` push here directly. Its buffer is
+    /// reused across instants.
+    due: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Pending events in wheel slots (not in `due` or the overflow).
     wheel_len: usize,
     now: SimTime,
     seq: u64,
@@ -129,6 +140,7 @@ impl<E> CalendarQueue<E> {
             tail: vec![NIL; WHEEL_SLOTS],
             window_start: 0,
             overflow: BinaryHeap::new(),
+            due: BinaryHeap::new(),
             wheel_len: 0,
             now: SimTime::ZERO,
             seq: 0,
@@ -137,11 +149,11 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Append `payload` to the slot covering time `t` (which must lie
-    /// inside the current window).
+    /// Store `payload` in a pool node (recycled from the free list when
+    /// possible) and return its index.
     #[inline]
-    fn wheel_push(&mut self, t: u64, key: u64, payload: E) {
-        let idx = if self.free != NIL {
+    fn alloc(&mut self, key: u64, payload: E) -> u32 {
+        if self.free != NIL {
             let idx = self.free;
             let node = &mut self.pool[idx as usize];
             self.free = node.next;
@@ -157,7 +169,14 @@ impl<E> CalendarQueue<E> {
                 next: NIL,
             });
             (self.pool.len() - 1) as u32
-        };
+        }
+    }
+
+    /// Append `payload` to the slot covering time `t` (which must lie
+    /// inside the current window).
+    #[inline]
+    fn wheel_push(&mut self, t: u64, key: u64, payload: E) {
+        let idx = self.alloc(key, payload);
         let s = (t & MASK) as usize;
         if self.tail[s] == NIL {
             self.head[s] = idx;
@@ -168,47 +187,22 @@ impl<E> CalendarQueue<E> {
         self.wheel_len += 1;
     }
 
-    /// Detach and return the minimum-key entry of slot `s`, if any,
-    /// recycling its node onto the free list. The scan is over same-instant
-    /// events only (one timestamp per slot), which stays short at simulated
-    /// event densities.
-    #[inline]
-    fn wheel_pop(&mut self, s: usize) -> Option<(u64, E)> {
-        let first = self.head[s];
-        if first == NIL {
-            return None;
-        }
-        // Find the minimum-key node and its predecessor.
-        let mut best = first;
-        let mut best_prev = NIL;
-        let mut prev = first;
-        let mut cur = self.pool[first as usize].next;
-        let mut best_key = self.pool[first as usize].key;
+    /// Move every entry of slot `s` into the (empty) due heap, leaving the
+    /// slot empty. The heap is rebuilt from its own buffer in O(b), so this
+    /// allocates only when an instant is larger than any before it.
+    fn load_due(&mut self, s: usize) {
+        debug_assert!(self.due.is_empty());
+        let mut buf = std::mem::take(&mut self.due).into_vec();
+        let mut cur = self.head[s];
         while cur != NIL {
-            let k = self.pool[cur as usize].key;
-            if k < best_key {
-                best_key = k;
-                best = cur;
-                best_prev = prev;
-            }
-            prev = cur;
-            cur = self.pool[cur as usize].next;
+            let node = &self.pool[cur as usize];
+            buf.push(Reverse((node.key, cur)));
+            cur = node.next;
         }
-        let node = &mut self.pool[best as usize];
-        let payload = node.payload.take().expect("linked node holds a payload");
-        let after = node.next;
-        node.next = self.free;
-        self.free = best;
-        if best_prev == NIL {
-            self.head[s] = after;
-        } else {
-            self.pool[best_prev as usize].next = after;
-        }
-        if self.tail[s] == best {
-            self.tail[s] = best_prev;
-        }
-        self.wheel_len -= 1;
-        Some((best_key, payload))
+        self.wheel_len -= buf.len();
+        self.head[s] = NIL;
+        self.tail[s] = NIL;
+        self.due = BinaryHeap::from(buf);
     }
 
     /// Current simulated time (timestamp of the last popped event).
@@ -248,7 +242,10 @@ impl<E> CalendarQueue<E> {
             self.now
         );
         let t = at.units();
-        if t < self.window_start + WHEEL_SLOTS as u64 {
+        if t == self.now.units() {
+            let idx = self.alloc(key, payload);
+            self.due.push(Reverse((key, idx)));
+        } else if t < self.window_start + WHEEL_SLOTS as u64 {
             self.wheel_push(t, key, payload);
         } else {
             self.overflow.push(Reverse(Deferred {
@@ -279,12 +276,15 @@ impl<E> CalendarQueue<E> {
         self.schedule_at(self.now + delay, payload);
     }
 
-    /// Timestamp of the next pending event, if any. O(window occupancy) in
-    /// the worst case but O(1) amortized on the densities the simulator
-    /// produces (the scan resumes from `now`).
+    /// Timestamp of the next pending event, if any. O(1) while events at
+    /// `now` are pending; otherwise a slot scan forward from `now`, O(1)
+    /// amortized on the densities the simulator produces.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.len == 0 {
             return None;
+        }
+        if !self.due.is_empty() {
+            return Some(self.now);
         }
         if self.wheel_len == 0 {
             return self.overflow.peek().map(|Reverse(d)| SimTime(d.at));
@@ -314,14 +314,31 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 {
             return None;
         }
+        if self.due.is_empty() {
+            self.advance_to_next_instant();
+        }
+        let Reverse((key, idx)) = self.due.pop().expect("the next instant is loaded");
+        let node = &mut self.pool[idx as usize];
+        let payload = node.payload.take().expect("due node holds a payload");
+        node.next = self.free;
+        self.free = idx;
+        self.len -= 1;
+        self.processed += 1;
+        Some((self.now, key, payload))
+    }
+
+    /// With nothing pending at `now` but something pending later, move the
+    /// clock to the earliest pending instant and load its events into the
+    /// due heap.
+    fn advance_to_next_instant(&mut self) {
         if self.wheel_len == 0 {
             // Everything pending is in overflow: jump the window to the
             // earliest deferred timestamp and decant what now fits. The
-            // drain order is (time, key); pop re-derives the slot minimum
-            // anyway, so the decant order is not load-bearing.
+            // due heap orders each instant by key, so the decant order is
+            // not load-bearing.
             let at = match self.overflow.peek() {
                 Some(Reverse(d)) => d.at,
-                None => unreachable!("len > 0 with empty wheel and overflow"),
+                None => unreachable!("len > 0 with empty wheel, due heap and overflow"),
             };
             self.window_start = at;
             let end = at + WHEEL_SLOTS as u64;
@@ -334,41 +351,37 @@ impl<E> CalendarQueue<E> {
             }
         }
         // Walk the clock forward to the next occupied slot. Every wheel
-        // event is at >= now (past events are gone) and within the window,
-        // so this finds the (time, key)-minimum pending event: overflow
-        // events are all at or beyond the window's end.
+        // event is after `now` and within the window, so this finds the
+        // earliest pending instant: overflow events are all at or beyond
+        // the window's end.
         let mut t = self.now.units().max(self.window_start);
-        loop {
-            if let Some((key, payload)) = self.wheel_pop((t & MASK) as usize) {
-                let at = SimTime(t);
-                self.now = at;
-                self.len -= 1;
-                self.processed += 1;
-                return Some((at, key, payload));
-            }
+        while self.head[(t & MASK) as usize] == NIL {
             t += 1;
             debug_assert!(
                 t < self.window_start + WHEEL_SLOTS as u64,
                 "wheel_len > 0 but no occupied slot in the window"
             );
         }
+        self.load_due((t & MASK) as usize);
+        self.now = SimTime(t);
     }
 
     /// Rebuild a queue from checkpoint parts: the clock, the processed
     /// count, and every pending event in pop order with its recorded
-    /// ordering key. The wheel window starts back at zero — every pending
-    /// event is at or after `now`, so the window-jump logic in
-    /// [`CalendarQueue::pop`] recovers the working position on the first
-    /// pop. Keys are preserved exactly; the auto-key counter resumes past
-    /// the largest restored key.
+    /// ordering key. The clock is set first, so events at `now` land in the
+    /// due heap as they would in a running queue. The wheel window starts
+    /// back at zero — every other pending event is after `now`, so the
+    /// window-jump logic in [`CalendarQueue::pop`] recovers the working
+    /// position on the first pop. Keys are preserved exactly; the auto-key
+    /// counter resumes past the largest restored key.
     pub fn from_snapshot(now: SimTime, processed: u64, events: Vec<(SimTime, u64, E)>) -> Self {
         let mut q = CalendarQueue::new();
+        q.now = now;
+        q.processed = processed;
         for (at, key, payload) in events {
             q.schedule_keyed_at(at, key, payload);
             q.seq = q.seq.max(key.saturating_add(1));
         }
-        q.now = now;
-        q.processed = processed;
         q
     }
 }
@@ -549,6 +562,23 @@ mod tests {
         } {
             let _ = t;
         }
+        // Mid-instant: peek while a dense instant is part-drained, before
+        // and after a zero-delay insert joins it.
+        let t = cal.now() + 3;
+        for i in 0..200u64 {
+            cal.schedule_keyed_at(t, (((i * 7_919) % 200) << 32) | i, i);
+        }
+        cal.schedule_keyed_at(t + 1, 0, 999);
+        for i in 0..201u64 {
+            assert_eq!(cal.peek_time(), Some(t), "pop {i}");
+            assert_eq!(cal.pop().map(|(at, _)| at), Some(t));
+            if i == 50 {
+                cal.schedule_keyed_at(t, 1 << 40, 500);
+            }
+        }
+        assert_eq!(cal.peek_time(), Some(t + 1));
+        assert_eq!(cal.pop(), Some((t + 1, 999)));
+        assert_eq!(cal.peek_time(), None);
     }
 
     #[test]

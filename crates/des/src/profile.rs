@@ -2,11 +2,11 @@
 //!
 //! The engine-side half of the observability layer: a small, fixed-cost
 //! registry of named event kinds, each accumulating a count and wall-clock
-//! time, plus a queue-depth high-water mark and a set of small-integer
-//! tag counters (the model uses those for per-strategy control-message
-//! tags). The driver decides when to sample [`std::time::Instant`]; the
-//! registry itself never reads the clock, so a disabled profiler costs the
-//! simulation exactly one branch per event.
+//! time, plus the wall time spent popping the event queue, a queue-depth
+//! high-water mark and a set of small-integer tag counters (the model uses
+//! those for per-strategy control-message tags). The driver decides when to
+//! sample [`std::time::Instant`]; the registry itself never reads the clock,
+//! so a disabled profiler costs the simulation exactly one branch per event.
 //!
 //! Wall-clock numbers are inherently nondeterministic; everything pinned by
 //! golden or determinism tests must therefore run with profiling off (the
@@ -36,6 +36,7 @@ pub struct KindStats {
 pub struct Profiler {
     names: Vec<&'static str>,
     stats: Vec<KindStats>,
+    queue_nanos: u64,
     queue_depth_hwm: usize,
     tag_counts: Vec<u64>,
 }
@@ -46,6 +47,7 @@ impl Profiler {
         Profiler {
             names: Vec::new(),
             stats: Vec::new(),
+            queue_nanos: 0,
             queue_depth_hwm: 0,
             tag_counts: Vec::new(),
         }
@@ -57,6 +59,7 @@ impl Profiler {
         Profiler {
             names: names.to_vec(),
             stats: vec![KindStats::default(); names.len()],
+            queue_nanos: 0,
             queue_depth_hwm: 0,
             tag_counts: Vec::new(),
         }
@@ -79,6 +82,13 @@ impl Profiler {
         let s = &mut self.stats[id.0];
         s.count += 1;
         s.wall_nanos += started.elapsed().as_nanos() as u64;
+    }
+
+    /// Charge the wall time of one event-queue pop, from `started` to
+    /// `finished`.
+    #[inline]
+    pub fn record_queue(&mut self, started: Instant, finished: Instant) {
+        self.queue_nanos += (finished - started).as_nanos() as u64;
     }
 
     /// Charge one event of kind `id` without timing it.
@@ -118,6 +128,7 @@ impl Profiler {
                     wall_nanos: s.wall_nanos,
                 })
                 .collect(),
+            queue_wall_nanos: self.queue_nanos,
             queue_depth_hwm: self.queue_depth_hwm,
             control_by_tag: self
                 .tag_counts
@@ -153,6 +164,10 @@ pub struct KindProfile {
 pub struct ProfileReport {
     /// One entry per registered kind, in registration order.
     pub kinds: Vec<KindProfile>,
+    /// Total wall-clock time spent popping the event queue, in
+    /// nanoseconds (not part of any kind's time).
+    #[serde(default)]
+    pub queue_wall_nanos: u64,
     /// Highest pending-event-queue depth observed.
     pub queue_depth_hwm: usize,
     /// `(tag, count)` for every tag that was bumped at least once.
@@ -171,8 +186,8 @@ impl ProfileReport {
     }
 
     /// Fold `other` into this report: counts and times add (kinds matched
-    /// by name, appending unknown ones), high-water marks take the max.
-    /// This is the `batch` roll-up.
+    /// by name, appending unknown ones; queue time too), high-water marks
+    /// take the max. This is the `batch` roll-up.
     pub fn merge(&mut self, other: &ProfileReport) {
         for ok in &other.kinds {
             match self.kinds.iter_mut().find(|k| k.name == ok.name) {
@@ -183,6 +198,7 @@ impl ProfileReport {
                 None => self.kinds.push(ok.clone()),
             }
         }
+        self.queue_wall_nanos += other.queue_wall_nanos;
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
         for &(tag, c) in &other.control_by_tag {
             match self.control_by_tag.iter_mut().find(|(t, _)| *t == tag) {
@@ -219,6 +235,15 @@ impl ProfileReport {
             self.total_events(),
             self.total_wall_nanos() as f64 / 1e6
         );
+        let pops = self.total_events();
+        let _ = writeln!(
+            out,
+            "{:<16} {:>12} {:>12.3} {:>10.0}",
+            "queue pop",
+            pops,
+            self.queue_wall_nanos as f64 / 1e6,
+            self.queue_wall_nanos as f64 / pops.max(1) as f64
+        );
         let _ = writeln!(out, "queue depth high-water mark: {}", self.queue_depth_hwm);
         if !self.control_by_tag.is_empty() {
             let _ = write!(out, "control messages by tag:");
@@ -242,7 +267,9 @@ mod tests {
         p.record(KindId(0), t0);
         p.record(KindId(0), t0);
         p.count_only(KindId(1));
+        p.record_queue(t0, t0 + std::time::Duration::from_nanos(250));
         let r = p.report();
+        assert_eq!(r.queue_wall_nanos, 250);
         assert_eq!(r.kinds[0].count, 2);
         assert_eq!(r.kinds[1].count, 1);
         assert_eq!(r.kinds[1].wall_nanos, 0);
@@ -282,17 +309,21 @@ mod tests {
     fn merge_sums_by_name_and_maxes_hwm() {
         let mut a = Profiler::with_kinds(&["x"]);
         a.count_only(KindId(0));
+        let t0 = Instant::now();
+        a.record_queue(t0, t0 + std::time::Duration::from_nanos(40));
         a.note_queue_depth(5);
         a.bump_tag(1);
         let mut b = Profiler::with_kinds(&["x"]);
         b.count_only(KindId(0));
         b.count_only(KindId(0));
+        b.record_queue(t0, t0 + std::time::Duration::from_nanos(2));
         b.note_queue_depth(9);
         b.bump_tag(1);
         b.bump_tag(2);
         let mut r = a.report();
         r.merge(&b.report());
         assert_eq!(r.kinds[0].count, 3);
+        assert_eq!(r.queue_wall_nanos, 42);
         assert_eq!(r.queue_depth_hwm, 9);
         assert_eq!(r.control_by_tag, vec![(1, 2), (2, 1)]);
     }
@@ -304,6 +335,7 @@ mod tests {
         let text = p.report().render();
         assert!(text.contains("seen"));
         assert!(!text.contains("unseen"));
+        assert!(text.contains("queue pop"));
         assert!(text.contains("high-water mark"));
     }
 }

@@ -21,16 +21,17 @@ pub enum LoadInfoMode {
 /// Which event-list implementation drives the simulation.
 ///
 /// Both backends share the exact deterministic ordering contract (time, then
-/// insertion sequence), so this knob changes throughput only — never a
-/// simulated result. `tests/cross_queue.rs` pins Report equality across
+/// ordering key), so this knob changes throughput only — never a simulated
+/// result. `tests/cross_queue.rs` pins Report equality across
 /// backends on the full paper workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum QueueBackend {
     /// Binary-heap event list — O(log n), kept for comparison runs.
     Heap,
     /// Calendar queue (unit-width timing wheel, Brown 1988) — O(1)
-    /// amortized at the event densities the simulator produces, and the
-    /// measured winner on the benchmark grid; the default.
+    /// scheduling, and O(log b) pops from a per-instant due heap for an
+    /// instant of `b` events; the default. Faster than the heap on every
+    /// `BENCH_throughput.json` cell (1.03–1.57× on a 2-vCPU VM).
     #[default]
     Calendar,
 }
@@ -135,10 +136,10 @@ pub struct MachineConfig {
     #[serde(default)]
     pub trace_mode: TraceMode,
     /// Run the engine profiler: per-event-kind counts and wall times,
-    /// queue-depth high-water mark, control-message tag counters, exposed
-    /// as `Report::profile`. Costs one clock read per event; wall times are
-    /// nondeterministic, so leave this off (the default) for any run whose
-    /// report is compared bit-for-bit.
+    /// event-queue pop time, queue-depth high-water mark, control-message
+    /// tag counters, exposed as `Report::profile`. Costs three clock reads
+    /// per event; wall times are nondeterministic, so leave this off (the
+    /// default) for any run whose report is compared bit-for-bit.
     #[serde(default)]
     pub profile: bool,
     /// Order in which each PE picks its next work item.

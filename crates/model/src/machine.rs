@@ -1466,22 +1466,32 @@ impl Machine {
     /// event boundary the paused machine's state is exactly the state an
     /// uninterrupted run passes through.
     pub fn advance_until(&mut self, pause_at: Option<u64>) -> Result<bool, SimError> {
-        while let Some((at, ev)) = self.core.events.pop() {
-            if self.core.profiler.is_some() {
-                // Profiled path: one clock read around the handler, plus
-                // the queue-depth high-water mark. The unprofiled path
-                // pays exactly the one branch above.
+        loop {
+            let at = if self.core.profiler.is_some() {
+                // Profiled path: clock reads around the pop and around the
+                // handler, plus the queue-depth high-water mark. The
+                // unprofiled path pays exactly this one branch.
+                let pop_started = std::time::Instant::now();
+                let Some((at, ev)) = self.core.events.pop() else {
+                    break;
+                };
                 let kind = ev.kind();
                 let depth = self.core.events.len();
                 let t0 = std::time::Instant::now();
                 self.handle_event(ev);
                 if let Some(p) = self.core.profiler.as_mut() {
                     p.note_queue_depth(depth);
+                    p.record_queue(pop_started, t0);
                     p.record(kind, t0);
                 }
+                at
             } else {
+                let Some((at, ev)) = self.core.events.pop() else {
+                    break;
+                };
                 self.handle_event(ev);
-            }
+                at
+            };
             if self.core.completed() {
                 return Ok(true);
             }
@@ -3155,6 +3165,7 @@ mod tests {
             "every processed event lands in exactly one kind"
         );
         assert!(profile.queue_depth_hwm > 0);
+        assert!(profile.queue_wall_nanos > 0, "queue pops are timed");
         assert!(profile
             .kinds
             .iter()

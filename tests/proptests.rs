@@ -319,6 +319,45 @@ proptest! {
         }
     }
 
+    /// The same order equality with the machine model's keyed scheduling
+    /// on dense instants: non-monotone `(random << 32 | i)` keys and mostly
+    /// 0..4 delays, interleaved with pops, so most instants hold many
+    /// events and zero-delay inserts land in the instant being drained.
+    #[test]
+    fn calendar_queue_matches_event_queue_keyed(
+        ops in prop::collection::vec(
+            (
+                0u64..1 << 20,
+                // Nine in ten delays are 0..4; the rest reach the overflow.
+                (0u64..10, 0u64..3000)
+                    .prop_map(|(coin, far)| if coin == 0 { far } else { coin % 4 }),
+                0usize..3,
+            ),
+            1..600,
+        ),
+    ) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = EventQueue::new();
+        for (i, &(high, delay, pops)) in ops.iter().enumerate() {
+            let at = heap.now() + delay;
+            let key = (high << 32) | i as u64;
+            cal.schedule_keyed_at(at, key, i);
+            heap.schedule_keyed_at(at, key, i);
+            for _ in 0..pops {
+                prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                prop_assert_eq!(cal.pop_keyed(), heap.pop_keyed());
+            }
+        }
+        loop {
+            let a = cal.pop_keyed();
+            let b = heap.pop_keyed();
+            prop_assert_eq!(&a, &b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
     /// IntervalSeries conserves busy time across arbitrary span layouts.
     #[test]
     fn interval_series_conserves_busy_time(

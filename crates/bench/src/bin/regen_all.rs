@@ -351,7 +351,7 @@ fn main() {
             Fidelity::Paper => 3,
             Fidelity::Quick => 1,
         };
-        let cells = run_grid(reps, seed, Default::default());
+        let cells = run_grid(reps, seed);
         save("BENCH_throughput.json", to_json(&cells, reps, seed));
     }
 

@@ -3,8 +3,7 @@
 //!
 //! ```sh
 //! cargo run --release -p oracle-bench --bin throughput [--quick] [--seed N] \
-//!     [--reps N] [--backend heap|calendar] [--out PATH] [--check PATH] \
-//!     [--tolerance F]
+//!     [--reps N] [--out PATH] [--check PATH] [--tolerance F]
 //! ```
 //!
 //! Writes `BENCH_throughput.json` (or `--out PATH`). The committed copy at
@@ -23,7 +22,6 @@
 //! All measurement logic lives in [`oracle_bench::throughput`]; this binary
 //! only parses flags.
 
-use oracle::model::QueueBackend;
 use oracle_bench::throughput::{check, run_grid, to_json};
 
 fn main() {
@@ -32,7 +30,6 @@ fn main() {
     let mut tolerance = 0.25f64;
     let mut reps = 3usize;
     let mut seed = 1u64;
-    let mut backend = QueueBackend::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -46,19 +43,12 @@ fn main() {
             "--out" => out_path = value("--out"),
             "--check" => check_path = Some(value("--check")),
             "--tolerance" => tolerance = parse(&value("--tolerance"), "--tolerance"),
-            "--backend" => {
-                backend = match value("--backend").as_str() {
-                    "heap" => QueueBackend::Heap,
-                    "calendar" => QueueBackend::Calendar,
-                    other => usage(&format!("--backend must be heap or calendar, got {other}")),
-                }
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag {other}")),
         }
     }
 
-    let cells = run_grid(reps, seed, backend);
+    let cells = run_grid(reps, seed);
     let json = to_json(&cells, reps, seed);
 
     let ok = match &check_path {
@@ -87,8 +77,8 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: throughput [--quick] [--reps N] [--seed N] [--backend heap|calendar] \
-         [--out PATH] [--check PATH] [--tolerance F]"
+        "usage: throughput [--quick] [--reps N] [--seed N] [--out PATH] [--check PATH] \
+         [--tolerance F]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

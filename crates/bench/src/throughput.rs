@@ -16,7 +16,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use oracle::builder::paper_strategies;
-use oracle::model::QueueBackend;
 use oracle::prelude::*;
 
 /// One measured cell of the benchmark grid.
@@ -105,14 +104,13 @@ pub fn grid_specs() -> Vec<GridSpec> {
 
 /// Run every cell of the grid, best-of-`reps` wall clock, printing one
 /// progress line per cell to stderr.
-pub fn run_grid(reps: usize, seed: u64, backend: QueueBackend) -> Vec<Cell> {
+pub fn run_grid(reps: usize, seed: u64) -> Vec<Cell> {
     let mut cells = Vec::new();
     for (name, topology, workload, strategy, open) in grid_specs() {
         let config = SimulationBuilder::new()
             .topology(topology)
             .workload(workload)
             .strategy(strategy)
-            .queue_backend(backend)
             .seed(seed)
             .open(open)
             .config();

@@ -178,14 +178,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Select the event-list backend (binary heap or calendar queue). Both
-    /// produce bit-identical simulated results; this knob trades their
-    /// throughput profiles only.
-    pub fn queue_backend(mut self, backend: oracle_model::QueueBackend) -> Self {
-        self.config.machine.queue_backend = backend;
-        self
-    }
-
     /// Keep a structured event trace of up to `capacity` events (retrieve
     /// it by running the config via [`RunConfig::run_traced`]).
     pub fn trace_capacity(mut self, capacity: usize) -> Self {

@@ -15,7 +15,7 @@
 //! Because the simulator is deterministic and the snapshot captures all
 //! mutable state, a resumed run produces a **bit-identical** final report
 //! to the uninterrupted run (`tests/robustness.rs` pins this per
-//! strategy, per queue backend, and under active fault plans).
+//! strategy and under active fault plans).
 //!
 //! Files are written atomically: the blob goes to a temporary file in the
 //! target directory which is then renamed into place, so a crash mid-write
@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use oracle_des::snapshot::{SnapError, SnapReader, SnapWriter};
 use oracle_model::config::{LoadInfoMode, QueueDiscipline};
 use oracle_model::StateMode;
-use oracle_model::{CostModel, Machine, MachineConfig, QueueBackend, Report, SimError};
+use oracle_model::{CostModel, Machine, MachineConfig, Report, SimError};
 
 use crate::builder::RunConfig;
 
@@ -48,7 +48,10 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 /// v5 added the memory-model knobs (`state_mode`, `per_pe_metrics`)
 /// alongside the v5 machine snapshot: the restored machine must pick the
 /// same dense/sparse representation and the same report shape.
-pub const CHECKPOINT_VERSION: u32 = 5;
+///
+/// v6 dropped the event-queue backend byte: the machine has one event
+/// list, so there is nothing to choose. The machine snapshot is unchanged.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]
@@ -142,10 +145,6 @@ fn put_config(w: &mut SnapWriter, config: &RunConfig) {
         QueueDiscipline::Fifo => 0,
         QueueDiscipline::Lifo => 1,
         QueueDiscipline::DeepestFirst => 2,
-    });
-    w.u8(match m.queue_backend {
-        QueueBackend::Heap => 0,
-        QueueBackend::Calendar => 1,
     });
     match m.fail_pe {
         Some((pe, at)) => {
@@ -275,15 +274,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             )))
         }
     };
-    let queue_backend = match r.u8()? {
-        0 => QueueBackend::Heap,
-        1 => QueueBackend::Calendar,
-        t => {
-            return Err(CheckpointError::Format(format!(
-                "unknown queue-backend tag {t}"
-            )))
-        }
-    };
     let fail_pe = if r.bool()? {
         Some((r.u32()?, r.u64()?))
     } else {
@@ -367,7 +357,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             trace_mode: oracle_model::TraceMode::default(),
             profile: false,
             queue_discipline,
-            queue_backend,
             fail_pe,
             fault_plan,
             audit_every,
@@ -552,7 +541,6 @@ mod tests {
         config.machine.fault_plan = "crash:3@900+loss:2%+recover:400x5".parse().unwrap();
         config.machine.audit_every = 64;
         config.machine.load_info = LoadInfoMode::Instant;
-        config.machine.queue_backend = QueueBackend::Heap;
         config.machine.fail_pe = Some((2, 1234));
         config.machine.open = Some(oracle_model::OpenTraffic {
             warmup: 500,
@@ -734,14 +722,18 @@ mod tests {
             "{err}"
         );
 
-        let mut w = SnapWriter::new();
-        w.u32(CHECKPOINT_MAGIC);
-        w.u32(CHECKPOINT_VERSION + 1);
-        let err = Checkpoint::from_bytes(&w.into_bytes()).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::Format(ref m) if m.contains("version")),
-            "{err}"
-        );
+        // A newer layout, and the previous one (whose config block still
+        // carries the queue-backend byte), are both refused by version.
+        for version in [CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1] {
+            let mut w = SnapWriter::new();
+            w.u32(CHECKPOINT_MAGIC);
+            w.u32(version);
+            let err = Checkpoint::from_bytes(&w.into_bytes()).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Format(ref m) if m.contains("version")),
+                "v{version}: {err}"
+            );
+        }
 
         let config = sample_config();
         let mut machine = config.machine().unwrap();

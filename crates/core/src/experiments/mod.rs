@@ -16,7 +16,7 @@
 //!
 //! Every function takes a [`Fidelity`]: `Paper` reruns the full
 //! configuration grid (minutes), `Quick` a miniature that exercises the same
-//! code paths in well under a second (used by tests and Criterion benches).
+//! code paths in well under a second (used by tests).
 
 pub mod ablations;
 pub mod appendix;

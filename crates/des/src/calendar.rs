@@ -22,11 +22,11 @@
 //! timestamp and due overflow events are decanted into the wheel — there is
 //! no full-calendar scan anywhere.
 //!
-//! [`CalendarQueue`] implements the same interface and — crucially — the
-//! same *deterministic order* as [`crate::EventQueue`] (time, then ordering
-//! key), so the two are interchangeable; unit and property tests check
-//! order equality on random, sparse, dense-instant and interleaved
-//! schedules.
+//! [`CalendarQueue`] is the machine model's event list. It pops in the
+//! same *deterministic order* as the binary-heap [`crate::EventQueue`]
+//! (time, then ordering key), which serves as its test oracle: unit and
+//! property tests check order equality on random, sparse, dense-instant,
+//! interleaved and snapshot-restored schedules.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -276,32 +276,6 @@ impl<E> CalendarQueue<E> {
         self.schedule_at(self.now + delay, payload);
     }
 
-    /// Timestamp of the next pending event, if any. O(1) while events at
-    /// `now` are pending; otherwise a slot scan forward from `now`, O(1)
-    /// amortized on the densities the simulator produces.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if !self.due.is_empty() {
-            return Some(self.now);
-        }
-        if self.wheel_len == 0 {
-            return self.overflow.peek().map(|Reverse(d)| SimTime(d.at));
-        }
-        let mut t = self.now.units().max(self.window_start);
-        loop {
-            if self.head[(t & MASK) as usize] != NIL {
-                return Some(SimTime(t));
-            }
-            t += 1;
-            debug_assert!(
-                t < self.window_start + WHEEL_SLOTS as u64,
-                "wheel_len > 0 but no occupied slot in the window"
-            );
-        }
-    }
-
     /// Remove and return the next event, advancing the clock.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -537,48 +511,71 @@ mod tests {
         }
     }
 
+    /// Pop `reference` and `snap_source` (identical schedules) in lockstep
+    /// `pops` times, drain `snap_source` into a snapshot, restore it into a
+    /// calendar queue and a heap, and check every later pop.
+    fn assert_round_trip(
+        mut reference: EventQueue<u64>,
+        mut snap_source: CalendarQueue<u64>,
+        pops: usize,
+    ) {
+        for _ in 0..pops {
+            assert_eq!(reference.pop_keyed(), snap_source.pop_keyed());
+        }
+        let (now, processed) = (snap_source.now(), snap_source.events_processed());
+        let events: Vec<_> = std::iter::from_fn(|| snap_source.pop_keyed()).collect();
+        let mut as_heap = EventQueue::from_snapshot(now, processed, events.clone());
+        let mut as_cal = CalendarQueue::from_snapshot(now, processed, events);
+        assert_eq!(as_cal.now(), reference.now());
+        assert_eq!(as_cal.events_processed(), reference.events_processed());
+        // A zero-delay insert straight after the restore joins the instant
+        // the snapshot was taken in, behind its smaller keys.
+        let key = (1 << 51) | 999_999;
+        reference.schedule_keyed_at(now, key, u64::MAX);
+        as_heap.schedule_keyed_at(now, key, u64::MAX);
+        as_cal.schedule_keyed_at(now, key, u64::MAX);
+        loop {
+            let want = reference.pop_keyed();
+            assert_eq!(as_heap.pop_keyed(), want);
+            assert_eq!(as_cal.pop_keyed(), want);
+            if want.is_none() {
+                break;
+            }
+        }
+    }
+
     #[test]
-    fn peek_time_agrees_with_pop() {
-        let mut rng = Rng::seed_from_u64(17);
-        let mut cal = CalendarQueue::new();
-        for i in 0..500u64 {
-            let d = if rng.below(20) == 0 {
-                100_000 + rng.below(10_000)
-            } else {
-                rng.below(60)
-            };
-            cal.schedule_after(d, i);
-            if i % 4 == 0 {
-                let peeked = cal.peek_time();
-                let popped = cal.pop();
-                assert_eq!(peeked, popped.map(|(t, _)| t));
-            }
-        }
-        while let Some((t, _)) = {
-            let peeked = cal.peek_time();
-            let popped = cal.pop();
-            assert_eq!(peeked, popped.map(|(t, _)| t));
-            popped
-        } {
-            let _ = t;
-        }
-        // Mid-instant: peek while a dense instant is part-drained, before
-        // and after a zero-delay insert joins it.
-        let t = cal.now() + 3;
+    fn snapshot_round_trip_preserves_pop_order() {
+        // Sparse: delays up to 2000 exercise both the wheel and the
+        // overflow.
+        let mut reference = EventQueue::new();
+        let mut snap_source = CalendarQueue::new();
+        let mut rng = Rng::seed_from_u64(13);
         for i in 0..200u64 {
-            cal.schedule_keyed_at(t, (((i * 7_919) % 200) << 32) | i, i);
+            let d = rng.below(2_000);
+            reference.schedule_after(d, i);
+            snap_source.schedule_after(d, i);
         }
-        cal.schedule_keyed_at(t + 1, 0, 999);
-        for i in 0..201u64 {
-            assert_eq!(cal.peek_time(), Some(t), "pop {i}");
-            assert_eq!(cal.pop().map(|(at, _)| at), Some(t));
-            if i == 50 {
-                cal.schedule_keyed_at(t, 1 << 40, 500);
-            }
+        assert_round_trip(reference, snap_source, 60);
+
+        // Dense: 300 keyed events at one instant with non-monotone keys,
+        // plus a later instant. The snapshot is taken part-way through the
+        // first instant, after zero-delay inserts have joined it.
+        let mut reference = EventQueue::new();
+        let mut snap_source = CalendarQueue::new();
+        let mut keyed = |at: u64, i: u64, a: &mut EventQueue<u64>, b: &mut CalendarQueue<u64>| {
+            let key = (rng.below(1 << 20) << 32) | i;
+            a.schedule_keyed_at(SimTime(at), key, i);
+            b.schedule_keyed_at(SimTime(at), key, i);
+        };
+        for i in 0..350u64 {
+            keyed(5 + i / 300, i, &mut reference, &mut snap_source);
         }
-        assert_eq!(cal.peek_time(), Some(t + 1));
-        assert_eq!(cal.pop(), Some((t + 1, 999)));
-        assert_eq!(cal.peek_time(), None);
+        assert_eq!(reference.pop_keyed(), snap_source.pop_keyed());
+        for i in 1_000..1_020u64 {
+            keyed(5, i, &mut reference, &mut snap_source);
+        }
+        assert_round_trip(reference, snap_source, 100);
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The event calendar.
+//! The reference event calendar.
 //!
-//! A binary-heap priority queue of `(time, key, payload)` entries.
+//! A binary-heap priority queue of `(time, key, payload)` entries. Its pop
+//! order is the contract the machine model's [`crate::CalendarQueue`] must
+//! reproduce, so the tests use it as the oracle for that queue.
 //! Simultaneous events fire in ascending *key* order. Callers that do not
 //! care about cross-actor tie ordering use [`EventQueue::schedule_at`], which
 //! hands out strictly increasing keys (so same-instant ties fire FIFO);
@@ -151,11 +153,6 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, payload);
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
     /// Remove and return the next event, advancing the clock to its
     /// timestamp.
     #[inline]
@@ -251,15 +248,6 @@ mod tests {
         q.schedule_at(SimTime(10), ());
         q.pop();
         q.schedule_at(SimTime(5), ());
-    }
-
-    #[test]
-    fn peek_does_not_advance_clock() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime(9)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! discrete-event language. This crate provides the equivalent event-driven
 //! core: client code models each simulated entity (a processing element, a
 //! communication channel) as a state machine that schedules future events on
-//! an [`EventQueue`].
+//! a [`CalendarQueue`] (Brown 1988).
 //!
 //! Everything here is deterministic: events that are scheduled for the same
 //! instant fire in the order they were scheduled, and all randomness flows
-//! from an explicitly seeded [`Rng`]. Two interchangeable event lists are
-//! provided — the binary-heap [`EventQueue`] (the default) and the
-//! bucket-based [`CalendarQueue`] (Brown 1988) — with identical ordering
-//! semantics.
+//! from an explicitly seeded [`Rng`]. The binary-heap [`EventQueue`] pops in
+//! the same order and is kept as the calendar queue's test oracle;
+//! [`DualQueue`] wraps the two for host-time probes only.
 
 pub mod backend;
 pub mod calendar;
@@ -30,7 +29,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod time;
 
-pub use backend::{DualQueue, QueueSnapshot};
+pub use backend::DualQueue;
 pub use calendar::CalendarQueue;
 pub use event::EventQueue;
 pub use hash::{FastHashMap, FastHashSet, FastHasher};

@@ -195,8 +195,8 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a usize (stored as u64; rejects values beyond the platform's
-    /// usize and absurd lengths longer than the remaining buffer where used
-    /// as a length prefix).
+    /// usize). Read counts that size an allocation with
+    /// [`SnapReader::count`] instead.
     pub fn usize(&mut self) -> Result<usize, SnapError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| SnapError::Invalid {
@@ -205,15 +205,24 @@ impl<'a> SnapReader<'a> {
         })
     }
 
-    /// Read a length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
+    /// Read the count of a list whose items take at least `min_item_bytes`
+    /// each, rejecting any count the unread bytes cannot hold. Use it for
+    /// every count that sizes an allocation, so a corrupt count fails here
+    /// instead of reserving gigabytes.
+    pub fn count(&mut self, what: &'static str, min_item_bytes: usize) -> Result<usize, SnapError> {
         let n = self.usize()?;
-        if n > self.remaining() {
+        if n > self.remaining() / min_item_bytes.max(1) {
             return Err(SnapError::Invalid {
-                what: "byte-slice length",
+                what,
                 value: n as u64,
             });
         }
+        Ok(n)
+    }
+
+    /// Read a length-prefixed byte slice.
+    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
+        let n = self.count("byte-slice length", 1)?;
         self.take(n)
     }
 
@@ -313,6 +322,17 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(r.bytes(), Err(SnapError::Invalid { .. })));
+
+        // Two u64 items fit in the 16 bytes after the count; three do not.
+        for (n, fits) in [(2, true), (3, false)] {
+            let mut w = SnapWriter::new();
+            w.usize(n);
+            w.u64(0);
+            w.u64(0);
+            let bytes = w.into_bytes();
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(r.count("items", 8).is_ok(), fits, "count {n}");
+        }
     }
 
     #[test]

@@ -18,24 +18,6 @@ pub enum LoadInfoMode {
     Instant,
 }
 
-/// Which event-list implementation drives the simulation.
-///
-/// Both backends share the exact deterministic ordering contract (time, then
-/// ordering key), so this knob changes throughput only — never a simulated
-/// result. `tests/cross_queue.rs` pins Report equality across
-/// backends on the full paper workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QueueBackend {
-    /// Binary-heap event list — O(log n), kept for comparison runs.
-    Heap,
-    /// Calendar queue (unit-width timing wheel, Brown 1988) — O(1)
-    /// scheduling, and O(log b) pops from a per-instant due heap for an
-    /// instant of `b` events; the default. Faster than the heap on every
-    /// `BENCH_throughput.json` cell (1.03–1.57× on a 2-vCPU VM).
-    #[default]
-    Calendar,
-}
-
 /// Which per-PE/per-channel state representation the machine uses.
 ///
 /// Both representations produce bit-identical reports (pinned by
@@ -144,10 +126,6 @@ pub struct MachineConfig {
     pub profile: bool,
     /// Order in which each PE picks its next work item.
     pub queue_discipline: QueueDiscipline,
-    /// Event-list implementation (heap or calendar queue); affects
-    /// throughput only, never simulated results.
-    #[serde(default)]
-    pub queue_backend: QueueBackend,
     /// Failure injection shorthand: kill one PE at a simulated instant.
     /// Folded into [`MachineConfig::fault_plan`] at machine construction;
     /// kept as a convenience knob for single-crash experiments. Runs that
@@ -218,7 +196,6 @@ impl Default for MachineConfig {
             trace_mode: TraceMode::default(),
             profile: false,
             queue_discipline: QueueDiscipline::Fifo,
-            queue_backend: QueueBackend::default(),
             fail_pe: None,
             fault_plan: FaultPlan::default(),
             audit_every: 0,

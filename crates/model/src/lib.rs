@@ -38,7 +38,7 @@ pub mod sparse;
 pub mod strategy;
 pub mod trace;
 
-pub use config::{LoadInfoMode, MachineConfig, QueueBackend, StateMode};
+pub use config::{LoadInfoMode, MachineConfig, StateMode};
 pub use cost::CostModel;
 pub use error::SimError;
 pub use faults::{FaultPlan, LinkWindow, PeCrash, RecoveryParams, Slowdown};

@@ -7,12 +7,12 @@
 //! channel transfers one message at a time, with FIFO backlogs on both.
 
 use oracle_des::{
-    DualQueue, FastHashMap, Histogram, IntervalSeries, KindId, LogHistogram, OnlineStats, Profiler,
-    Rng, SimTime,
+    CalendarQueue, FastHashMap, Histogram, IntervalSeries, KindId, LogHistogram, OnlineStats,
+    Profiler, Rng, SimTime,
 };
 use oracle_topo::{ChannelId, PeId, Topology};
 
-use crate::config::{LoadInfoMode, MachineConfig, QueueBackend};
+use crate::config::{LoadInfoMode, MachineConfig};
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::faults::{FaultPlan, PeCrash};
@@ -179,7 +179,7 @@ pub struct Core {
     pub(crate) pes: Vec<Pe>,
     /// Per-channel state, dense or sparse per `config.state_mode`.
     pub(crate) channels: ChannelTable,
-    pub(crate) events: DualQueue<Event>,
+    pub(crate) events: CalendarQueue<Event>,
     /// Distinct channels incident to each PE in CSR form
     /// (`incident[incident_off[p]..incident_off[p + 1]]`), precomputed at
     /// construction so broadcasts never rebuild the dedup list per event —
@@ -272,6 +272,16 @@ pub(crate) struct LiveRoutes {
     /// the caller's problem — a packet is never at a dead PE). `u32`
     /// because a path topology's diameter alone can exceed `u16::MAX`.
     dist: Vec<u32>,
+}
+
+/// Channel time to transfer `packet` one hop.
+#[inline]
+fn hop_cost(costs: &CostModel, packet: &Packet) -> u64 {
+    match packet {
+        Packet::Goal(_) => costs.goal_hop_cost,
+        Packet::Response { .. } => costs.response_hop_cost,
+        Packet::Control(_) | Packet::LoadUpdate { .. } => costs.control_hop_cost,
+    }
 }
 
 impl Core {
@@ -882,43 +892,14 @@ impl Core {
         }
     }
 
-    fn packet_cost(&self, packet: &Packet) -> u64 {
-        match packet {
-            Packet::Goal(_) => self.costs.goal_hop_cost,
-            Packet::Response { .. } => self.costs.response_hop_cost,
-            Packet::Control(_) | Packet::LoadUpdate { .. } => self.costs.control_hop_cost,
-        }
-    }
-
     /// Hand `flight` to the channel: it starts transferring now if the
     /// channel is idle, otherwise it joins the channel's FIFO backlog.
     pub(crate) fn offer_to_channel(&mut self, ch: ChannelId, flight: Flight) {
-        let cost = self.packet_cost(&flight.packet);
+        let cost = hop_cost(&self.costs, &flight.packet);
         let now = self.events.now();
         if self.channels.get_mut(ch).offer(flight, now) {
             self.schedule_event_after(cost, Event::ChannelDone(ch));
         }
-    }
-
-    /// Complete the in-flight transfer on `ch`: pop it, start the next
-    /// backlogged one (scheduling its completion), and account the
-    /// traffic. The channel-owner half of a `ChannelDone`; delivery-side
-    /// effects live in `Machine::deliver_flight`.
-    fn complete_channel(&mut self, ch: ChannelId) -> Flight {
-        let now = self.events.now();
-        let costs = self.costs; // Copy: needed while the channel is borrowed.
-        let cost_of = |p: &Packet| match p {
-            Packet::Goal(_) => costs.goal_hop_cost,
-            Packet::Response { .. } => costs.response_hop_cost,
-            Packet::Control(_) | Packet::LoadUpdate { .. } => costs.control_hop_cost,
-        };
-        let (flight, next) = self.channels.get_mut(ch).complete(now);
-        let next_cost = next.map(|n| cost_of(&n.packet));
-        if let Some(cost) = next_cost {
-            self.schedule_event_after(cost, Event::ChannelDone(ch));
-        }
-        self.count_traffic(&flight.packet);
-        flight
     }
 
     /// Record a completed transfer in the traffic counters.
@@ -1307,10 +1288,6 @@ impl Machine {
             )),
             None => None,
         };
-        let events = match config.queue_backend {
-            QueueBackend::Heap => DualQueue::heap_with_capacity(1024),
-            QueueBackend::Calendar => DualQueue::calendar(),
-        };
         // Per-PE runtime RNG streams, decorrelated from the seed with a
         // SplitMix-style multiply so adjacent PEs never share a stream
         // prefix.
@@ -1324,7 +1301,7 @@ impl Machine {
                 pe_rngs,
                 pes,
                 channels,
-                events,
+                events: CalendarQueue::new(),
                 incident_off,
                 incident,
                 nbr_index,
@@ -2051,11 +2028,7 @@ impl Machine {
             .channels
             .get_mut(ch)
             .promote(now)
-            .map(|f| match &f.packet {
-                Packet::Goal(_) => costs.goal_hop_cost,
-                Packet::Response { .. } => costs.response_hop_cost,
-                Packet::Control(_) | Packet::LoadUpdate { .. } => costs.control_hop_cost,
-            });
+            .map(|f| hop_cost(&costs, &f.packet));
         if let Some(cost) = promoted_cost {
             self.core.schedule_event_after(cost, Event::ChannelDone(ch));
         }
@@ -2231,14 +2204,19 @@ impl Machine {
         }
     }
 
-    fn handle_channel_done(&mut self, ch: ChannelId) {
-        let flight = self.core.complete_channel(ch);
-        self.deliver_flight(ch, flight);
-    }
-
-    /// Deliver a completed transfer: the loss draw, the bus snoop, and the
+    /// The in-flight transfer on `ch` finished: start the channel's next
+    /// backlogged transfer (scheduling its completion), account the
+    /// traffic, then deliver — the loss draw, the bus snoop, and the
     /// per-destination handoff.
-    fn deliver_flight(&mut self, ch: ChannelId, flight: Flight) {
+    fn handle_channel_done(&mut self, ch: ChannelId) {
+        let now = self.core.events.now();
+        let costs = self.core.costs; // Copy: needed while the channel is borrowed.
+        let (flight, next) = self.core.channels.get_mut(ch).complete(now);
+        if let Some(cost) = next.map(|n| hop_cost(&costs, &n.packet)) {
+            self.core.schedule_event_after(cost, Event::ChannelDone(ch));
+        }
+        self.core.count_traffic(&flight.packet);
+
         // Fault plan: each completed transfer may be lost in delivery. The
         // draw comes from the dedicated fault stream and is skipped
         // entirely at zero loss, so an empty plan changes nothing.

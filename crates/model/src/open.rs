@@ -44,7 +44,7 @@ pub(crate) const ARRIVAL_SEED_SALT: u64 = 0xA881_4A11_F00D_5EED;
 /// XOR'd into the run seed for the retry-backoff jitter stream. A
 /// dedicated stream keeps retries from perturbing the arrival, fault, or
 /// strategy sequences, so enabling retry changes *only* retry timing and
-/// results stay identical across `--threads` and queue backends.
+/// results stay identical across `--threads`.
 pub(crate) const RETRY_SEED_SALT: u64 = 0xBACC_0FF5_7A1E_5EED;
 
 /// Rates are per this many simulated time units.

@@ -14,9 +14,9 @@
 //!
 //! The format is designed for bit-identical resumption: floating-point
 //! statistics are stored as raw IEEE-754 bits, hash maps are written in
-//! sorted key order, and the event queue is written in exact pop order (the
-//! one order both backends define identically), so a resumed run replays
-//! precisely the event sequence the uninterrupted run would have processed.
+//! sorted key order, and the event queue is written in exact pop order, so
+//! a resumed run replays precisely the event sequence the uninterrupted run
+//! would have processed.
 //!
 //! The event trace and the engine profiler are deliberately not part of a
 //! snapshot — both are observability aids, not simulated state: a resumed
@@ -25,7 +25,7 @@
 
 use oracle_des::snapshot::{SnapError, SnapReader, SnapWriter};
 use oracle_des::{
-    BusyTracker, FastHashMap, Histogram, IntervalSeries, LogHistogram, OnlineStats, QueueSnapshot,
+    BusyTracker, CalendarQueue, FastHashMap, Histogram, IntervalSeries, LogHistogram, OnlineStats,
     Rng, SimTime,
 };
 use oracle_topo::{ChannelId, PeId};
@@ -484,7 +484,7 @@ fn put_hist(w: &mut SnapWriter, h: &Histogram) {
 }
 
 fn get_hist(r: &mut SnapReader) -> Result<Histogram, SnapError> {
-    let n = r.usize()?;
+    let n = r.count("histogram bucket count", 8)?;
     let mut buckets = Vec::with_capacity(n);
     for _ in 0..n {
         buckets.push(r.u64()?);
@@ -718,7 +718,7 @@ fn get_series(r: &mut SnapReader) -> Result<IntervalSeries, SnapError> {
             value: 0,
         });
     }
-    let n = r.usize()?;
+    let n = r.count("interval series length", 8)?;
     let mut busy = Vec::with_capacity(n);
     for _ in 0..n {
         busy.push(r.u64()?);
@@ -880,11 +880,13 @@ impl Machine {
     /// into a machine freshly constructed from the same run configuration
     /// (via [`Machine::restore_bytes`]) continues the run bit-identically.
     ///
-    /// Takes `&mut self` because serializing the event queue drains and
-    /// rebuilds it (pop order is the one canonical order both backends
-    /// share); the machine's observable state is unchanged.
+    /// Takes `&mut self` because serializing the event queue drains it in
+    /// pop order and rebuilds it; the machine's observable state is
+    /// unchanged.
     pub fn snapshot_bytes(&mut self) -> Vec<u8> {
-        let queue = self.core.events.take_snapshot();
+        let now = self.core.events.now();
+        let processed = self.core.events.events_processed();
+        let pending: Vec<_> = std::iter::from_fn(|| self.core.events.pop_keyed()).collect();
         let mut w = SnapWriter::with_capacity(4096);
         w.u32(SNAPSHOT_MAGIC);
         w.u32(SNAPSHOT_VERSION);
@@ -973,10 +975,10 @@ impl Machine {
             w.u32(cid);
             put_channel(&mut w, ch);
         }
-        w.u64(queue.now.units());
-        w.u64(queue.processed);
-        w.usize(queue.events.len());
-        for (at, key, ev) in &queue.events {
+        w.u64(now.units());
+        w.u64(processed);
+        w.usize(pending.len());
+        for (at, key, ev) in &pending {
             w.u64(at.units());
             w.u64(*key);
             put_event(&mut w, ev);
@@ -984,7 +986,7 @@ impl Machine {
         let state = self.strategy.snapshot_state();
         w.str(&state.name);
         w.bytes(&state.bytes);
-        self.core.events.restore_snapshot(queue);
+        self.core.events = CalendarQueue::from_snapshot(now, processed, pending);
         w.into_bytes()
     }
 
@@ -1136,7 +1138,8 @@ impl Machine {
         }
         let now = SimTime(r.u64()?);
         let processed = r.u64()?;
-        let n_events = r.usize()?;
+        // Each event is at least its time, its key and a one-byte tag.
+        let n_events = r.count("event count", 17)?;
         let mut events = Vec::with_capacity(n_events);
         let mut prev = now;
         for _ in 0..n_events {
@@ -1150,11 +1153,7 @@ impl Machine {
             let key = r.u64()?;
             events.push((at, key, get_event(&mut r)?));
         }
-        self.core.events.restore_snapshot(QueueSnapshot {
-            now,
-            processed,
-            events,
-        });
+        self.core.events = CalendarQueue::from_snapshot(now, processed, events);
         let state = StrategyState {
             name: r.str()?.to_string(),
             bytes: r.bytes()?.to_vec(),
@@ -1173,7 +1172,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MachineConfig, QueueBackend};
+    use crate::config::MachineConfig;
     use crate::cost::CostModel;
     use crate::faults::{FaultPlan, RecoveryParams};
     use crate::machine::Core;
@@ -1278,13 +1277,7 @@ mod tests {
 
     #[test]
     fn resume_is_bit_identical_on_both_backends() {
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let cfg = MachineConfig {
-                queue_backend: backend,
-                ..MachineConfig::default().with_seed(7)
-            };
-            resume_matches_uninterrupted(cfg);
-        }
+        resume_matches_uninterrupted(MachineConfig::default().with_seed(7));
     }
 
     #[test]
@@ -1355,27 +1348,21 @@ mod tests {
             fault_plan: FaultPlan::default().crash(2, 600).with_loss(0.02),
             ..MachineConfig::default().with_seed(13)
         };
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let cfg = MachineConfig {
-                queue_backend: backend,
-                ..cfg.clone()
-            };
-            let mut plain = machine(cfg.clone());
-            plain.begin();
-            let baseline = run_to_end(plain);
+        let mut plain = machine(cfg.clone());
+        plain.begin();
+        let baseline = run_to_end(plain);
 
-            // Pause after the crash so breaker/retry state is in play.
-            let mut first = machine(cfg.clone());
-            first.begin();
-            let done = first.advance_until(Some(900)).unwrap();
-            assert!(!done, "overload run should pause before its horizon");
-            let bytes = first.snapshot_bytes();
-            assert_eq!(run_to_end(first), baseline);
+        // Pause after the crash so breaker/retry state is in play.
+        let mut first = machine(cfg.clone());
+        first.begin();
+        let done = first.advance_until(Some(900)).unwrap();
+        assert!(!done, "overload run should pause before its horizon");
+        let bytes = first.snapshot_bytes();
+        assert_eq!(run_to_end(first), baseline);
 
-            let mut resumed = machine(cfg);
-            resumed.restore_bytes(&bytes).unwrap();
-            assert_eq!(run_to_end(resumed), baseline);
-        }
+        let mut resumed = machine(cfg);
+        resumed.restore_bytes(&bytes).unwrap();
+        assert_eq!(run_to_end(resumed), baseline);
     }
 
     #[test]
@@ -1407,5 +1394,27 @@ mod tests {
         .unwrap();
         let err = other.restore_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("8 PEs"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_an_event_count_the_blob_cannot_hold() {
+        let cfg = MachineConfig::default().with_seed(3);
+        let mut m = machine(cfg.clone());
+        m.begin();
+        m.advance_until(Some(50)).unwrap();
+        let q = &m.core.events;
+        let mut header = Vec::new();
+        for word in [q.now().units(), q.events_processed(), q.len() as u64] {
+            header.extend_from_slice(&word.to_le_bytes());
+        }
+        let mut bytes = m.snapshot_bytes();
+        let at = bytes
+            .windows(header.len())
+            .position(|w| w == header)
+            .expect("the queue header is in the blob");
+        bytes[at + 16..at + 24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+
+        let err = machine(cfg).restore_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("event count"), "{err}");
     }
 }

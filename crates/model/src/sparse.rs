@@ -14,8 +14,7 @@
 //! to a non-negative f64 accumulator is the identity, and merging an empty
 //! [`OnlineStats`] is a no-op — so skipping the untouched slots cannot
 //! perturb a single bit of the folds. `tests/sparse_dense.rs` pins this
-//! equivalence across the golden cells, both queue backends, and a
-//! snapshot resume.
+//! equivalence across the golden cells and a snapshot resume.
 
 use oracle_des::{FastHashMap, OnlineStats};
 use oracle_topo::ChannelId;

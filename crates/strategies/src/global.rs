@@ -92,7 +92,8 @@ impl Strategy for GlobalRandom {
         }
         let bad = |e| format!("corrupt `global-random` snapshot payload: {e}");
         let mut r = SnapReader::new(&state.bytes);
-        let n = r.usize().map_err(bad)?;
+        // Each entry is a goal id and a destination PE.
+        let n = r.count("in-flight goal count", 12).map_err(bad)?;
         let mut in_flight = HashMap::with_capacity(n);
         for _ in 0..n {
             let id = GoalId(r.u64().map_err(bad)?);

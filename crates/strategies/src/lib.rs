@@ -64,11 +64,11 @@ mod resume_tests {
     //! run mid-flight, snapshotting the machine (including the strategy's
     //! private state via [`oracle_model::Strategy::snapshot_state`]), and
     //! resuming in a fresh machine must produce a bit-identical final
-    //! report on both queue backends.
+    //! report.
 
     use crate::testutil::Fib;
     use crate::*;
-    use oracle_model::{CostModel, Machine, MachineConfig, QueueBackend, Strategy};
+    use oracle_model::{CostModel, Machine, MachineConfig, Strategy};
     use oracle_topo::mesh::mesh2d;
 
     fn run_to_end(mut m: Machine) -> String {
@@ -82,42 +82,32 @@ mod resume_tests {
     }
 
     fn assert_resume_identical(mk: &dyn Fn() -> Box<dyn Strategy>, config: &MachineConfig) {
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let config = MachineConfig {
-                queue_backend: backend,
-                ..config.clone()
-            };
-            let machine = || {
-                Machine::new(
-                    mesh2d(4, 4, false),
-                    Box::new(Fib(13)),
-                    mk(),
-                    CostModel::paper_default(),
-                    config.clone(),
-                )
-                .expect("machine config")
-            };
+        let machine = || {
+            Machine::new(
+                mesh2d(4, 4, false),
+                Box::new(Fib(13)),
+                mk(),
+                CostModel::paper_default(),
+                config.clone(),
+            )
+            .expect("machine config")
+        };
 
-            let mut baseline = machine();
-            baseline.begin();
-            let expected = run_to_end(baseline);
+        let mut baseline = machine();
+        baseline.begin();
+        let expected = run_to_end(baseline);
 
-            let mut paused = machine();
-            paused.begin();
-            paused.advance_until(Some(400)).expect("run to pause point");
-            let blob = paused.snapshot_bytes();
-            assert_eq!(run_to_end(paused), expected, "continued run diverged");
+        let mut paused = machine();
+        paused.begin();
+        paused.advance_until(Some(400)).expect("run to pause point");
+        let blob = paused.snapshot_bytes();
+        assert_eq!(run_to_end(paused), expected, "continued run diverged");
 
-            let mut resumed = machine();
-            resumed
-                .restore_bytes(&blob)
-                .expect("snapshot should restore");
-            assert_eq!(
-                run_to_end(resumed),
-                expected,
-                "resumed run diverged ({backend:?})"
-            );
-        }
+        let mut resumed = machine();
+        resumed
+            .restore_bytes(&blob)
+            .expect("snapshot should restore");
+        assert_eq!(run_to_end(resumed), expected, "resumed run diverged");
     }
 
     #[test]

@@ -197,7 +197,8 @@ impl Strategy for ThresholdProbe {
         }
         let bad = |e| format!("corrupt `threshold-probe` snapshot payload: {e}");
         let mut r = SnapReader::new(&state.bytes);
-        let n = r.usize().map_err(bad)?;
+        // Each entry is at least a goal id, a home PE and a probe count.
+        let n = r.count("pending-goal count", 16).map_err(bad)?;
         let mut pending = HashMap::with_capacity(n);
         for _ in 0..n {
             let id = GoalId(r.u64().map_err(bad)?);

@@ -1,16 +1,13 @@
-//! Open-system traffic: determinism, backend equivalence, and the
-//! saturation trip wire.
+//! Open-system traffic: determinism and the saturation trip wire.
 //!
 //! Open-arrival runs draw from a dedicated arrival RNG stream and keep
 //! per-request state, so they earn their own determinism contract: the
-//! same (config, seed) must reproduce byte-for-byte across thread counts
-//! and across event-queue backends, and an offered load the machine cannot
-//! carry must end in a clean `Saturated` outcome rather than running
-//! forever.
+//! same (config, seed) must reproduce byte-for-byte across thread counts,
+//! and an offered load the machine cannot carry must end in a clean
+//! `Saturated` outcome rather than running forever.
 
 use oracle::prelude::*;
 use oracle::runner::{run_batch_with_threads, RunSpec};
-use oracle_model::QueueBackend;
 use proptest::prelude::*;
 // Both preludes export a `Strategy` name (the load-distribution trait and
 // proptest's generator trait); re-import the latter so `.prop_map` resolves.
@@ -58,7 +55,6 @@ fn open_config(
     strategy: StrategySpec,
     arrivals: ArrivalSpec,
     seed: u64,
-    backend: QueueBackend,
 ) -> oracle::builder::RunConfig {
     let mut open = OpenTraffic::new(arrivals, 1_500);
     open.warmup = 150;
@@ -67,7 +63,6 @@ fn open_config(
         .strategy(strategy)
         .workload(WorkloadSpec::fib(7))
         .seed(seed)
-        .queue_backend(backend)
         .open(Some(open))
         .config()
 }
@@ -87,7 +82,7 @@ proptest! {
     ) {
         let spec = RunSpec::new(
             "open",
-            open_config(topology, strategy, arrivals, seed, QueueBackend::Heap),
+            open_config(topology, strategy, arrivals, seed),
         );
         let specs = vec![spec];
         let seq = run_batch_with_threads(&specs, 1);
@@ -98,22 +93,6 @@ proptest! {
             prop_assert!(a.open.is_some(), "open metrics missing");
             prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
-    }
-
-    /// The heap and calendar event queues order identically, so the backend
-    /// must be invisible in the results of an open run.
-    #[test]
-    fn open_runs_agree_across_queue_backends(
-        topology in topology_strategy(),
-        strategy in placement_strategy(),
-        arrivals in arrival_strategy(),
-        seed in 0u64..1000,
-    ) {
-        let heap = open_config(topology, strategy, arrivals.clone(), seed, QueueBackend::Heap)
-            .run_validated();
-        let cal = open_config(topology, strategy, arrivals, seed, QueueBackend::Calendar)
-            .run_validated();
-        prop_assert_eq!(format!("{heap:?}"), format!("{cal:?}"));
     }
 }
 
@@ -146,12 +125,11 @@ fn saturation_trip_wire_fires_on_overload() {
 
 /// Full overload-protection stack — deadline, retry, admission, breaker —
 /// under a crash-and-loss fault plan: the report must still be a pure
-/// function of (config, seed) across queue backends and thread counts, and
-/// the arrival-conservation invariant must hold (checked by
-/// `run_validated`).
+/// function of (config, seed) across thread counts, and the
+/// arrival-conservation invariant must hold (checked by `run_validated`).
 #[test]
 fn overload_protection_is_deterministic_across_backends_and_threads() {
-    let config = |backend| {
+    let config = || {
         let mut open = OpenTraffic::new("poisson:30".parse().unwrap(), 3_000);
         open.warmup = 200;
         open.deadline = Some(500);
@@ -166,16 +144,11 @@ fn overload_protection_is_deterministic_across_backends_and_threads() {
             })
             .workload(WorkloadSpec::fib(7))
             .seed(17)
-            .queue_backend(backend)
             .fault_plan("crash:4@700+loss:2%".parse().unwrap())
             .open(Some(open))
             .config()
     };
-    let heap = config(QueueBackend::Heap).run_validated();
-    let cal = config(QueueBackend::Calendar).run_validated();
-    assert_eq!(format!("{heap:?}"), format!("{cal:?}"));
-
-    let specs = vec![RunSpec::new("overload", config(QueueBackend::Heap))];
+    let specs = vec![RunSpec::new("overload", config())];
     let seq = run_batch_with_threads(&specs, 1);
     let par = run_batch_with_threads(&specs, 4);
     for ((la, a), (lb, b)) in seq.iter().zip(&par) {
@@ -186,7 +159,7 @@ fn overload_protection_is_deterministic_across_backends_and_threads() {
         );
     }
 
-    let report = heap.expect("protected run succeeds");
+    let report = config().run_validated().expect("protected run succeeds");
     let o = report.open.expect("open metrics present");
     assert_eq!(
         o.arrivals,
@@ -256,7 +229,6 @@ fn every_arrival_family_reproduces_under_fixed_seed() {
                 },
                 arrivals.clone(),
                 11,
-                QueueBackend::Heap,
             )
             .run_validated()
         };

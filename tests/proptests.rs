@@ -344,7 +344,6 @@ proptest! {
             cal.schedule_keyed_at(at, key, i);
             heap.schedule_keyed_at(at, key, i);
             for _ in 0..pops {
-                prop_assert_eq!(cal.peek_time(), heap.peek_time());
                 prop_assert_eq!(cal.pop_keyed(), heap.pop_keyed());
             }
         }

@@ -1,13 +1,13 @@
 //! Robustness guarantees, end to end: checkpoint → resume is bit-identical
-//! for every strategy on both queue backends — including under active
-//! fault plans with the invariant auditor watching — and chaos sweeps are
-//! deterministic across thread counts.
+//! for every strategy — including under active fault plans with the
+//! invariant auditor watching — and chaos sweeps are deterministic across
+//! thread counts.
 
 use std::path::PathBuf;
 
 use oracle::checkpoint::{resume_run, run_with_checkpoints, write_checkpoint, Checkpoint};
 use oracle::prelude::*;
-use oracle_model::{FaultPlan, QueueBackend, RecoveryParams};
+use oracle_model::{FaultPlan, RecoveryParams};
 
 use proptest::prelude::*;
 
@@ -15,13 +15,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("oracle-robustness-{tag}-{}", std::process::id()))
 }
 
-fn base_config(
-    strategy: StrategySpec,
-    backend: QueueBackend,
-    seed: u64,
-) -> oracle::builder::RunConfig {
+fn base_config(strategy: StrategySpec, seed: u64) -> oracle::builder::RunConfig {
     let mut machine = MachineConfig::default().with_seed(seed);
-    machine.queue_backend = backend;
     machine.audit_every = 64;
     SimulationBuilder::new()
         .topology(TopologySpec::grid(4))
@@ -135,11 +130,9 @@ fn every_strategy_resumes_identically_on_both_backends() {
         StrategySpec::Local,
     ];
     for strategy in strategies {
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let config = base_config(strategy, backend, 17);
-            let tag = format!("{strategy}-{backend:?}").replace([':', 'x'], "_");
-            assert_checkpoint_equivalence(&config, 350, &tag);
-        }
+        let config = base_config(strategy, 17);
+        let tag = strategy.to_string().replace([':', 'x'], "_");
+        assert_checkpoint_equivalence(&config, 350, &tag);
     }
 }
 
@@ -150,29 +143,22 @@ fn resume_is_identical_under_active_fault_plans() {
         .link_down(3, 200, 700)
         .with_loss(0.01)
         .with_recovery(RecoveryParams::default());
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        let mut config = base_config(
-            StrategySpec::Cwn {
-                radius: 4,
-                horizon: 1,
-            },
-            backend,
-            29,
-        );
-        config.machine.fault_plan = plan.clone();
-        assert_checkpoint_equivalence(&config, 400, &format!("faults-{backend:?}"));
-    }
+    let mut config = base_config(
+        StrategySpec::Cwn {
+            radius: 4,
+            horizon: 1,
+        },
+        29,
+    );
+    config.machine.fault_plan = plan;
+    assert_checkpoint_equivalence(&config, 400, "faults");
 }
 
 #[test]
 fn checkpoint_files_survive_process_style_reload() {
     // Write a checkpoint, forget everything, and reconstruct purely from
     // the file — the embedded config must carry all run parameters.
-    let config = base_config(
-        StrategySpec::WorkStealing { retry_delay: 25 },
-        QueueBackend::Calendar,
-        31,
-    );
+    let config = base_config(StrategySpec::WorkStealing { retry_delay: 25 }, 31);
     let expected = outcome(&config);
     let mut machine = config.machine().unwrap();
     machine.begin();
@@ -194,21 +180,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Checkpointing at a *random* cadence never changes the final report,
-    /// on either backend, for a strategy with nontrivial private state.
+    /// for a strategy with nontrivial private state.
     #[test]
     fn random_checkpoint_cadences_resume_identically(
         every in 37u64..900,
         seed in 1u64..500,
-        calendar in any::<bool>(),
     ) {
-        let backend = if calendar { QueueBackend::Calendar } else { QueueBackend::Heap };
         let config = base_config(
             StrategySpec::ThresholdProbe { threshold: 2, probe_limit: 3 },
-            backend,
             seed,
         );
         let expected = outcome(&config);
-        let dir = scratch_dir(&format!("prop-{every}-{seed}-{calendar}"));
+        let dir = scratch_dir(&format!("prop-{every}-{seed}"));
         let out = run_with_checkpoints(&config, every, &dir)
             .expect("fault-free run completes");
         prop_assert_eq!(&format!("{:?}", out.report), &expected);

@@ -2,7 +2,7 @@
 //! representations ([`StateMode::Sparse`] vs [`StateMode::Dense`]) must
 //! produce **bit-identical** `Report`s — completion time, utilization
 //! quantiles, traffic counters, hop histograms, top-K tables, float
-//! folds, all of it — on every cell and under both event-queue backends.
+//! folds, all of it — on every cell.
 //!
 //! This is the load-bearing guarantee of the O(active)-memory refactor:
 //! sparse mode is a *representation* change, never a *results* change. The
@@ -12,41 +12,30 @@
 //! (see `model/src/sparse.rs` for the argument; these tests pin it).
 
 use oracle::prelude::*;
-use oracle_model::QueueBackend;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 /// Render a run's full report under the given state mode. The audit runs
 /// too: the invariant auditor must accept both representations.
-fn render(
-    build: &dyn Fn() -> SimulationBuilder,
-    mode: StateMode,
-    backend: QueueBackend,
-) -> String {
-    let mut config = build()
-        .state_mode(mode)
-        .queue_backend(backend)
-        .coprocessor(false)
-        .config();
+fn render(build: &dyn Fn() -> SimulationBuilder, mode: StateMode) -> String {
+    let mut config = build().state_mode(mode).coprocessor(false).config();
     config.machine.audit_every = 100;
     let report = config
         .run()
-        .unwrap_or_else(|e| panic!("{mode:?}/{backend:?} failed: {e:?}"));
+        .unwrap_or_else(|e| panic!("{mode:?} failed: {e:?}"));
     report.check_invariants();
     format!("{report:#?}")
 }
 
-/// Sparse and dense must render identically under both queue backends.
+/// Sparse and dense must render identically.
 fn assert_sparse_matches_dense(name: &str, build: impl Fn() -> SimulationBuilder) {
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        let dense = render(&build, StateMode::Dense, backend);
-        let sparse = render(&build, StateMode::Sparse, backend);
-        assert!(
-            sparse == dense,
-            "{name} under {backend:?}: sparse state diverged from dense\n\
-             --- dense ---\n{dense}\n--- sparse ---\n{sparse}"
-        );
-    }
+    let dense = render(&build, StateMode::Dense);
+    let sparse = render(&build, StateMode::Sparse);
+    assert!(
+        sparse == dense,
+        "{name}: sparse state diverged from dense\n\
+         --- dense ---\n{dense}\n--- sparse ---\n{sparse}"
+    );
 }
 
 /// The existing grid/torus/dlm golden cells (≤ 400 PEs), both paper
@@ -86,7 +75,7 @@ fn paper_cells_identical_across_state_modes() {
 
 /// Randomized sweep: topology (grid/torus/dlm ≤ 400 PEs) × strategy ×
 /// workload × seed. Fewer cases than the fixed sweep is deep, but each one
-/// still checks both backends and both engines.
+/// still checks both state modes.
 #[test]
 fn proptest_cells_identical_across_state_modes() {
     fn topo() -> impl proptest::strategy::Strategy<Value = TopologySpec> {

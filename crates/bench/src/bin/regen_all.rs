@@ -355,9 +355,9 @@ fn main() {
         save("BENCH_throughput.json", to_json(&cells, reps, seed));
     }
 
-    // Scale grid (events/sec and peak RSS vs PE count). Cells run in
-    // subprocesses (VmHWM is per-process monotone), so this shells out to
-    // the `scale` binary rather than running in-process.
+    // Scale grid (build/run time, events/sec and peak RSS vs PE count).
+    // Cells run in subprocesses (VmHWM is per-process monotone), so this
+    // shells out to the `scale` binary rather than running in-process.
     if want("BENCH_scale") {
         use oracle_bench::scale::validate_json;
         let out = dir.join("BENCH_scale.json");

@@ -1,4 +1,5 @@
-//! Regenerate `BENCH_scale.json`: events/sec and peak RSS vs PE count.
+//! Regenerate `BENCH_scale.json`: build and run time, events/sec and peak
+//! RSS vs PE count.
 //!
 //! ```sh
 //! cargo run --release -p oracle-bench --bin scale [-- --quick] [--seed N] [--out FILE]
@@ -88,11 +89,13 @@ fn main() {
             .find_map(parse_cell_line)
             .unwrap_or_else(|| panic!("cell {name} printed no CELL line:\n{stdout}"));
         eprintln!(
-            "{:<16} {:>9} PEs  {:>9} events  {:>8.2} s  {:>12.0} events/s  peak RSS {:>7.1} MiB",
+            "{:<16} {:>9} PEs  {:>9} events  build {:>6.2} s  run {:>6.2} s  \
+             {:>12.0} events/s  peak RSS {:>7.1} MiB",
             c.name,
             c.pes,
             c.events,
-            c.wall_secs,
+            c.build_secs,
+            c.run_secs,
             c.events_per_sec,
             c.peak_rss_bytes as f64 / (1024.0 * 1024.0),
         );

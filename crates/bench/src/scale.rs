@@ -1,4 +1,5 @@
-//! Scale benchmark: events/sec and peak RSS versus PE count.
+//! Scale benchmark: build time, run time, events/sec and peak RSS versus
+//! PE count.
 //!
 //! Where `throughput.rs` measures the hot loop on paper-sized machines,
 //! this grid measures the *memory model*: a torus and a random-graph cell
@@ -7,7 +8,10 @@
 //! trajectory; the acceptance line is the 10⁶-PE torus completing under
 //! 2 GB of peak RSS (the O(active) sparse-state regime — `StateMode::Auto`
 //! flips to sparse past 64 Ki PEs, so the grid covers both
-//! representations).
+//! representations). Each cell splits its wall time into `build_secs`
+//! (topology, workload, strategy and `Machine::new`) and `run_secs` (the
+//! event loop and the report), so construction cost at 10⁶ PEs no longer
+//! hides inside the events/s figure.
 //!
 //! `VmHWM` is a per-process monotonic high-water mark, so cells must not
 //! share a process: the `scale` binary re-executes itself once per cell
@@ -34,8 +38,14 @@ pub struct ScaleCell {
     pub pes: usize,
     /// Simulated events in the run.
     pub events: u64,
-    /// Wall-clock seconds for the run (machine construction included —
-    /// at this scale, construction *is* part of the cost being measured).
+    /// Wall-clock seconds to build the machine: topology, workload,
+    /// strategy and `Machine::new`.
+    pub build_secs: f64,
+    /// Wall-clock seconds to run the built machine: the event loop and the
+    /// report.
+    pub run_secs: f64,
+    /// Wall-clock seconds for build and run together (at this scale,
+    /// construction *is* part of the cost being measured).
     pub wall_secs: f64,
     /// `events / wall_secs`.
     pub events_per_sec: f64,
@@ -94,14 +104,21 @@ pub fn run_cell(name: &str, seed: u64) -> ScaleCell {
         .machine(machine)
         .config();
     let t0 = Instant::now();
-    let report = config
+    let machine = config
+        .machine()
+        .unwrap_or_else(|e| panic!("scale cell {name}: {e}"));
+    let t1 = Instant::now();
+    let report = machine
         .run()
         .unwrap_or_else(|e| panic!("scale cell {name}: {e}"));
-    let wall_secs = t0.elapsed().as_secs_f64();
+    let t2 = Instant::now();
+    let wall_secs = (t2 - t0).as_secs_f64();
     ScaleCell {
         name: name.to_string(),
         pes: topology.num_pes(),
         events: report.events,
+        build_secs: (t1 - t0).as_secs_f64(),
+        run_secs: (t2 - t1).as_secs_f64(),
         wall_secs,
         events_per_sec: report.events as f64 / wall_secs.max(1e-9),
         peak_rss_bytes: peak_rss_bytes(),
@@ -110,10 +127,24 @@ pub fn run_cell(name: &str, seed: u64) -> ScaleCell {
 
 /// The one-line child → parent protocol: `CELL {...}` on stdout.
 pub fn cell_line(c: &ScaleCell) -> String {
+    format!("CELL {}", cell_json(c))
+}
+
+/// One cell as a single-line JSON object (shared by the protocol line and
+/// the committed file).
+fn cell_json(c: &ScaleCell) -> String {
     format!(
-        "CELL {{\"name\": \"{}\", \"pes\": {}, \"events\": {}, \"wall_secs\": {:.6}, \
-         \"events_per_sec\": {:.0}, \"peak_rss_bytes\": {}}}",
-        c.name, c.pes, c.events, c.wall_secs, c.events_per_sec, c.peak_rss_bytes
+        "{{\"name\": \"{}\", \"pes\": {}, \"events\": {}, \"build_secs\": {:.6}, \
+         \"run_secs\": {:.6}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.0}, \
+         \"peak_rss_bytes\": {}}}",
+        c.name,
+        c.pes,
+        c.events,
+        c.build_secs,
+        c.run_secs,
+        c.wall_secs,
+        c.events_per_sec,
+        c.peak_rss_bytes
     )
 }
 
@@ -140,40 +171,41 @@ pub fn parse_cell_line(line: &str) -> Option<ScaleCell> {
         name: str_field("name")?,
         pes: num_field("pes")? as usize,
         events: num_field("events")? as u64,
+        build_secs: num_field("build_secs")?,
+        run_secs: num_field("run_secs")?,
         wall_secs: num_field("wall_secs")?,
         events_per_sec: num_field("events_per_sec")?,
         peak_rss_bytes: num_field("peak_rss_bytes")? as u64,
     })
 }
 
-/// Render the grid as the `oracle-bench-scale/v1` JSON.
+/// Schema tag of the committed file; v2 added `build_secs` and `run_secs`.
+const SCHEMA: &str = "oracle-bench-scale/v2";
+
+/// Render the grid as the `oracle-bench-scale/v2` JSON.
 pub fn to_json(cells: &[ScaleCell], seed: u64) -> String {
     let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"oracle-bench-scale/v1\",");
+    let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
     let _ = writeln!(s, "  \"rss_budget_bytes\": {RSS_BUDGET_BYTES},");
     let _ = writeln!(s, "  \"cells\": [");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"pes\": {}, \"events\": {}, \"wall_secs\": {:.6}, \
-             \"events_per_sec\": {:.0}, \"peak_rss_bytes\": {}}}{comma}",
-            c.name, c.pes, c.events, c.wall_secs, c.events_per_sec, c.peak_rss_bytes
-        );
+        let _ = writeln!(s, "    {}{comma}", cell_json(c));
     }
     s.push_str("  ]\n}\n");
     s
 }
 
-/// Validate a `BENCH_scale.json` blob: schema tag, well-formed cells, the
-/// four torus decades present, and every recorded peak RSS within budget.
+/// Validate a `BENCH_scale.json` blob: schema tag, well-formed cells (every
+/// field present, build plus run adding up to the wall time), the four
+/// torus decades present, and every recorded peak RSS within budget.
 /// Returns a list of problems (empty means valid). CI runs this against
 /// the committed file.
 pub fn validate_json(json: &str) -> Result<(), String> {
     let mut problems = Vec::new();
-    if !json.contains("\"schema\": \"oracle-bench-scale/v1\"") {
-        problems.push("missing or wrong schema tag (want oracle-bench-scale/v1)".to_string());
+    if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+        problems.push(format!("missing or wrong schema tag (want {SCHEMA})"));
     }
     let mut cells = Vec::new();
     for line in json.lines() {
@@ -203,6 +235,13 @@ pub fn validate_json(json: &str) -> Result<(), String> {
         if c.events == 0 {
             problems.push(format!("cell {}: zero events", c.name));
         }
+        // Each field is rounded to 1 µs, so allow a few µs of slack.
+        if (c.build_secs + c.run_secs - c.wall_secs).abs() > 5e-6 {
+            problems.push(format!(
+                "cell {}: build_secs {} + run_secs {} != wall_secs {}",
+                c.name, c.build_secs, c.run_secs, c.wall_secs
+            ));
+        }
     }
     if problems.is_empty() {
         Ok(())
@@ -223,6 +262,8 @@ mod tests {
                 name: name.to_string(),
                 pes: 10usize.pow(3 + i as u32),
                 events: 1000,
+                build_secs: 0.125,
+                run_secs: 0.375,
                 wall_secs: 0.5,
                 events_per_sec: 2000.0,
                 peak_rss_bytes: 100 << 20,
@@ -237,6 +278,8 @@ mod tests {
             assert_eq!(parsed.name, c.name);
             assert_eq!(parsed.pes, c.pes);
             assert_eq!(parsed.events, c.events);
+            assert_eq!(parsed.build_secs, c.build_secs);
+            assert_eq!(parsed.run_secs, c.run_secs);
             assert_eq!(parsed.peak_rss_bytes, c.peak_rss_bytes);
         }
         assert!(parse_cell_line("not a cell").is_none());
@@ -256,6 +299,19 @@ mod tests {
         fat[0].peak_rss_bytes = RSS_BUDGET_BYTES + 1;
         let err = validate_json(&to_json(&fat, 1)).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
+
+        let mut split = sample();
+        split[1].run_secs = 0.5;
+        let err = validate_json(&to_json(&split, 1)).unwrap_err();
+        assert!(err.contains("torus:100: build_secs"), "{err}");
+
+        // A v1 file (no build/run split) no longer validates.
+        let v1 = good
+            .replace(SCHEMA, "oracle-bench-scale/v1")
+            .replace("\"build_secs\": 0.125000, \"run_secs\": 0.375000, ", "");
+        let err = validate_json(&v1).unwrap_err();
+        assert!(err.contains("wrong schema tag"), "{err}");
+        assert!(err.contains("malformed cell line"), "{err}");
 
         assert!(validate_json("{}").is_err(), "empty JSON must not validate");
     }
@@ -278,6 +334,7 @@ mod tests {
         let c = run_cell("torus:32", 1);
         assert_eq!(c.pes, 1024);
         assert!(c.events > 0);
+        assert!(c.build_secs > 0.0 && c.run_secs > 0.0);
         assert!(c.peak_rss_bytes > 0, "RSS must be readable on Linux");
     }
 }

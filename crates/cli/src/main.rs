@@ -164,8 +164,8 @@ commands:
             keeping the first --trace N;
             --series-out writes the per-PE utilization series as CSV;
             --profile prints engine counters (per-event-kind counts and
-            wall times, queue pop time, queue-depth high-water mark,
-            control tags);
+            wall times, queue pop time, next-hop routing time,
+            queue-depth high-water mark, control tags);
             --faults @FILE loads a plan file (blank/# lines ignored, one
             or more `+`-separated terms per line);
             --no-coprocessor models software message routing (PEs pay

@@ -2,9 +2,10 @@
 //!
 //! The engine-side half of the observability layer: a small, fixed-cost
 //! registry of named event kinds, each accumulating a count and wall-clock
-//! time, plus the wall time spent popping the event queue, a queue-depth
-//! high-water mark and a set of small-integer tag counters (the model uses
-//! those for per-strategy control-message tags). The driver decides when to
+//! time, plus the wall time spent popping the event queue and routing
+//! messages hop by hop, a queue-depth high-water mark and a set of
+//! small-integer tag counters (the model uses those for per-strategy
+//! control-message tags). The driver decides when to
 //! sample [`std::time::Instant`]; the registry itself never reads the clock,
 //! so a disabled profiler costs the simulation exactly one branch per event.
 //!
@@ -37,6 +38,8 @@ pub struct Profiler {
     names: Vec<&'static str>,
     stats: Vec<KindStats>,
     queue_nanos: u64,
+    route_calls: u64,
+    route_nanos: u64,
     queue_depth_hwm: usize,
     tag_counts: Vec<u64>,
 }
@@ -48,6 +51,8 @@ impl Profiler {
             names: Vec::new(),
             stats: Vec::new(),
             queue_nanos: 0,
+            route_calls: 0,
+            route_nanos: 0,
             queue_depth_hwm: 0,
             tag_counts: Vec::new(),
         }
@@ -60,6 +65,8 @@ impl Profiler {
             names: names.to_vec(),
             stats: vec![KindStats::default(); names.len()],
             queue_nanos: 0,
+            route_calls: 0,
+            route_nanos: 0,
             queue_depth_hwm: 0,
             tag_counts: Vec::new(),
         }
@@ -89,6 +96,15 @@ impl Profiler {
     #[inline]
     pub fn record_queue(&mut self, started: Instant, finished: Instant) {
         self.queue_nanos += (finished - started).as_nanos() as u64;
+    }
+
+    /// Charge one next-hop routing decision, timed from `started`. The
+    /// decision runs inside an event handler, so its time is also part of
+    /// that event kind's time.
+    #[inline]
+    pub fn record_route(&mut self, started: Instant) {
+        self.route_calls += 1;
+        self.route_nanos += started.elapsed().as_nanos() as u64;
     }
 
     /// Charge one event of kind `id` without timing it.
@@ -129,6 +145,8 @@ impl Profiler {
                 })
                 .collect(),
             queue_wall_nanos: self.queue_nanos,
+            route_calls: self.route_calls,
+            route_wall_nanos: self.route_nanos,
             queue_depth_hwm: self.queue_depth_hwm,
             control_by_tag: self
                 .tag_counts
@@ -168,6 +186,13 @@ pub struct ProfileReport {
     /// nanoseconds (not part of any kind's time).
     #[serde(default)]
     pub queue_wall_nanos: u64,
+    /// Next-hop routing decisions taken while handling events.
+    #[serde(default)]
+    pub route_calls: u64,
+    /// Total wall-clock time of those decisions, in nanoseconds (already
+    /// part of the handling kinds' time).
+    #[serde(default)]
+    pub route_wall_nanos: u64,
     /// Highest pending-event-queue depth observed.
     pub queue_depth_hwm: usize,
     /// `(tag, count)` for every tag that was bumped at least once.
@@ -199,6 +224,8 @@ impl ProfileReport {
             }
         }
         self.queue_wall_nanos += other.queue_wall_nanos;
+        self.route_calls += other.route_calls;
+        self.route_wall_nanos += other.route_wall_nanos;
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
         for &(tag, c) in &other.control_by_tag {
             match self.control_by_tag.iter_mut().find(|(t, _)| *t == tag) {
@@ -209,7 +236,8 @@ impl ProfileReport {
         self.control_by_tag.sort_by_key(|&(t, _)| t);
     }
 
-    /// Render as an aligned text table (the `--profile` output).
+    /// Render as an aligned text table (the `--profile` output). The
+    /// `route` line breaks out time already counted in the kinds above.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -244,6 +272,14 @@ impl ProfileReport {
             self.queue_wall_nanos as f64 / 1e6,
             self.queue_wall_nanos as f64 / pops.max(1) as f64
         );
+        let _ = writeln!(
+            out,
+            "{:<16} {:>12} {:>12.3} {:>10.0}",
+            "route",
+            self.route_calls,
+            self.route_wall_nanos as f64 / 1e6,
+            self.route_wall_nanos as f64 / self.route_calls.max(1) as f64
+        );
         let _ = writeln!(out, "queue depth high-water mark: {}", self.queue_depth_hwm);
         if !self.control_by_tag.is_empty() {
             let _ = write!(out, "control messages by tag:");
@@ -268,8 +304,10 @@ mod tests {
         p.record(KindId(0), t0);
         p.count_only(KindId(1));
         p.record_queue(t0, t0 + std::time::Duration::from_nanos(250));
+        p.record_route(t0);
         let r = p.report();
         assert_eq!(r.queue_wall_nanos, 250);
+        assert_eq!(r.route_calls, 1);
         assert_eq!(r.kinds[0].count, 2);
         assert_eq!(r.kinds[1].count, 1);
         assert_eq!(r.kinds[1].wall_nanos, 0);
@@ -312,18 +350,22 @@ mod tests {
         let t0 = Instant::now();
         a.record_queue(t0, t0 + std::time::Duration::from_nanos(40));
         a.note_queue_depth(5);
+        a.record_route(t0);
         a.bump_tag(1);
         let mut b = Profiler::with_kinds(&["x"]);
         b.count_only(KindId(0));
         b.count_only(KindId(0));
         b.record_queue(t0, t0 + std::time::Duration::from_nanos(2));
         b.note_queue_depth(9);
+        b.record_route(t0);
+        b.record_route(t0);
         b.bump_tag(1);
         b.bump_tag(2);
         let mut r = a.report();
         r.merge(&b.report());
         assert_eq!(r.kinds[0].count, 3);
         assert_eq!(r.queue_wall_nanos, 42);
+        assert_eq!(r.route_calls, 3);
         assert_eq!(r.queue_depth_hwm, 9);
         assert_eq!(r.control_by_tag, vec![(1, 2), (2, 1)]);
     }
@@ -336,6 +378,7 @@ mod tests {
         assert!(text.contains("seen"));
         assert!(!text.contains("unseen"));
         assert!(text.contains("queue pop"));
+        assert!(text.contains("route"));
         assert!(text.contains("high-water mark"));
     }
 }

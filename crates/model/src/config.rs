@@ -118,10 +118,11 @@ pub struct MachineConfig {
     #[serde(default)]
     pub trace_mode: TraceMode,
     /// Run the engine profiler: per-event-kind counts and wall times,
-    /// event-queue pop time, queue-depth high-water mark, control-message
-    /// tag counters, exposed as `Report::profile`. Costs three clock reads
-    /// per event; wall times are nondeterministic, so leave this off (the
-    /// default) for any run whose report is compared bit-for-bit.
+    /// event-queue pop time, next-hop routing time, queue-depth high-water
+    /// mark, control-message tag counters, exposed as `Report::profile`.
+    /// Costs three clock reads per event and two per routed hop; wall
+    /// times are nondeterministic, so leave this off (the default) for any
+    /// run whose report is compared bit-for-bit.
     #[serde(default)]
     pub profile: bool,
     /// Order in which each PE picks its next work item.

@@ -432,6 +432,21 @@ impl Core {
         }
     }
 
+    /// [`Core::route_hop`], timed into the profiler when one is attached;
+    /// the unprofiled path pays one branch.
+    #[inline]
+    fn profiled_route_hop(&mut self, from: PeId, to: PeId, prev: Option<PeId>) -> PeId {
+        if self.profiler.is_none() {
+            return self.route_hop(from, to, prev);
+        }
+        let started = std::time::Instant::now();
+        let hop = self.route_hop(from, to, prev);
+        if let Some(p) = self.profiler.as_mut() {
+            p.record_route(started);
+        }
+        hop
+    }
+
     /// Next hop for a software-routed packet from `from` toward `to`.
     ///
     /// Without faults this is the topology's precomputed shortest-path hop.
@@ -1033,7 +1048,7 @@ impl Core {
                 self.try_start(from_pe);
             }
             Some((ppe, pgoal)) => {
-                let hop = self.route_hop(from_pe, ppe, None);
+                let hop = self.profiled_route_hop(from_pe, ppe, None);
                 self.send_unicast(
                     from_pe,
                     hop,
@@ -2328,7 +2343,7 @@ impl Machine {
                     });
                     self.core.try_start(pe);
                 } else {
-                    let hop = self.core.route_hop(pe, ppe, Some(from));
+                    let hop = self.core.profiled_route_hop(pe, ppe, Some(from));
                     self.core.send_unicast(
                         pe,
                         hop,
@@ -3144,6 +3159,18 @@ mod tests {
         );
         assert!(profile.queue_depth_hwm > 0);
         assert!(profile.queue_wall_nanos > 0, "queue pops are timed");
+        assert!(
+            profile.route_calls > 0,
+            "response hops are routed and counted"
+        );
+        assert_eq!(
+            profile.route_calls, profiled.traffic.response_hops,
+            "one routing decision per response hop"
+        );
+        assert!(
+            profile.render().contains("\nroute "),
+            "route line is rendered"
+        );
         assert!(profile
             .kinds
             .iter()

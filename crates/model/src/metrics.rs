@@ -292,9 +292,9 @@ pub struct Report {
     /// run).
     pub faults: FaultMetrics,
     /// Engine profile (per-event-kind counts and wall times, queue pop
-    /// time, queue-depth high-water mark, control-tag counters); `None`
-    /// unless the run had `MachineConfig::profile` set. Wall times are
-    /// nondeterministic.
+    /// time, routing time, queue-depth high-water mark, control-tag
+    /// counters); `None` unless the run had `MachineConfig::profile` set.
+    /// Wall times are nondeterministic.
     #[serde(default)]
     pub profile: Option<ProfileReport>,
     /// Steady-state open-traffic measurements; `None` on a closed run.

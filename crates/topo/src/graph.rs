@@ -6,10 +6,10 @@
 //! topologies (grid, torus, hypercube, k-ary n-cube) answer distance
 //! queries arithmetically and carry no table at all; small arbitrary
 //! graphs keep the classic dense all-pairs table; large arbitrary graphs
-//! use a lazy BFS-on-demand router with a bounded row cache. All three
-//! produce bit-identical next hops (pinned by tests): the next hop from
-//! `a` toward `b` is always the first neighbour of `a`, in sorted PE-id
-//! order, whose distance to `b` is one less than `a`'s.
+//! answer each query with a bidirectional BFS and store no routes. All
+//! three produce bit-identical next hops (pinned by tests): the next hop
+//! from `a` toward `b` is always the first neighbour of `a`, in sorted
+//! PE-id order, whose distance to `b` is one less than `a`'s.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -83,13 +83,10 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Arbitrary graphs at or below this many PEs precompute the dense
-/// all-pairs table; larger ones route through the lazy BFS router. The
-/// regular families (grid/torus/hypercube/k-ary) never build a table.
+/// all-pairs table; larger ones route through the lazy bidirectional-BFS
+/// router. The regular families (grid/torus/hypercube/k-ary) never build a
+/// table.
 pub const DENSE_ROUTER_LIMIT: usize = 2048;
-
-/// Bound on the lazy router's cached BFS distance rows (one row is
-/// `4 * num_pes` bytes); rows are evicted FIFO beyond this.
-const LAZY_CACHE_ROWS: usize = 32;
 
 /// How shortest-path queries are answered. Everything except `Dense` is
 /// O(1) or O(active) memory; `Dense` is the classic O(n²) table kept only
@@ -104,7 +101,7 @@ enum Router {
     Hypercube,
     /// k-ary n-cube, digit strides `k^d`; per-dimension ring distance.
     KAry { k: u32, n: u32 },
-    /// BFS on demand with a bounded per-target row cache.
+    /// Bidirectional BFS per query; stores no routes.
     Lazy(LazyRouter),
 }
 
@@ -144,165 +141,209 @@ impl Clone for Router {
             },
             Router::Hypercube => Router::Hypercube,
             Router::KAry { k, n } => Router::KAry { k: *k, n: *n },
-            // The cache is a pure memo — a clone starts cold.
+            // The router holds only scratch space; a clone gets its own.
             Router::Lazy(_) => Router::Lazy(LazyRouter::new()),
         }
     }
 }
 
-/// BFS-on-demand distance oracle for large arbitrary graphs. Rows are
-/// keyed by the *target* PE (distances are symmetric on an undirected
-/// graph), so one BFS serves both `distance(x, t)` for every `x` and the
-/// whole neighbour scan of a `next_hop(_, t)` query.
+/// Exact shortest-path oracle for large arbitrary graphs that stores no
+/// routes: every query is a bidirectional (meet-in-the-middle) BFS between
+/// `from` and the target. One search costs about two balls of radius
+/// `d / 2` instead of one ball of radius `d`, which on an expander such as
+/// `rand:NxD` is the difference between a few hundred PEs and most of the
+/// graph.
 ///
-/// Most queries never pay for a full row: a BFS out of the target stops
-/// the instant the source is discovered, so the cost is the ball of
-/// radius `dist(from, to)` around the target, not the whole graph —
-/// hop-by-hop response routing on a million-PE graph would otherwise run
-/// one full-graph BFS per hop. A target whose cumulative bounded work
-/// exceeds a couple of full sweeps is promoted to a cached full row, so
-/// hot sinks (the root PE collecting results) amortize to O(1) lookups.
-/// Either path returns the exact distance and the same deterministic
-/// hop, so cache state can never change simulation results.
+/// The search keeps two labellings: T-depth out of the target and F-depth
+/// out of `from`. It grows one whole BFS layer at a time, always on the
+/// side with the smaller frontier, and stops after the first layer in
+/// which a newly labelled PE already carries the other side's label. With
+/// F complete to depth `a` and T complete to depth `b`, the distance is
+/// `d = a + b`, and the doubly labelled PEs are exactly those at F-depth
+/// `a` and T-depth `b` (the meeting set).
+///
+/// The hop is the dense table's hop: the first neighbour of `from`, in
+/// sorted PE-id order, at distance `d - 1` from the target. A neighbour
+/// has that distance iff an F-increasing path leads from it into the
+/// meeting set, so the T labelling is extended backwards over F layers
+/// `a - 1` down to `1`: a PE at F-depth `k` gets T-depth `d - k` iff a
+/// neighbour at F-depth `k + 1` has T-depth `d - k - 1`. When the T side
+/// itself reached `from` (`a == 0`), no extension is needed.
 struct LazyRouter {
-    cache: Mutex<RowCache>,
+    scratch: Mutex<BfsScratch>,
 }
 
-#[derive(Default)]
-struct RowCache {
-    rows: std::collections::HashMap<u32, Vec<u32>>,
-    fifo: VecDeque<u32>,
-    /// Cumulative bounded-BFS node visits per target; a target is promoted
-    /// to a full cached row once this exceeds [`PROMOTE_WORK_SWEEPS`] full
-    /// sweeps. Cleared wholesale if it ever grows past
-    /// [`WORK_LEDGER_CAP`] entries (only the amortization stats are lost).
-    work: std::collections::HashMap<u32, u64>,
-    scratch: BfsScratch,
+/// Index of the target-side labelling in [`Label::depth`].
+const TO_TARGET: usize = 0;
+/// Index of the source-side labelling in [`Label::depth`].
+const FROM_SOURCE: usize = 1;
+/// A side's depth for a PE that side has not labelled.
+const UNSEEN: u32 = u32::MAX;
+
+/// One PE's labels in the current query, valid only when `stamp` equals
+/// the scratch epoch.
+#[derive(Clone, Copy, Default)]
+struct Label {
+    stamp: u32,
+    depth: [u32; 2],
 }
 
-/// Epoch-stamped scratch for the bounded searches: `dist[i]` is valid only
-/// when `stamp[i] == epoch`, so queries reuse the buffers without an O(n)
-/// clear between them.
+/// Epoch-stamped scratch for the searches, so queries reuse the buffers
+/// without an O(n) clear between them: three `u32` of labels per PE plus
+/// the two discovery orders, which together hold each PE at most twice.
 #[derive(Default)]
 struct BfsScratch {
-    stamp: Vec<u32>,
-    dist: Vec<u32>,
+    labels: Vec<Label>,
     epoch: u32,
-    queue: VecDeque<u32>,
+    /// Each side's labelled PEs in discovery order; BFS layers are
+    /// contiguous runs, and `layer[side]..` is the current frontier.
+    order: [Vec<u32>; 2],
+    layer: [usize; 2],
 }
 
-/// Bounded-work budget (in units of full BFS sweeps) a target may burn
-/// before it is promoted to a cached full row.
-const PROMOTE_WORK_SWEEPS: u64 = 2;
+impl BfsScratch {
+    /// Start a query: invalidate every label and empty both orders.
+    fn reset(&mut self, num_pes: usize) {
+        if self.labels.len() < num_pes {
+            self.labels.resize(num_pes, Label::default());
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // One O(n) reset every 2^32 queries keeps stale stamps from a
+            // previous epoch cycle from aliasing the current one.
+            self.labels.fill(Label::default());
+            self.epoch = 1;
+        }
+        self.order[TO_TARGET].clear();
+        self.order[FROM_SOURCE].clear();
+        self.layer = [0, 0];
+    }
 
-/// Hard cap on the work-ledger size; reaching it resets the ledger.
-const WORK_LEDGER_CAP: usize = 8192;
+    /// Label `pe` at depth 0 on `side` (a search root).
+    fn seed(&mut self, side: usize, pe: PeId) {
+        let mut depth = [UNSEEN; 2];
+        depth[side] = 0;
+        self.labels[pe.idx()] = Label {
+            stamp: self.epoch,
+            depth,
+        };
+        self.order[side].push(pe.0);
+    }
+
+    /// Size of `side`'s current frontier.
+    fn frontier(&self, side: usize) -> usize {
+        self.order[side].len() - self.layer[side]
+    }
+
+    /// Label the next BFS layer of `side` at `depth`: every neighbour of
+    /// the frontier that `side` has not labelled yet. Returns true if any
+    /// of them already carries the other side's label.
+    fn expand(&mut self, topo: &Topology, side: usize, depth: u32) -> bool {
+        let epoch = self.epoch;
+        let order = &mut self.order[side];
+        let (start, end) = (self.layer[side], order.len());
+        let mut met = false;
+        for i in start..end {
+            for nb in topo.neighbors(PeId(order[i])) {
+                let label = &mut self.labels[nb.pe.idx()];
+                if label.stamp != epoch {
+                    *label = Label {
+                        stamp: epoch,
+                        depth: [UNSEEN; 2],
+                    };
+                } else if label.depth[side] != UNSEEN {
+                    continue;
+                }
+                label.depth[side] = depth;
+                met |= label.depth[1 - side] != UNSEEN;
+                order.push(nb.pe.0);
+            }
+        }
+        self.layer[side] = end;
+        met
+    }
+
+    /// The T-depth of `pe`, or [`UNSEEN`].
+    fn to_target(&self, pe: PeId) -> u32 {
+        let label = self.labels[pe.idx()];
+        if label.stamp == self.epoch {
+            label.depth[TO_TARGET]
+        } else {
+            UNSEEN
+        }
+    }
+}
 
 impl LazyRouter {
     fn new() -> Self {
         LazyRouter {
-            cache: Mutex::new(RowCache::default()),
+            scratch: Mutex::new(BfsScratch::default()),
         }
     }
 
     /// Exact `dist(from, target)` plus (when `want_hop`) the first
     /// neighbour of `from` in sorted PE-id order that lies one hop closer
-    /// to `target` — identical to what the dense table would answer.
-    ///
-    /// Served from a cached full row when one exists; otherwise by a BFS
-    /// from `target` that stops as soon as `from` is discovered. The early
-    /// exit is sound for the hop too: when `from` first appears at depth
-    /// `d`, every node at depth `d - 1` has already been discovered with
-    /// its final distance, so the descending-neighbour scan sees exactly
-    /// the distances the full row would hold.
+    /// to `target` — identical to what the dense table would answer. A
+    /// target in another component has distance `u32::MAX`.
     fn query(&self, topo: &Topology, from: PeId, target: PeId, want_hop: bool) -> (u32, PeId) {
-        let mut cache = self.cache.lock().expect("lazy router cache poisoned");
-        let cache = &mut *cache;
-        if let Some(row) = cache.rows.get(&target.0) {
-            return (row[from.idx()], hop_from_row(topo, from, row, want_hop));
+        if from == target {
+            return (0, from);
         }
-
-        let n = topo.num_pes;
-        let scratch = &mut cache.scratch;
-        if scratch.stamp.len() < n {
-            scratch.stamp.resize(n, 0);
-            scratch.dist.resize(n, 0);
-        }
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
-            // One O(n) reset every 2^32 queries keeps stale stamps from a
-            // previous epoch cycle from aliasing the current one.
-            scratch.stamp.fill(0);
-            scratch.epoch = 1;
-        }
-        let epoch = scratch.epoch;
-        scratch.queue.clear();
-        scratch.stamp[target.idx()] = epoch;
-        scratch.dist[target.idx()] = 0;
-        scratch.queue.push_back(target.0);
-        let mut visited = 1u64;
-        let mut found: Option<u32> = None;
-        'bfs: while let Some(v) = scratch.queue.pop_front() {
-            let dv = scratch.dist[v as usize];
-            for nb in topo.neighbors(PeId(v)) {
-                let u = nb.pe.idx();
-                if scratch.stamp[u] != epoch {
-                    scratch.stamp[u] = epoch;
-                    scratch.dist[u] = dv + 1;
-                    visited += 1;
-                    if nb.pe == from {
-                        found = Some(dv + 1);
-                        break 'bfs;
-                    }
-                    scratch.queue.push_back(nb.pe.0);
-                }
+        let mut scratch = self.scratch.lock().expect("lazy router scratch poisoned");
+        let s = &mut *scratch;
+        s.reset(topo.num_pes);
+        s.seed(TO_TARGET, target);
+        s.seed(FROM_SOURCE, from);
+        // F is complete to depth `a`, T to depth `b`.
+        let (mut a, mut b) = (0u32, 0u32);
+        loop {
+            let (f, t) = (s.frontier(FROM_SOURCE), s.frontier(TO_TARGET));
+            if f == 0 || t == 0 {
+                assert!(!want_hop, "next_hop target must be reachable");
+                return (u32::MAX, from);
+            }
+            let met = if f < t {
+                a += 1;
+                s.expand(topo, FROM_SOURCE, a)
+            } else {
+                b += 1;
+                s.expand(topo, TO_TARGET, b)
+            };
+            if met {
+                break;
             }
         }
-        let d = found.unwrap_or(u32::MAX);
-        let hop = if want_hop {
-            let want = d.checked_sub(1).expect("next_hop target must be reachable");
-            topo.neighbors(from)
+        let d = a + b;
+        if !want_hop {
+            return (d, from);
+        }
+
+        // Extend the T labelling backwards from the meeting set over F
+        // layers `a - 1` down to 1. The F order lists layers in increasing
+        // depth, so walking it in reverse finishes layer `k + 1` before any
+        // PE of layer `k` looks at it.
+        for i in (0..s.order[FROM_SOURCE].len()).rev() {
+            let v = PeId(s.order[FROM_SOURCE][i]);
+            let k = s.labels[v.idx()].depth[FROM_SOURCE];
+            if k == 0 || k >= a {
+                continue;
+            }
+            if topo
+                .neighbors(v)
                 .iter()
-                .find(|n| scratch.stamp[n.pe.idx()] == epoch && scratch.dist[n.pe.idx()] == want)
-                .map(|n| n.pe)
-                .expect("connected graph has a descending neighbour")
-        } else {
-            from
-        };
-
-        // Amortization ledger: promote targets that keep costing ball
-        // searches to a full cached row.
-        if cache.work.len() >= WORK_LEDGER_CAP {
-            cache.work.clear();
-        }
-        let spent = cache.work.entry(target.0).or_insert(0);
-        *spent += visited;
-        if *spent > PROMOTE_WORK_SWEEPS * n as u64 {
-            cache.work.remove(&target.0);
-            let row = topo.bfs_row(target);
-            if cache.fifo.len() >= LAZY_CACHE_ROWS {
-                if let Some(old) = cache.fifo.pop_front() {
-                    cache.rows.remove(&old);
-                }
+                .any(|nb| s.to_target(nb.pe) == d - k - 1)
+            {
+                s.labels[v.idx()].depth[TO_TARGET] = d - k;
             }
-            cache.fifo.push_back(target.0);
-            cache.rows.insert(target.0, row);
         }
+        let hop = topo
+            .neighbors(from)
+            .iter()
+            .find(|nb| s.to_target(nb.pe) == d - 1)
+            .map(|nb| nb.pe)
+            .expect("connected graph has a descending neighbour");
         (d, hop)
     }
-}
-
-/// Descending-neighbour scan against a full cached row.
-fn hop_from_row(topo: &Topology, from: PeId, row: &[u32], want_hop: bool) -> PeId {
-    if !want_hop {
-        return from;
-    }
-    let d = row[from.idx()];
-    topo.neighbors(from)
-        .iter()
-        .find(|n| row[n.pe.idx()] == d - 1)
-        .map(|n| n.pe)
-        .expect("connected graph has a descending neighbour")
 }
 
 /// An interconnection topology: PEs, channels, adjacency, and shortest-path
@@ -457,8 +498,8 @@ impl Topology {
     }
 
     /// Attach the router for an arbitrary graph: dense all-pairs tables up
-    /// to [`DENSE_ROUTER_LIMIT`] PEs, the lazy BFS router beyond. Both
-    /// verify connectivity.
+    /// to [`DENSE_ROUTER_LIMIT`] PEs, the lazy bidirectional-BFS router
+    /// beyond. Both verify connectivity.
     fn attach_generic_router(&mut self) {
         if self.num_pes <= DENSE_ROUTER_LIMIT {
             self.build_dense_router();
@@ -584,7 +625,7 @@ impl Topology {
         t
     }
 
-    /// Replace this topology's router with the lazy BFS router (keeping
+    /// Replace this topology's router with the lazy router (keeping
     /// the already-computed exact diameter). For tests pinning
     /// lazy-vs-dense routing equivalence on small graphs.
     pub fn force_lazy_router(mut self) -> Self {
@@ -675,7 +716,7 @@ impl Topology {
                     0
                 } else if self.is_neighbor(from, to) {
                     // The dominant query on neighbourhood-local strategies;
-                    // answered without touching the row cache.
+                    // answered without a search.
                     1
                 } else {
                     lazy.query(self, from, to, false).0
@@ -1005,15 +1046,8 @@ pub fn random_regular(n: u32, degree: u32, seed: u64) -> Topology {
         seen.insert((i.min(j), i.max(j)));
         channels.push(vec![PeId(i), PeId(j)]);
     }
-    // SplitMix64 — self-contained so the topology crate stays dependency-free.
     let mut state = seed ^ ((n as u64) << 32) ^ degree as u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     let chords = (n as u64 * (degree.saturating_sub(2)) as u64) / 2;
     let mut placed = 0u64;
     let mut attempts = 0u64;
@@ -1030,6 +1064,16 @@ pub fn random_regular(n: u32, degree: u32, seed: u64) -> Topology {
         }
     }
     Topology::from_channels(format!("rand {n}x{degree}"), n as usize, channels)
+}
+
+/// One SplitMix64 step — self-contained so the topology crate stays
+/// dependency-free.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -1092,17 +1136,69 @@ mod tests {
         tiny().check_invariants();
     }
 
+    /// Distances and every hop of the whole walk between 100k seeded
+    /// random pairs, on random graphs just under the dense-table limit.
     #[test]
-    fn lazy_router_matches_dense_on_arbitrary_graph() {
-        let dense = tiny();
-        let lazy = tiny().force_lazy_router();
-        for a in dense.pes() {
-            for b in dense.pes() {
-                assert_eq!(dense.distance(a, b), lazy.distance(a, b), "{a}->{b}");
-                assert_eq!(dense.next_hop(a, b), lazy.next_hop(a, b), "{a}->{b}");
+    fn lazy_router_matches_dense_on_random_graphs() {
+        for (n, degree, seed) in [(2000, 4, 1), (1500, 3, 7), (600, 6, 3)] {
+            let dense = random_regular(n, degree, seed);
+            assert!(dense.num_pes() <= DENSE_ROUTER_LIMIT);
+            let lazy = dense.clone().force_lazy_router();
+            let name = dense.name();
+            let mut state = seed;
+            let mut pick = || PeId((splitmix64(&mut state) % n as u64) as u32);
+            for _ in 0..100_000 {
+                let (a, b) = (pick(), pick());
+                assert_eq!(
+                    dense.distance(a, b),
+                    lazy.distance(a, b),
+                    "{name}: {a}->{b}"
+                );
+                let mut at = a;
+                while at != b {
+                    let hop = dense.next_hop(at, b);
+                    assert_eq!(
+                        lazy.next_hop(at, b),
+                        hop,
+                        "{name}: {at}->{b} (walk {a}->{b})"
+                    );
+                    at = hop;
+                }
             }
         }
-        lazy.check_invariants();
+    }
+
+    /// Every ordered pair on buses and degenerate shapes: odd and even
+    /// distances, searches where the target side reaches the source,
+    /// adjacent pairs.
+    #[test]
+    fn lazy_router_matches_dense_on_arbitrary_graph() {
+        tiny().force_lazy_router().check_invariants();
+        for dense in [
+            tiny(),
+            crate::dlm::double_lattice_mesh(3, 12, 12),
+            crate::misc::tree(3, 5),
+            crate::misc::ring(301),
+            crate::misc::star(40),
+            crate::misc::single_bus(9),
+        ] {
+            let lazy = dense.clone().force_lazy_router();
+            let name = dense.name();
+            for a in dense.pes() {
+                for b in dense.pes() {
+                    assert_eq!(
+                        dense.distance(a, b),
+                        lazy.distance(a, b),
+                        "{name}: {a}->{b}"
+                    );
+                    assert_eq!(
+                        dense.next_hop(a, b),
+                        lazy.next_hop(a, b),
+                        "{name}: {a}->{b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! shortest-path distance and deterministic next-hop queries: the regular
 //! families (grid/torus/hypercube/k-ary) arithmetically with no stored
 //! table, small arbitrary graphs from a precomputed all-pairs table, and
-//! large arbitrary graphs (edge-list files, `rand:NxD`) through a lazy
-//! BFS-on-demand router — so memory stays O(PEs + links) at every scale.
+//! large arbitrary graphs (edge-list files, `rand:NxD`) through a
+//! bidirectional BFS per query that stores no routes — so memory stays
+//! O(PEs + links) at every scale.
 
 pub mod dlm;
 pub mod graph;

@@ -6,9 +6,8 @@
 //! at 10³, 10⁴, 10⁵, and 10⁶ PEs, each run `cwn` over a fixed task tree.
 //! The committed `BENCH_scale.json` at the repo root records the
 //! trajectory; the acceptance line is the 10⁶-PE torus completing under
-//! 2 GB of peak RSS (the O(active) sparse-state regime — `StateMode::Auto`
-//! flips to sparse past 64 Ki PEs, so the grid covers both
-//! representations). Each cell splits its wall time into `build_secs`
+//! 2 GB of peak RSS (CI holds it to 256 MiB: per-PE and per-channel state
+//! is paged, so memory follows the PEs a run touches). Each cell splits its wall time into `build_secs`
 //! (topology, workload, strategy and `Machine::new`) and `run_secs` (the
 //! event loop and the report), so construction cost at 10⁶ PEs no longer
 //! hides inside the events/s figure.
@@ -57,10 +56,10 @@ pub struct ScaleCell {
 /// `quick` keeps only the two smallest decades of each family (CI smoke).
 pub fn cell_names(quick: bool) -> Vec<&'static str> {
     let all = [
-        "torus:32",    // 1 024 PEs — dense representation
-        "torus:100",   // 10 000 PEs — dense
-        "torus:316",   // 99 856 PEs — sparse (Auto flips past 64 Ki)
-        "torus:1000",  // 1 000 000 PEs — sparse, the acceptance cell
+        "torus:32",    // 1 024 PEs
+        "torus:100",   // 10 000 PEs
+        "torus:316",   // 99 856 PEs
+        "torus:1000",  // 1 000 000 PEs — the acceptance cell
         "rand:1000x4", // random 4-regular-ish graphs, same decades
         "rand:10000x4",
         "rand:100000x4",
@@ -320,7 +319,8 @@ mod tests {
     fn grid_covers_both_representations() {
         let names = cell_names(false);
         assert_eq!(names.len(), 8);
-        // At least one cell each side of the Auto sparse threshold.
+        // Cells on both sides of 64 Ki PEs: small machines whose pages
+        // all get touched, and large ones that stay mostly untouched.
         assert!(names.iter().any(|n| cell_pes(n) <= 65_536));
         assert!(names.iter().any(|n| cell_pes(n) > 65_536));
         // Quick mode keeps it CI-sized.

@@ -133,7 +133,7 @@ oracle-cli — ORACLE load-distribution simulator (Kale, ICPP 1988 reproduction)
 commands:
   run       --topology T --strategy S --workload W [--seed N] [--csv]
             [--no-coprocessor] [--series]
-            [--per-pe] [--state-mode auto|dense|sparse] [--load-period T]
+            [--per-pe] [--load-period T]
             [--trace N] [--trace-out FILE]
             [--trace-format jsonl|chrome] [--trace-last N]
             [--series-out FILE] [--profile] [--heatmap FILE.ppm]
@@ -172,9 +172,6 @@ commands:
             the routing cost themselves);
             --per-pe emits the O(num-PEs) per-PE report vectors (off by
             default: headline aggregates are O(1) in PE count);
-            --state-mode forces the dense or sparse per-PE/channel state
-            representation (auto, the default, goes sparse past 64 Ki
-            PEs; both produce bit-identical reports);
             --load-period T sets the periodic load-broadcast period
             (default 40; 0 disables it, leaving piggy-backed load info
             only — each broadcast round costs O(num-PEs) events, which
@@ -302,13 +299,21 @@ fn apply_threads(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Refuse the removed `--shards` flag loudly: ignoring it would make an old
-/// command line look like it still selects an engine.
-fn reject_shards(flags: &Flags) -> Result<(), String> {
+/// Refuse removed flags loudly: ignoring `--shards` would make an old
+/// command line look like it still selects an engine, and ignoring
+/// `--state-mode` like it still selects a state representation.
+fn reject_removed_flags(flags: &Flags) -> Result<(), String> {
     if flags.has("--shards") {
         return Err(
             "--shards: the sharded engine was removed and every run uses \
              the sequential engine; --threads N parallelises batch and experiment runs"
+                .into(),
+        );
+    }
+    if flags.has("--state-mode") {
+        return Err(
+            "--state-mode: the option was removed; per-PE and per-channel state \
+             is always paged, so memory follows the PEs a run touches"
                 .into(),
         );
     }
@@ -437,7 +442,7 @@ fn open_outcome_failure(report: &Report) -> Result<(), Failure> {
 
 fn cmd_run(args: &[String]) -> Result<(), Failure> {
     let flags = Flags { args };
-    reject_shards(&flags)?;
+    reject_removed_flags(&flags)?;
     let mut trace_cap: usize = flags.parse("--trace", 0)?;
     let trace_last: usize = flags.parse("--trace-last", 0)?;
     let trace_out = flags.value_of("--trace-out")?;
@@ -493,16 +498,6 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     machine_cfg.per_pe_series =
         flags.has("--series") || heatmap_path.is_some() || series_out.is_some();
     machine_cfg.per_pe_metrics = flags.has("--per-pe");
-    machine_cfg.state_mode = match flags.value_of("--state-mode")?.unwrap_or("auto") {
-        "auto" => StateMode::Auto,
-        "dense" => StateMode::Dense,
-        "sparse" => StateMode::Sparse,
-        other => {
-            return Err(Failure::config(format!(
-                "--state-mode {other}: expected auto, dense, or sparse"
-            )))
-        }
-    };
     if let Some(v) = flags.value_of("--load-period")? {
         let period: u64 = v
             .parse()
@@ -799,7 +794,7 @@ fn print_report(report: &Report, flags: &Flags) {
 /// Chaos-fuzzing sweep frontend over [`oracle::chaos`].
 fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
     let flags = Flags { args };
-    reject_shards(&flags)?;
+    reject_removed_flags(&flags)?;
     let mut config = oracle::chaos::ChaosConfig::default();
     config.cases = flags.parse("--cases", config.cases)?;
     config.seed = flags.parse("--seed", config.seed)?;
@@ -867,7 +862,7 @@ fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
         ));
     };
     let flags = Flags { args: &args[1..] };
-    reject_shards(&flags)?;
+    reject_removed_flags(&flags)?;
     let fidelity = if flags.has("--quick") {
         Fidelity::Quick
     } else {
@@ -1068,7 +1063,7 @@ fn cmd_batch(args: &[String]) -> Result<(), Failure> {
         return Err(Failure::config("batch needs a suite file"));
     };
     let flags = Flags { args: &args[1..] };
-    reject_shards(&flags)?;
+    reject_removed_flags(&flags)?;
     apply_threads(&flags)?;
     let text = std::fs::read_to_string(path).map_err(|e| Failure::io(format!("{path}: {e}")))?;
     let mut specs = oracle::runner::parse_suite(&text)?;
@@ -1543,6 +1538,20 @@ mod tests {
             assert!(
                 err.message.contains("--shards") && err.message.contains("--threads"),
                 "{cmd}: {}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
+    fn removed_state_representation_flag_is_rejected() {
+        for mode in ["auto", "dense", "sparse"] {
+            let err =
+                cmd_run(&flags(&["--workload", "fib:8", "--state-mode", mode])).expect_err(mode);
+            assert_eq!((err.kind, err.code), ("config", 3), "{mode}");
+            assert!(
+                err.message.contains("--state-mode") && err.message.contains("removed"),
+                "{mode}: {}",
                 err.message
             );
         }

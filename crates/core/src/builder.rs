@@ -169,15 +169,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Force the dense or sparse per-PE/per-channel state representation
-    /// (the default, [`oracle_model::StateMode::Auto`], picks sparse past
-    /// 64 Ki PEs).
-    /// Both representations produce bit-identical reports.
-    pub fn state_mode(mut self, mode: oracle_model::StateMode) -> Self {
-        self.config.machine.state_mode = mode;
-        self
-    }
-
     /// Keep a structured event trace of up to `capacity` events (retrieve
     /// it by running the config via [`RunConfig::run_traced`]).
     pub fn trace_capacity(mut self, capacity: usize) -> Self {

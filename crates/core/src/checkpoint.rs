@@ -26,7 +26,6 @@ use std::path::{Path, PathBuf};
 
 use oracle_des::snapshot::{SnapError, SnapReader, SnapWriter};
 use oracle_model::config::{LoadInfoMode, QueueDiscipline};
-use oracle_model::StateMode;
 use oracle_model::{CostModel, Machine, MachineConfig, Report, SimError};
 
 use crate::builder::RunConfig;
@@ -45,13 +44,17 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 /// v4 added the progress-watchdog window (`progress_window`) — a resumed
 /// run must arm its stall detector exactly like the uninterrupted one.
 ///
-/// v5 added the memory-model knobs (`state_mode`, `per_pe_metrics`)
-/// alongside the v5 machine snapshot: the restored machine must pick the
-/// same dense/sparse representation and the same report shape.
+/// v5 added the memory-model knobs (the since-removed state-mode byte,
+/// `per_pe_metrics`) alongside the v5 machine snapshot: the restored
+/// machine must pick the same report shape.
 ///
 /// v6 dropped the event-queue backend byte: the machine has one event
 /// list, so there is nothing to choose. The machine snapshot is unchanged.
-pub const CHECKPOINT_VERSION: u32 = 6;
+///
+/// v7 dropped the state-mode byte: per-PE and per-channel state lives in
+/// one paged store whatever the machine size. It embeds the v6 machine
+/// snapshot, which encodes that store page by page.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]
@@ -132,11 +135,6 @@ fn put_config(w: &mut SnapWriter, config: &RunConfig) {
     w.bool(m.optimistic_accounting);
     w.bool(m.coprocessor);
     w.bool(m.per_pe_series);
-    w.u8(match m.state_mode {
-        StateMode::Auto => 0,
-        StateMode::Dense => 1,
-        StateMode::Sparse => 2,
-    });
     w.bool(m.per_pe_metrics);
     w.u64(m.max_events);
     w.u64(m.progress_window);
@@ -250,16 +248,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
     let optimistic_accounting = r.bool()?;
     let coprocessor = r.bool()?;
     let per_pe_series = r.bool()?;
-    let state_mode = match r.u8()? {
-        0 => StateMode::Auto,
-        1 => StateMode::Dense,
-        2 => StateMode::Sparse,
-        t => {
-            return Err(CheckpointError::Format(format!(
-                "unknown state-mode tag {t}"
-            )))
-        }
-    };
     let per_pe_metrics = r.bool()?;
     let max_events = r.u64()?;
     let progress_window = r.u64()?;
@@ -346,7 +334,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             optimistic_accounting,
             coprocessor,
             per_pe_series,
-            state_mode,
             per_pe_metrics,
             max_events,
             progress_window,

@@ -75,8 +75,8 @@ pub mod prelude {
     };
     pub use oracle_model::{
         AdmissionPolicy, ArrivalSpec, Continuation, CostModel, Expansion, MachineConfig,
-        OpenMetrics, OpenOutcome, OpenTraffic, Program, Report, RetryPolicy, SimError, StateMode,
-        Strategy, TaskSpec, Trace, TraceEvent, TraceMode,
+        OpenMetrics, OpenOutcome, OpenTraffic, Program, Report, RetryPolicy, SimError, Strategy,
+        TaskSpec, Trace, TraceEvent, TraceMode,
     };
     pub use oracle_strategies::StrategySpec;
     pub use oracle_topo::TopologySpec;

@@ -155,6 +155,7 @@ impl Profiler {
                 .filter(|&(_, &c)| c > 0)
                 .map(|(t, &c)| (t as u8, c))
                 .collect(),
+            state: Vec::new(),
         }
     }
 }
@@ -197,6 +198,27 @@ pub struct ProfileReport {
     pub queue_depth_hwm: usize,
     /// `(tag, count)` for every tag that was bumped at least once.
     pub control_by_tag: Vec<(u8, u64)>,
+    /// How much of each paged state store the run materialized, in the
+    /// order the model lists its stores.
+    #[serde(default)]
+    pub state: Vec<StoreFootprint>,
+}
+
+/// Materialized pages and slots of one paged state store, out of the
+/// totals the machine size implies. Deterministic: a function of which
+/// ids the run touched.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StoreFootprint {
+    /// Store name (`pe`, `channel`).
+    pub name: String,
+    /// Pages allocated.
+    pub pages: u64,
+    /// Pages covering the whole id space.
+    pub pages_total: u64,
+    /// Slots in the allocated pages.
+    pub slots: u64,
+    /// Ids in the store.
+    pub slots_total: u64,
 }
 
 impl ProfileReport {
@@ -234,6 +256,17 @@ impl ProfileReport {
             }
         }
         self.control_by_tag.sort_by_key(|&(t, _)| t);
+        for os in &other.state {
+            match self.state.iter_mut().find(|s| s.name == os.name) {
+                Some(s) => {
+                    s.pages += os.pages;
+                    s.pages_total += os.pages_total;
+                    s.slots += os.slots;
+                    s.slots_total += os.slots_total;
+                }
+                None => self.state.push(os.clone()),
+            }
+        }
     }
 
     /// Render as an aligned text table (the `--profile` output). The
@@ -280,6 +313,22 @@ impl ProfileReport {
             self.route_wall_nanos as f64 / 1e6,
             self.route_wall_nanos as f64 / self.route_calls.max(1) as f64
         );
+        if !self.state.is_empty() {
+            let _ = write!(out, "{:<16}", "state");
+            for (i, st) in self.state.iter().enumerate() {
+                let _ = write!(
+                    out,
+                    "{} {} pages {}/{} ({}/{} slots)",
+                    if i == 0 { "" } else { "," },
+                    st.name,
+                    st.pages,
+                    st.pages_total,
+                    st.slots,
+                    st.slots_total
+                );
+            }
+            let _ = writeln!(out);
+        }
         let _ = writeln!(out, "queue depth high-water mark: {}", self.queue_depth_hwm);
         if !self.control_by_tag.is_empty() {
             let _ = write!(out, "control messages by tag:");
@@ -380,5 +429,34 @@ mod tests {
         assert!(text.contains("queue pop"));
         assert!(text.contains("route"));
         assert!(text.contains("high-water mark"));
+        assert!(!text.contains("state"), "no state line without stores");
+    }
+
+    #[test]
+    fn state_line_renders_and_merges_store_footprints() {
+        let store = |name: &str, pages, slots| StoreFootprint {
+            name: name.to_string(),
+            pages,
+            pages_total: 100,
+            slots,
+            slots_total: 800,
+        };
+        let mut a = Profiler::new().report();
+        a.state = vec![store("pe", 3, 24), store("channel", 5, 40)];
+        let text = a.render();
+        assert!(
+            text.contains("state            pe pages 3/100 (24/800 slots), channel pages 5/100 (40/800 slots)"),
+            "{text}"
+        );
+        let mut b = Profiler::new().report();
+        b.state = vec![store("pe", 1, 8)];
+        a.merge(&b);
+        let merged = StoreFootprint {
+            pages_total: 200,
+            slots_total: 1600,
+            ..store("pe", 4, 32)
+        };
+        assert_eq!(a.state[0], merged);
+        assert_eq!(a.state[1], store("channel", 5, 40));
     }
 }

@@ -70,7 +70,10 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
 
     let mut queued_goals_total: u64 = 0;
     let mut handle_goals_total: u64 = 0;
-    for pe in &core.pes {
+    // Materialized PEs only: an untouched PE is pristine (no work, zero
+    // counters, not crashed), which passes every check below and adds
+    // nothing to the totals.
+    for (id, pe) in core.pes.iter() {
         let mut goals: u32 = 0;
         let mut responses: u32 = 0;
         for item in &pe.queue {
@@ -80,7 +83,7 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
                 WorkItem::Handle { .. } | WorkItem::TimerWork { .. } => {
                     return fail(
                         "queue-accounting",
-                        format!("pe={} has balancing work on its user queue", pe.id.0),
+                        format!("pe={} has balancing work on its user queue", id),
                     );
                 }
             }
@@ -90,7 +93,7 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
                 "queue-accounting",
                 format!(
                     "pe={} counters=({},{}) recount=({goals},{responses})",
-                    pe.id.0, pe.queued_goals, pe.queued_responses
+                    id, pe.queued_goals, pe.queued_responses
                 ),
             );
         }
@@ -104,7 +107,7 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
                 "queue-accounting",
                 format!(
                     "crashed pe={} still holds work (queue={} sys={} waiting={})",
-                    pe.id.0,
+                    id,
                     pe.queue.len(),
                     pe.sys_queue.len(),
                     pe.waiting.len()
@@ -113,14 +116,11 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
         }
         let metric = pe.load(core.config.count_responses_in_load)
             + core.config.future_commitment_weight * pe.waiting.len() as u32;
-        if core.load(pe.id) != metric {
+        let load = core.load(oracle_topo::PeId(id as u32));
+        if load != metric {
             return fail(
                 "load-metric-agreement",
-                format!(
-                    "pe={} load()={} recomputed={metric}",
-                    pe.id.0,
-                    core.load(pe.id)
-                ),
+                format!("pe={id} load()={load} recomputed={metric}"),
             );
         }
         queued_goals_total += goals as u64;
@@ -134,11 +134,11 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
         }
     }
 
-    // Materialized channels only: an untouched sparse slot is pristine
-    // (idle, up, empty backlog), which passes every check below and adds
-    // nothing to the wire count — exactly like the dense walk over it.
+    // Materialized channels only: an untouched channel is pristine (idle,
+    // up, empty backlog), which passes every check below and adds nothing
+    // to the wire count.
     let mut wire_goals_total: u64 = 0;
-    for (idx, ch) in core.channels.present() {
+    for (idx, ch) in core.channels.iter() {
         if ch.busy.is_busy() != ch.in_flight.is_some() {
             return fail(
                 "channel-accounting",

@@ -11,7 +11,7 @@ use oracle_des::{BusyTracker, SimTime};
 use crate::message::Flight;
 
 /// The state of one communication channel (link or bus).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Channel {
     /// The message currently occupying the channel, if any.
     pub in_flight: Option<Flight>,
@@ -27,6 +27,9 @@ pub struct Channel {
     /// offers queue in the backlog, and nothing is promoted until the
     /// channel comes back up.
     pub down: bool,
+    /// Sequence of the next event this channel schedules (the low half of
+    /// its events' ordering keys).
+    pub key_seq: u32,
 }
 
 impl Channel {
@@ -39,6 +42,7 @@ impl Channel {
             transfers: 0,
             max_backlog: 0,
             down: false,
+            key_seq: 0,
         }
     }
 

@@ -18,32 +18,6 @@ pub enum LoadInfoMode {
     Instant,
 }
 
-/// Which per-PE/per-channel state representation the machine uses.
-///
-/// Both representations produce bit-identical reports (pinned by
-/// `tests/sparse_dense.rs`); the knob trades constant-factor speed on
-/// small machines against bounded memory on huge ones. `Auto` (the
-/// default) picks dense below [`StateMode::AUTO_SPARSE_THRESHOLD`] PEs
-/// and sparse at or above it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StateMode {
-    /// Dense below [`StateMode::AUTO_SPARSE_THRESHOLD`] PEs, sparse above.
-    #[default]
-    Auto,
-    /// Dense vectors indexed by PE/channel id — fastest, O(PEs + channels)
-    /// memory even when almost everything is idle.
-    Dense,
-    /// Sparse maps holding only touched channels and latency records —
-    /// O(active) memory, the mode that lets a 10^6-PE run fit in bounded
-    /// RSS.
-    Sparse,
-}
-
-impl StateMode {
-    /// PE count at which `Auto` switches from dense to sparse state.
-    pub const AUTO_SPARSE_THRESHOLD: usize = 65_536;
-}
-
 /// Order in which a PE picks its next work item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QueueDiscipline {
@@ -107,7 +81,9 @@ pub struct MachineConfig {
     /// is created, executed, or combined across a full window is declared
     /// stalled. The default (one million events) is far wider than any
     /// legitimate quiet stretch; the knob exists mainly so tests can
-    /// exercise watchdog crossings without million-event runs.
+    /// exercise watchdog crossings without million-event runs. With
+    /// periodic load broadcasts armed the machine adds two broadcast
+    /// rounds of events to it, so a round alone never fills the window.
     #[serde(default = "default_progress_window")]
     pub progress_window: u64,
     /// Keep a structured trace of up to this many events (0 disables
@@ -154,11 +130,6 @@ pub struct MachineConfig {
     /// `None` (the default) is the classic closed run. See [`crate::open`].
     #[serde(default)]
     pub open: Option<OpenTraffic>,
-    /// Per-PE/per-channel state representation: dense vectors, sparse
-    /// maps, or (the default) automatic by machine size. Never affects
-    /// simulated results — only memory and constant-factor speed.
-    #[serde(default)]
-    pub state_mode: StateMode,
     /// Emit the per-PE report vectors (`per_pe_utilization`,
     /// `per_pe_goals`). Off by default so the report stays O(1) in the PE
     /// count; the streaming aggregates (utilization quantiles, top-K
@@ -201,7 +172,6 @@ impl Default for MachineConfig {
             fault_plan: FaultPlan::default(),
             audit_every: 0,
             open: None,
-            state_mode: StateMode::default(),
             per_pe_metrics: false,
             pe_speed_spread: 1,
         }
@@ -213,16 +183,6 @@ impl MachineConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Whether a machine with `num_pes` PEs uses the sparse state
-    /// representation under this config.
-    pub fn sparse_state(&self, num_pes: usize) -> bool {
-        match self.state_mode {
-            StateMode::Dense => false,
-            StateMode::Sparse => true,
-            StateMode::Auto => num_pes > StateMode::AUTO_SPARSE_THRESHOLD,
-        }
     }
 
     /// Validate internal consistency.
@@ -270,22 +230,5 @@ mod tests {
     #[test]
     fn with_seed_sets_seed() {
         assert_eq!(MachineConfig::default().with_seed(99).seed, 99);
-    }
-
-    #[test]
-    fn state_mode_resolution() {
-        let auto = MachineConfig::default();
-        assert!(!auto.sparse_state(StateMode::AUTO_SPARSE_THRESHOLD));
-        assert!(auto.sparse_state(StateMode::AUTO_SPARSE_THRESHOLD + 1));
-        let dense = MachineConfig {
-            state_mode: StateMode::Dense,
-            ..MachineConfig::default()
-        };
-        assert!(!dense.sparse_state(usize::MAX));
-        let sparse = MachineConfig {
-            state_mode: StateMode::Sparse,
-            ..MachineConfig::default()
-        };
-        assert!(sparse.sparse_state(1));
     }
 }

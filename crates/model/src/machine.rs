@@ -12,6 +12,7 @@ use oracle_des::{
 };
 use oracle_topo::{ChannelId, PeId, Topology};
 
+use crate::channel::Channel;
 use crate::config::{LoadInfoMode, MachineConfig};
 use crate::cost::CostModel;
 use crate::error::SimError;
@@ -21,7 +22,7 @@ use crate::metrics::{FaultMetrics, OpenMetrics, OpenOutcome, Report, TopPe, Traf
 use crate::open::{AdmissionPolicy, Inflight, OpenState};
 use crate::pe::{Executing, Pe, Waiting, WorkItem};
 use crate::program::{Continuation, Expansion, Program, TaskList, TaskSpec};
-use crate::sparse::{ChannelTable, DispatchLatency};
+use crate::sparse::Slab;
 use crate::strategy::Strategy;
 use crate::trace::{Trace, TraceEvent};
 
@@ -176,9 +177,11 @@ pub struct Core {
     pub(crate) costs: CostModel,
     pub(crate) config: MachineConfig,
     pub(crate) program: Box<dyn Program>,
-    pub(crate) pes: Vec<Pe>,
-    /// Per-channel state, dense or sparse per `config.state_mode`.
-    pub(crate) channels: ChannelTable,
+    /// Per-PE state (queues, RNG stream, key and goal-id sequences,
+    /// dispatch latency), paged: a page is built on its first write.
+    pub(crate) pes: Slab<Pe>,
+    /// Per-channel state, paged like `pes`.
+    pub(crate) channels: Slab<Channel>,
     pub(crate) events: CalendarQueue<Event>,
     /// Distinct channels incident to each PE in CSR form
     /// (`incident[incident_off[p]..incident_off[p + 1]]`), precomputed at
@@ -195,34 +198,33 @@ pub struct Core {
     /// neighbour list.
     pub(crate) nbr_index: Vec<u16>,
     /// Construction-time RNG (PE speed spreads). Never drawn from during a
-    /// run: runtime randomness comes from the per-PE streams below.
+    /// run: runtime randomness comes from the per-PE streams in
+    /// [`Pe::rng`], seeded by [`pe_rng`]. The stream layout is part of the
+    /// pinned results: changing it changes every golden.
     pub(crate) rng: Rng,
-    /// One independent RNG stream per PE. Every runtime draw is charged to
-    /// the PE whose event is being handled, so a run's randomness is a pure
-    /// function of (seed, per-PE event sequence). The stream layout is part
-    /// of the pinned results: changing it changes every golden.
-    pub(crate) pe_rngs: Vec<Rng>,
-    /// Per-actor event-ordering sequence counters (actor 0 = environment,
-    /// then one per PE, then one per channel). An event's queue key is
-    /// `(actor << 32) | seq`, so simultaneous events fire in a fixed
-    /// actor-then-issue order — the same-time order the goldens pin.
-    pub(crate) key_seq: Vec<u32>,
-    /// Per-creator goal-id sequence counters (creator 0 = environment —
-    /// root goals and open-traffic arrivals — then one per PE). A goal's id
-    /// is `(creator << 32) | seq`: globally unique without a shared
-    /// counter.
-    pub(crate) goal_seq: Vec<u32>,
+    /// Execution-cost multiplier per PE (1 = nominal speed; larger =
+    /// slower hardware). Drawn eagerly in PE order when the machine is
+    /// heterogeneous (`pe_speed_spread > 1`); empty, meaning 1 everywhere,
+    /// otherwise.
+    pub(crate) cost_factors: Vec<u64>,
+    /// Event-ordering sequence of the environment actor (actor 0). An
+    /// event's queue key is `(actor << 32) | seq` with a per-actor
+    /// sequence (actor 0 = environment, then one per PE in
+    /// [`Pe::key_seq`], then one per channel in [`Channel::key_seq`]), so
+    /// simultaneous events fire in a fixed actor-then-issue order — the
+    /// same-time order the goldens pin.
+    pub(crate) env_key_seq: u32,
+    /// Goal-id sequence of the environment (creator 0: root goals and
+    /// open-traffic arrivals; PE creators count in [`Pe::goal_seq`]). A
+    /// goal's id is `(creator << 32) | seq`: globally unique without a
+    /// shared counter.
+    pub(crate) env_goal_seq: u32,
     pub(crate) goals_created: u64,
     pub(crate) goals_executed: u64,
     pub(crate) responses_processed: u64,
     pub(crate) seq_work: u64,
     pub(crate) traffic: TrafficCounters,
     pub(crate) hop_hist: Histogram,
-    /// Dispatch latency (creation to execution start), one accumulator per
-    /// PE (dense or sparse per `config.state_mode`), folded in PE order at
-    /// report time. The fixed PE-order fold makes the floating-point sum
-    /// independent of event interleaving and of the state mode.
-    pub(crate) dispatch_latency: DispatchLatency,
     /// Summed user-busy time across all PEs, per sampling interval.
     pub(crate) global_series: IntervalSeries,
     pub(crate) root_result: Option<(i64, SimTime)>,
@@ -272,6 +274,20 @@ pub(crate) struct LiveRoutes {
     /// the caller's problem — a packet is never at a dead PE). `u32`
     /// because a path topology's diameter alone can exceed `u16::MAX`.
     dist: Vec<u32>,
+}
+
+/// The runtime RNG stream of PE `pe`, decorrelated from the seed with a
+/// SplitMix-style multiply so adjacent PEs never share a stream prefix. A
+/// pure function of `(seed, pe)`: a PE's stream does not depend on when
+/// its page is built.
+fn pe_rng(seed: u64, pe: usize) -> Rng {
+    Rng::seed_from_u64(seed ^ (pe as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// PE `id` of this machine as it is before the run touches it.
+pub(crate) fn fresh_pe(topo: &Topology, config: &MachineConfig, id: usize) -> Pe {
+    let degree = topo.degree(PeId(id as u32));
+    Pe::new(degree, config.sampling_interval, pe_rng(config.seed, id))
 }
 
 /// Channel time to transfer `packet` one hop.
@@ -331,40 +347,68 @@ impl Core {
     /// different PEs interleave.
     #[inline]
     pub fn rng(&mut self, pe: PeId) -> &mut Rng {
-        &mut self.pe_rngs[pe.idx()]
+        &mut self.pe_mut(pe).rng
     }
 
-    /// The actor an event belongs to in the deterministic ordering-key
-    /// schedule: 0 = environment (open traffic, recovery timeouts), then
-    /// one code per PE, then one per channel. Total — every event maps to
-    /// exactly one actor, and only that actor's handler mutates the
-    /// actor's state.
-    fn event_actor(&self, ev: &Event) -> u32 {
-        match ev {
+    /// Read-only state of `pe` (pristine if the PE was never touched).
+    #[inline]
+    pub(crate) fn pe(&self, pe: PeId) -> &Pe {
+        self.pes.get(pe.idx())
+    }
+
+    /// Mutable state of `pe`, building its page on first touch.
+    #[inline]
+    pub(crate) fn pe_mut(&mut self, pe: PeId) -> &mut Pe {
+        let Core {
+            pes, topo, config, ..
+        } = self;
+        pes.get_mut_or(pe.idx(), |id| fresh_pe(topo, config, id))
+    }
+
+    /// Read-only state of channel `ch` (pristine if never touched).
+    #[inline]
+    pub(crate) fn channel(&self, ch: ChannelId) -> &Channel {
+        self.channels.get(ch.idx())
+    }
+
+    /// Mutable state of channel `ch`, building its page on first touch.
+    #[inline]
+    pub(crate) fn channel_mut(&mut self, ch: ChannelId) -> &mut Channel {
+        self.channels.get_mut_or(ch.idx(), |_| Channel::new())
+    }
+
+    /// Hardware execution-cost multiplier of `pe` (1 on a uniform
+    /// machine).
+    #[inline]
+    fn cost_factor(&self, pe: PeId) -> u64 {
+        self.cost_factors.get(pe.idx()).copied().unwrap_or(1)
+    }
+
+    /// Schedule `ev` at the absolute instant `at` under the deterministic
+    /// key schedule: `(actor << 32) | seq` with a per-actor sequence. The
+    /// actor is 0 for the environment (open traffic, recovery timeouts),
+    /// then one code per PE, then one per channel — total: every event
+    /// maps to exactly one actor, and only that actor's handler mutates
+    /// the actor's state. All simulation events must go through here (or
+    /// [`Core::schedule_event_after`]) — a raw auto-keyed insert would
+    /// break the pinned same-time order.
+    pub(crate) fn schedule_event_at(&mut self, at: SimTime, ev: Event) {
+        let (actor, seq) = match ev {
             Event::PeDone(pe)
             | Event::Timer(pe, _)
             | Event::LoadBcast(pe)
             | Event::FailPe(pe)
             | Event::SlowStart(pe, _)
-            | Event::SlowEnd(pe) => 1 + pe.0,
-            Event::ChannelDone(ch) | Event::LinkDown(ch) | Event::LinkUp(ch) => {
-                1 + self.pes.len() as u32 + ch.0
-            }
-            Event::AckTimeout(_) | Event::Arrival | Event::Retry(_) => 0,
-        }
-    }
-
-    /// Schedule `ev` at the absolute instant `at` under the deterministic
-    /// key schedule: `(actor << 32) | seq` with a per-actor sequence. All
-    /// simulation events must go through here (or
-    /// [`Core::schedule_event_after`]) — a raw auto-keyed insert would
-    /// break the pinned same-time order.
-    pub(crate) fn schedule_event_at(&mut self, at: SimTime, ev: Event) {
-        let actor = self.event_actor(&ev) as usize;
-        let seq = self.key_seq[actor];
-        self.key_seq[actor] = seq + 1;
-        self.events
-            .schedule_keyed_at(at, ((actor as u64) << 32) | seq as u64, ev);
+            | Event::SlowEnd(pe) => (1 + pe.0 as u64, &mut self.pe_mut(pe).key_seq),
+            Event::ChannelDone(ch) | Event::LinkDown(ch) | Event::LinkUp(ch) => (
+                1 + self.pes.len() as u64 + ch.0 as u64,
+                &mut self.channel_mut(ch).key_seq,
+            ),
+            Event::AckTimeout(_) | Event::Arrival | Event::Retry(_) => (0, &mut self.env_key_seq),
+        };
+        let key = (actor << 32) | *seq as u64;
+        *seq += 1;
+        self.events.schedule_keyed_at(at, key, ev);
     }
 
     /// Schedule `ev` to fire `delay` units from now (keyed; see
@@ -380,7 +424,7 @@ impl Core {
     /// the tasks waiting for responses (future commitments).
     #[inline]
     pub fn load(&self, pe: PeId) -> u32 {
-        let p = &self.pes[pe.idx()];
+        let p = self.pe(pe);
         p.load(self.config.count_responses_in_load)
             + self.config.future_commitment_weight * p.waiting_tasks()
     }
@@ -389,13 +433,13 @@ impl Core {
     /// commitments" refinement of the load metric.
     #[inline]
     pub fn waiting_tasks(&self, pe: PeId) -> u32 {
-        self.pes[pe.idx()].waiting_tasks()
+        self.pe(pe).waiting_tasks()
     }
 
     /// Number of goals currently queued (exportable) on `pe`.
     #[inline]
     pub fn queued_goal_count(&self, pe: PeId) -> u32 {
-        self.pes[pe.idx()].queued_goals
+        self.pe(pe).queued_goals
     }
 
     /// `pe`'s current view of neighbour `nbr`'s load. In `Instant` mode this
@@ -408,7 +452,7 @@ impl Core {
                 let idx = self
                     .neighbor_index(pe, nbr)
                     .expect("known_load_of: not a neighbour");
-                self.pes[pe.idx()].known_load[idx]
+                self.pe(pe).known_load(idx)
             }
         }
     }
@@ -417,17 +461,17 @@ impl Core {
     /// this to skip dead neighbours when they pick targets themselves.
     #[inline]
     pub fn is_pe_failed(&self, pe: PeId) -> bool {
-        self.pes[pe.idx()].failed
+        self.pe(pe).failed
     }
 
     /// True when the neighbour `nbr` of `pe` is reachable: alive, and the
     /// connecting channel is not in a fault-plan down window.
     pub fn neighbor_reachable(&self, pe: PeId, nbr: PeId) -> bool {
-        if self.pes[nbr.idx()].failed {
+        if self.pe(nbr).failed {
             return false;
         }
         match self.topo.channel_between(pe, nbr) {
-            Some(ch) => !self.channels.get(ch).down,
+            Some(ch) => !self.channel(ch).down,
             None => false,
         }
     }
@@ -465,7 +509,7 @@ impl Core {
             return hop;
         }
         if let Some(lr) = self.live_routes.as_deref() {
-            let n = self.pes.len();
+            let n = self.num_pes();
             if lr.dist[from.idx() * n + to.idx()] != u32::MAX {
                 let mut best: Option<(u32, u32)> = None;
                 for nb in self.topo.neighbors(from) {
@@ -514,13 +558,11 @@ impl Core {
         // Full health ⇒ no tables: the static shortest-path hop is already
         // correct, and `None` keeps healthy routing on the precomputed
         // tie-break (so a healed machine routes exactly like a fresh one).
-        if !self.pes.iter().any(|p| p.failed)
-            && !self.channels.present().iter().any(|(_, c)| c.down)
-        {
+        if !self.pes.iter().any(|(_, p)| p.failed) && !self.channels.iter().any(|(_, c)| c.down) {
             self.live_routes = None;
             return;
         }
-        let n = self.pes.len();
+        let n = self.num_pes();
         let mut lr = self
             .live_routes
             .take()
@@ -529,7 +571,7 @@ impl Core {
         lr.dist.resize(n * n, u32::MAX);
         let mut queue = std::collections::VecDeque::new();
         for s in 0..n {
-            if self.pes[s].failed {
+            if self.pes.get(s).failed {
                 continue;
             }
             let row = s * n;
@@ -539,7 +581,7 @@ impl Core {
             while let Some(p) = queue.pop_front() {
                 let d = lr.dist[row + p.idx()];
                 for nb in self.topo.neighbors(p) {
-                    if self.pes[nb.pe.idx()].failed || self.channels.get(nb.channel).down {
+                    if self.pe(nb.pe).failed || self.channel(nb.channel).down {
                         continue;
                     }
                     let slot = &mut lr.dist[row + nb.pe.idx()];
@@ -566,20 +608,19 @@ impl Core {
         pe: PeId,
         exclude: Option<PeId>,
     ) -> Option<(PeId, u32)> {
-        // Field destructuring gives the RNG pool mutably alongside shared
-        // borrows of the rest, so the neighbour slice is loaded once (this
-        // is a per-placement-decision hot path).
+        // The PE's RNG stream is copied out for the scan and written back
+        // after it, so the loop can read neighbours' slots while drawing
+        // ties (this is a per-placement-decision hot path).
+        let mut rng = self.pe_mut(pe).rng.clone();
         let Core {
             topo,
             pes,
             channels,
-            pe_rngs,
             config,
             open,
             events,
             ..
         } = self;
-        let rng = &mut pe_rngs[pe.idx()];
         // The circuit breaker (open runs only) vetoes routing into
         // neighbourhoods it has not yet re-trusted after a fault.
         let breaker = open
@@ -592,7 +633,7 @@ impl Core {
             if Some(n.pe) == exclude {
                 continue;
             }
-            if pes[n.pe.idx()].failed || channels.get(n.channel).down {
+            if pes.get(n.pe.idx()).failed || channels.get(n.channel.idx()).down {
                 continue;
             }
             if breaker.is_some_and(|o| o.breaker_blocked(now, pe.0, n.pe.0)) {
@@ -600,11 +641,11 @@ impl Core {
             }
             let load = match config.load_info {
                 LoadInfoMode::Instant => {
-                    let p = &pes[n.pe.idx()];
+                    let p = pes.get(n.pe.idx());
                     p.load(config.count_responses_in_load)
                         + config.future_commitment_weight * p.waiting_tasks()
                 }
-                LoadInfoMode::Piggyback { .. } => pes[pe.idx()].known_load[i],
+                LoadInfoMode::Piggyback { .. } => pes.get(pe.idx()).known_load(i),
             };
             match best {
                 Some((_, b)) if load > b => {}
@@ -621,6 +662,7 @@ impl Core {
                 }
             }
         }
+        self.pe_mut(pe).rng = rng;
         best
     }
 
@@ -628,16 +670,16 @@ impl Core {
     /// knowledge. `u32::MAX` when no neighbour is reachable (so a local
     /// minimum test degenerates to "accept locally").
     pub fn min_known_neighbor_load(&self, pe: PeId) -> u32 {
-        let p = &self.pes[pe.idx()];
+        let p = self.pe(pe);
         self.topo
             .neighbors(pe)
             .iter()
             .enumerate()
-            .filter(|(_, n)| !self.pes[n.pe.idx()].failed && !self.channels.get(n.channel).down)
+            .filter(|(_, n)| !self.pe(n.pe).failed && !self.channel(n.channel).down)
             .filter(|(_, n)| !self.breaker_blocked(pe, n.pe))
             .map(|(i, n)| match self.config.load_info {
                 LoadInfoMode::Instant => self.load(n.pe),
-                LoadInfoMode::Piggyback { .. } => p.known_load[i],
+                LoadInfoMode::Piggyback { .. } => p.known_load(i),
             })
             .min()
             .unwrap_or(u32::MAX)
@@ -648,7 +690,7 @@ impl Core {
     pub fn most_loaded_neighbor(&self, pe: PeId) -> Option<(PeId, u32)> {
         let mut best: Option<(PeId, u32)> = None;
         for (i, n) in self.topo.neighbors(pe).iter().enumerate() {
-            if self.pes[n.pe.idx()].failed || self.channels.get(n.channel).down {
+            if self.pe(n.pe).failed || self.channel(n.channel).down {
                 continue;
             }
             if self.breaker_blocked(pe, n.pe) {
@@ -656,7 +698,7 @@ impl Core {
             }
             let load = match self.config.load_info {
                 LoadInfoMode::Instant => self.load(n.pe),
-                LoadInfoMode::Piggyback { .. } => self.pes[pe.idx()].known_load[i],
+                LoadInfoMode::Piggyback { .. } => self.pe(pe).known_load(i),
             };
             match best {
                 Some((_, b)) if b >= load => {}
@@ -674,7 +716,7 @@ impl Core {
     /// there (unless a strategy later exports it with
     /// [`Core::take_newest_goal`]).
     pub fn accept_goal(&mut self, pe: PeId, goal: GoalMsg) {
-        if self.pes[pe.idx()].failed {
+        if self.pe(pe).failed {
             self.note_goal_lost(goal.id, pe);
             return; // goal lost to the failed PE
         }
@@ -691,7 +733,7 @@ impl Core {
                 o.resident = Some(pe);
             }
         }
-        self.pes[pe.idx()].enqueue(WorkItem::Goal(goal));
+        self.pe_mut(pe).enqueue(WorkItem::Goal(goal));
         self.note_open_qlen(1);
         self.try_start(pe);
     }
@@ -714,8 +756,8 @@ impl Core {
         }
         if self.config.optimistic_accounting {
             if let Some(idx) = self.neighbor_index(from, to) {
-                self.pes[from.idx()].known_load[idx] =
-                    self.pes[from.idx()].known_load[idx].saturating_add(1);
+                let slot = &mut self.pe_mut(from).known_load[idx];
+                *slot = slot.saturating_add(1);
             }
         }
         if self.plan.recovery.is_some() {
@@ -755,7 +797,7 @@ impl Core {
     /// Remove the most recently queued goal from `pe` (the Gradient Model's
     /// export primitive).
     pub fn take_newest_goal(&mut self, pe: PeId) -> Option<GoalMsg> {
-        let taken = self.pes[pe.idx()].take_newest_goal();
+        let taken = self.pe_mut(pe).take_newest_goal();
         if taken.is_some() {
             self.note_open_qlen(-1);
         }
@@ -764,7 +806,7 @@ impl Core {
 
     /// Remove the oldest queued goal from `pe`.
     pub fn take_oldest_goal(&mut self, pe: PeId) -> Option<GoalMsg> {
-        let taken = self.pes[pe.idx()].take_oldest_goal();
+        let taken = self.pe_mut(pe).take_oldest_goal();
         if taken.is_some() {
             self.note_open_qlen(-1);
         }
@@ -858,7 +900,7 @@ impl Core {
                 .binary_search_by_key(&nbr, |n| n.pe)
                 .ok();
         }
-        match self.nbr_index[pe.idx() * self.pes.len() + nbr.idx()] {
+        match self.nbr_index[pe.idx() * self.num_pes() + nbr.idx()] {
             u16::MAX => None,
             i => Some(i as usize),
         }
@@ -912,7 +954,7 @@ impl Core {
     pub(crate) fn offer_to_channel(&mut self, ch: ChannelId, flight: Flight) {
         let cost = hop_cost(&self.costs, &flight.packet);
         let now = self.events.now();
-        if self.channels.get_mut(ch).offer(flight, now) {
+        if self.channel_mut(ch).offer(flight, now) {
             self.schedule_event_after(cost, Event::ChannelDone(ch));
         }
     }
@@ -934,7 +976,7 @@ impl Core {
 
     fn update_known_load(&mut self, at: PeId, about: PeId, load: u32) {
         if let Some(idx) = self.neighbor_index(at, about) {
-            self.pes[at.idx()].known_load[idx] = load;
+            self.pe_mut(at).known_load[idx] = load;
         }
     }
 
@@ -945,10 +987,12 @@ impl Core {
     /// 0): globally unique without a shared counter. The id layout is part
     /// of the pinned results (strategies and traces see it).
     fn make_goal(&mut self, spec: TaskSpec, parent: Option<(PeId, GoalId)>) -> GoalMsg {
-        let creator = parent.map_or(0, |(pe, _)| 1 + pe.0) as usize;
-        let seq = self.goal_seq[creator];
-        self.goal_seq[creator] = seq + 1;
-        let id = GoalId(((creator as u64) << 32) | seq as u64);
+        let (creator, seq) = match parent {
+            Some((pe, _)) => (1 + pe.0 as u64, &mut self.pe_mut(pe).goal_seq),
+            None => (0, &mut self.env_goal_seq),
+        };
+        let id = GoalId((creator << 32) | *seq as u64);
+        *seq += 1;
         self.goals_created += 1;
         if self.trace.enabled() {
             let pe = parent.map_or(PeId(self.config.root_pe), |(pe, _)| pe);
@@ -1040,7 +1084,7 @@ impl Core {
                 }
             }
             Some((ppe, pgoal)) if ppe == from_pe => {
-                self.pes[from_pe.idx()].enqueue(WorkItem::Response {
+                self.pe_mut(from_pe).enqueue(WorkItem::Response {
                     goal: pgoal,
                     child,
                     value,
@@ -1125,17 +1169,20 @@ impl Core {
 
     /// If `pe` is free and has queued work, start its next item.
     fn try_start(&mut self, pe: PeId) {
-        if self.pes[pe.idx()].failed || self.pes[pe.idx()].executing.is_some() {
+        let p = self.pe(pe);
+        if p.failed || p.executing.is_some() || (p.queue.is_empty() && p.sys_queue.is_empty()) {
             return;
         }
         let discipline = self.config.queue_discipline;
-        let Some(item) = self.pes[pe.idx()].dequeue(discipline) else {
+        let p = self.pe_mut(pe);
+        let Some(item) = p.dequeue(discipline) else {
             return;
         };
+        let transient = p.transient_factor;
         if matches!(item, WorkItem::Goal(_)) {
             self.note_open_qlen(-1);
         }
-        let speed = self.pes[pe.idx()].cost_factor * self.pes[pe.idx()].transient_factor;
+        let speed = self.cost_factor(pe) * transient;
         let (exec, cost, is_user_work) = match item {
             WorkItem::Goal(goal) => {
                 let expansion = self.program.expand(&goal.spec);
@@ -1145,11 +1192,7 @@ impl Core {
                     Expansion::Split(_) => self.costs.split_cost,
                 };
                 self.goals_executed += 1;
-                self.pes[pe.idx()].goals_executed += 1;
                 self.hop_hist.record(goal.hops as u64);
-                let started = self.events.now().units();
-                self.dispatch_latency
-                    .record(pe.0, (started - goal.created_at) as f64);
                 if self.trace.enabled() {
                     self.trace.record(TraceEvent::GoalStarted {
                         t: self.events.now().units(),
@@ -1179,7 +1222,12 @@ impl Core {
             self.seq_work += cost;
         }
         let now = self.events.now();
-        let p = &mut self.pes[pe.idx()];
+        let p = self.pe_mut(pe);
+        if let Executing::Goal(goal, _) = &exec {
+            p.goals_executed += 1;
+            p.dispatch_latency
+                .record((now.units() - goal.created_at) as f64);
+        }
         p.exec_start = now;
         p.busy_until = now + cost;
         p.executing = Some(exec);
@@ -1227,26 +1275,22 @@ impl Machine {
             )));
         }
         let sampling = config.sampling_interval;
-        let sparse = config.sparse_state(topo.num_pes());
         let mut rng = Rng::seed_from_u64(config.seed);
-        let mut pes: Vec<Pe> = topo
-            .pes()
-            .map(|id| {
-                if sparse {
-                    // No queue preallocation: a million mostly idle PEs
-                    // must not each hold a 32-slot buffer up front.
-                    Pe::new_lean(id, topo.degree(id), sampling)
-                } else {
-                    Pe::new(id, topo.degree(id), sampling)
-                }
-            })
-            .collect();
-        if config.pe_speed_spread > 1 {
-            for pe in &mut pes {
-                pe.cost_factor = 1 + rng.below(config.pe_speed_spread);
-            }
-        }
-        let channels = ChannelTable::new(topo.num_channels(), sparse);
+        // Cost factors are drawn eagerly, in PE order, so the construction
+        // RNG stream does not depend on which PEs a run touches.
+        let cost_factors: Vec<u64> = if config.pe_speed_spread > 1 {
+            topo.pes()
+                .map(|_| 1 + rng.below(config.pe_speed_spread))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // Every untouched slot reads as this PE. Its RNG is never drawn
+        // (draws go through `pe_mut`, which builds the real PE) and its
+        // empty neighbour-load table reads as all zeros.
+        let pristine = Pe::new(0, sampling, Rng::seed_from_u64(0));
+        let pes = Slab::new(topo.num_pes(), pristine);
+        let channels = Slab::new(topo.num_channels(), Channel::new());
         let max_hops = topo.diameter() as usize + 2;
         // Distinct incident channels per PE, in first-appearance order —
         // the broadcast fan-out list, built once instead of per event.
@@ -1303,32 +1347,24 @@ impl Machine {
             )),
             None => None,
         };
-        // Per-PE runtime RNG streams, decorrelated from the seed with a
-        // SplitMix-style multiply so adjacent PEs never share a stream
-        // prefix.
-        let pe_rngs: Vec<Rng> = (0..n as u64)
-            .map(|p| Rng::seed_from_u64(config.seed ^ (p + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-            .collect();
-        let num_actors = 1 + n + topo.num_channels();
         Ok(Machine {
             core: Core {
                 rng,
-                pe_rngs,
+                cost_factors,
+                env_key_seq: 0,
+                env_goal_seq: 0,
                 pes,
                 channels,
                 events: CalendarQueue::new(),
                 incident_off,
                 incident,
                 nbr_index,
-                key_seq: vec![0; num_actors],
-                goal_seq: vec![0; 1 + n],
                 goals_created: 0,
                 goals_executed: 0,
                 responses_processed: 0,
                 seq_work: 0,
                 traffic: TrafficCounters::default(),
                 hop_hist: Histogram::new(max_hops.max(64)),
-                dispatch_latency: DispatchLatency::new(n, sparse),
                 global_series: IntervalSeries::new(sampling),
                 root_result: None,
                 open,
@@ -1400,15 +1436,14 @@ impl Machine {
 
         // Arm the periodic load broadcasts, staggered by PE id — only for
         // strategies that actually read neighbour loads.
-        if let LoadInfoMode::Piggyback { period } = self.core.config.load_info {
-            if period > 0 && self.strategy.needs_load_broadcast() {
-                for pe in 0..self.core.num_pes() as u32 {
-                    let offset = pe as u64 % period;
-                    self.core
-                        .schedule_event_at(SimTime(offset), Event::LoadBcast(PeId(pe)));
-                }
+        if let Some(period) = self.broadcast_period() {
+            for pe in 0..self.core.num_pes() as u32 {
+                let offset = pe as u64 % period;
+                self.core
+                    .schedule_event_at(SimTime(offset), Event::LoadBcast(PeId(pe)));
             }
         }
+        self.core.next_check = self.progress_window();
 
         // Arm the fault plan: crashes, link windows, slowdown windows.
         // (The legacy `fail_pe` shorthand was folded in at construction.)
@@ -1447,6 +1482,34 @@ impl Machine {
         self.core.track_goal(&root_goal, 0, 0);
         self.strategy
             .on_goal_created(&mut self.core, root_pe, root_goal);
+    }
+
+    /// The periodic load-broadcast period, when this run arms broadcasts:
+    /// piggy-backed load info with a non-zero period, under a strategy
+    /// that reads neighbour loads.
+    fn broadcast_period(&self) -> Option<u64> {
+        match self.core.config.load_info {
+            LoadInfoMode::Piggyback { period }
+                if period > 0 && self.strategy.needs_load_broadcast() =>
+            {
+                Some(period)
+            }
+            _ => None,
+        }
+    }
+
+    /// The progress watchdog's window in events. One load-broadcast round
+    /// is a `load_bcast` event per PE plus a transfer per incident channel
+    /// — five million events on a 10^6-PE torus, before any goal can run.
+    /// With broadcasts armed the window therefore grows by two rounds, so
+    /// no round can fill it by itself and only a machine that makes no
+    /// progress while broadcasting trips it.
+    fn progress_window(&self) -> u64 {
+        let base = self.core.config.progress_window;
+        match self.broadcast_period() {
+            Some(_) => base + 2 * (self.core.num_pes() + self.core.incident.len()) as u64,
+            None => base,
+        }
     }
 
     /// Drive the event loop. With `pause_at: None`, runs until the root
@@ -1502,21 +1565,18 @@ impl Machine {
                 if progress == self.core.last_progress {
                     // Distinguish a communication-bound machine (a channel
                     // backlog growing without bound) from a plain stall.
-                    // `present()` walks slots in ascending id order in
-                    // both representations, and untouched sparse slots
-                    // have empty backlogs — so the worst channel found
-                    // (std's max_by_key keeps the *last* maximum) is the
-                    // same in either mode.
+                    // Untouched channels have empty backlogs, so the worst
+                    // materialized channel (std's max_by_key keeps the
+                    // *last* maximum) is the worst channel.
                     let worst = self
                         .core
                         .channels
-                        .present()
-                        .into_iter()
+                        .iter()
                         .max_by_key(|(_, c)| c.backlog.len());
                     if let Some((idx, ch)) = worst {
                         if ch.backlog.len() > 100 {
                             return Err(SimError::Stagnation {
-                                channel: idx,
+                                channel: idx as u32,
                                 backlog: ch.backlog.len(),
                                 time: self.core.now().units(),
                             });
@@ -1525,7 +1585,7 @@ impl Machine {
                     return Err(self.stall_error());
                 }
                 self.core.last_progress = progress;
-                self.core.next_check = n + self.core.config.progress_window;
+                self.core.next_check = n + self.progress_window();
             }
             if n >= self.core.config.max_events {
                 return Err(SimError::EventLimit {
@@ -1588,7 +1648,7 @@ impl Machine {
             Event::PeDone(pe) => self.handle_pe_done(pe),
             Event::ChannelDone(ch) => self.handle_channel_done(ch),
             Event::Timer(pe, tag) => {
-                if self.core.pes[pe.idx()].failed {
+                if self.core.pe(pe).failed {
                     return;
                 }
                 if self.core.trace.enabled() {
@@ -1604,7 +1664,8 @@ impl Machine {
                     // No co-processor: the balancing process itself (e.g.
                     // one gradient cycle) charges PE time, ahead of user
                     // work.
-                    self.core.pes[pe.idx()]
+                    self.core
+                        .pe_mut(pe)
                         .sys_queue
                         .push_back(WorkItem::TimerWork { tag });
                     self.core.try_start(pe);
@@ -1615,10 +1676,10 @@ impl Machine {
             Event::LinkDown(ch) => self.handle_link_down(ch),
             Event::LinkUp(ch) => self.handle_link_up(ch),
             Event::SlowStart(pe, factor) => {
-                if self.core.pes[pe.idx()].failed {
+                if self.core.pe(pe).failed {
                     return;
                 }
-                self.core.pes[pe.idx()].transient_factor = factor;
+                self.core.pe_mut(pe).transient_factor = factor;
                 if self.core.trace.enabled() {
                     self.core.trace.record(TraceEvent::PeSlowed {
                         t: self.core.events.now().units(),
@@ -1628,10 +1689,10 @@ impl Machine {
                 }
             }
             Event::SlowEnd(pe) => {
-                if self.core.pes[pe.idx()].failed {
+                if self.core.pe(pe).failed {
                     return;
                 }
-                self.core.pes[pe.idx()].transient_factor = 1;
+                self.core.pe_mut(pe).transient_factor = 1;
                 if self.core.trace.enabled() {
                     self.core.trace.record(TraceEvent::PeRestored {
                         t: self.core.events.now().units(),
@@ -1650,7 +1711,7 @@ impl Machine {
                 // loss (which clears residency) — are re-spawned.
                 if let Some(o) = self.core.faults.outstanding.get(&goal) {
                     match o.resident {
-                        Some(pe) if !self.core.pes[pe.idx()].failed => {
+                        Some(pe) if !self.core.pe(pe).failed => {
                             let rec = self.core.plan.recovery.expect("tracked implies recovery");
                             let window = rec.ack_timeout.saturating_mul(1u64 << o.attempts.min(5));
                             self.core
@@ -1687,14 +1748,14 @@ impl Machine {
         // arrival-conservation identity exact under faults.
         let mut entry = None;
         if let Some(pe) = override_pe {
-            if !self.core.pes[pe as usize].failed {
+            if !self.core.pe(PeId(pe)).failed {
                 entry = Some(PeId(pe));
             }
         } else {
             for k in 0..edges_len {
                 let i = (start + k) % edges_len;
                 let cand = self.core.open.as_ref().expect("open mode").edges[i as usize];
-                if !self.core.pes[cand as usize].failed {
+                if !self.core.pe(PeId(cand)).failed {
                     self.core.open.as_deref_mut().expect("open mode").edge_idx =
                         (i + 1) % edges_len;
                     entry = Some(PeId(cand));
@@ -1712,16 +1773,15 @@ impl Machine {
         // check is shed at the door — no goal is created, nothing queues.
         if let Some(policy) = self.core.open.as_deref().expect("open mode").admission {
             let admitted = match policy {
-                AdmissionPolicy::QueueDepth { max } => {
-                    (self.core.pes[pe.idx()].queued_goals as u64) < max
-                }
+                AdmissionPolicy::QueueDepth { max } => (self.core.pe(pe).queued_goals as u64) < max,
                 AdmissionPolicy::Utilization { threshold } => {
-                    let live = self.core.pes.iter().filter(|p| !p.failed);
-                    let (mut executing, mut total) = (0u64, 0u64);
-                    for p in live {
-                        total += 1;
-                        executing += p.executing.is_some() as u64;
+                    // Untouched PEs are live and idle.
+                    let (mut executing, mut failed) = (0u64, 0u64);
+                    for (_, p) in self.core.pes.iter() {
+                        failed += p.failed as u64;
+                        executing += (!p.failed && p.executing.is_some()) as u64;
                     }
+                    let total = self.core.num_pes() as u64 - failed;
                     (executing as f64) < threshold * total.max(1) as f64
                 }
                 AdmissionPolicy::TokenBucket { rate, burst } => self
@@ -1796,7 +1856,7 @@ impl Machine {
         for k in 0..edges_len {
             let i = (start + k) % edges_len;
             let cand = self.core.open.as_ref().expect("open mode").edges[i as usize];
-            if !self.core.pes[cand as usize].failed {
+            if !self.core.pe(PeId(cand)).failed {
                 self.core.open.as_deref_mut().expect("open mode").edge_idx = (i + 1) % edges_len;
                 entry = Some(PeId(cand));
                 break;
@@ -1838,7 +1898,7 @@ impl Machine {
     /// orphans the ones whose waiting parents died with it (the
     /// grandparent's retry recreates those subtrees).
     fn handle_fail_pe(&mut self, pe: PeId) {
-        if self.core.pes[pe.idx()].failed {
+        if self.core.pe(pe).failed {
             return; // double crash in the plan
         }
         let now = self.core.events.now();
@@ -1853,7 +1913,7 @@ impl Machine {
         if self.core.plan.recovery.is_none()
             && self.core.open.as_deref().is_some_and(|o| o.retry.is_some())
         {
-            let p = &self.core.pes[pe.idx()];
+            let p = self.core.pe(pe);
             for item in &p.queue {
                 if let WorkItem::Goal(g) = item {
                     lost_roots.push(g.id);
@@ -1865,7 +1925,7 @@ impl Machine {
             lost_roots.extend(p.waiting.keys().copied());
             lost_roots.sort();
         }
-        let p = &mut self.core.pes[pe.idx()];
+        let p = self.core.pe_mut(pe);
         let queued_goals = p.queued_goals;
         let lost = p.queued_goals as u64
             + matches!(p.executing, Some(Executing::Goal(..))) as u64
@@ -1926,7 +1986,7 @@ impl Machine {
         // reactions to the down notification already see it blocked.
         for i in 0..self.core.topo.neighbors(pe).len() {
             let nbr = self.core.topo.neighbors(pe)[i].pe;
-            if !self.core.pes[nbr.idx()].failed {
+            if !self.core.pe(nbr).failed {
                 self.core.breaker_note_down(nbr, pe);
                 self.strategy.on_neighbor_down(&mut self.core, nbr, pe);
             }
@@ -1948,7 +2008,7 @@ impl Machine {
         }
         let home = match entry.parent {
             Some((ppe, _)) => {
-                if self.core.pes[ppe.idx()].failed {
+                if self.core.pe(ppe).failed {
                     return; // orphan: the grandparent's retry covers it
                 }
                 ppe
@@ -1957,10 +2017,10 @@ impl Machine {
                 // The root goal re-enters at the root PE, or at the lowest
                 // surviving PE if the root died.
                 let root = PeId(self.core.config.root_pe);
-                if !self.core.pes[root.idx()].failed {
+                if !self.core.pe(root).failed {
                     root
                 } else {
-                    let Some(i) = (0..self.core.pes.len()).find(|&i| !self.core.pes[i].failed)
+                    let Some(i) = (0..self.core.num_pes()).find(|&i| !self.core.pes.get(i).failed)
                     else {
                         return; // every PE is dead
                     };
@@ -1997,10 +2057,10 @@ impl Machine {
     /// A fault-plan link window opens: the channel stops starting
     /// transfers, and both sides treat each other as unreachable.
     fn handle_link_down(&mut self, ch: ChannelId) {
-        if self.core.channels.get(ch).down {
+        if self.core.channel(ch).down {
             return;
         }
-        self.core.channels.get_mut(ch).down = true;
+        self.core.channel_mut(ch).down = true;
         self.core.rebuild_live_routes();
         if self.core.trace.enabled() {
             self.core.trace.record(TraceEvent::LinkDown {
@@ -2010,7 +2070,7 @@ impl Machine {
         }
         for i in 0..self.core.topo.channel_members(ch).len() {
             let a = self.core.topo.channel_members(ch)[i];
-            if self.core.pes[a.idx()].failed {
+            if self.core.pe(a).failed {
                 continue;
             }
             for j in 0..self.core.topo.channel_members(ch).len() {
@@ -2025,10 +2085,10 @@ impl Machine {
 
     /// The link window closes: resume the backlog and tell both sides.
     fn handle_link_up(&mut self, ch: ChannelId) {
-        if !self.core.channels.get(ch).down {
+        if !self.core.channel(ch).down {
             return;
         }
-        self.core.channels.get_mut(ch).down = false;
+        self.core.channel_mut(ch).down = false;
         self.core.rebuild_live_routes();
         if self.core.trace.enabled() {
             self.core.trace.record(TraceEvent::LinkUp {
@@ -2040,8 +2100,7 @@ impl Machine {
         let costs = self.core.costs;
         let promoted_cost = self
             .core
-            .channels
-            .get_mut(ch)
+            .channel_mut(ch)
             .promote(now)
             .map(|f| hop_cost(&costs, &f.packet));
         if let Some(cost) = promoted_cost {
@@ -2049,12 +2108,12 @@ impl Machine {
         }
         for i in 0..self.core.topo.channel_members(ch).len() {
             let a = self.core.topo.channel_members(ch)[i];
-            if self.core.pes[a.idx()].failed {
+            if self.core.pe(a).failed {
                 continue;
             }
             for j in 0..self.core.topo.channel_members(ch).len() {
                 let b = self.core.topo.channel_members(ch)[j];
-                if b != a && !self.core.pes[b.idx()].failed {
+                if b != a && !self.core.pe(b).failed {
                     self.core.breaker_note_up(a, b);
                     self.strategy.on_neighbor_up(&mut self.core, a, b);
                 }
@@ -2063,7 +2122,7 @@ impl Machine {
     }
 
     fn handle_load_bcast(&mut self, pe: PeId) {
-        if self.core.pes[pe.idx()].failed {
+        if self.core.pe(pe).failed {
             return;
         }
         let LoadInfoMode::Piggyback { period } = self.core.config.load_info else {
@@ -2076,15 +2135,16 @@ impl Machine {
 
     fn handle_pe_done(&mut self, pe: PeId) {
         let core = &mut self.core;
-        let p = &mut core.pes[pe.idx()];
+        let now = core.events.now();
+        let per_pe_series = core.config.per_pe_series;
+        let p = core.pe_mut(pe);
         if p.failed {
             return; // a completion scheduled before the PE died
         }
         let exec = p.executing.take().expect("PeDone with nothing executing");
         let start = p.exec_start;
-        let now = core.events.now();
         p.busy.set_idle(now);
-        if core.config.per_pe_series {
+        if per_pe_series {
             p.series.add_busy(start, now);
         }
         let user_work = !matches!(exec, Executing::Handle { .. } | Executing::TimerWork { .. });
@@ -2117,7 +2177,7 @@ impl Machine {
                     hops: goal.hops,
                 };
                 debug_assert!(waiting.pending > 0, "split with no children");
-                core.pes[pe.idx()].waiting.insert(goal.id, waiting);
+                core.pe_mut(pe).waiting.insert(goal.id, waiting);
                 self.spawn_children(pe, goal.id, children);
             }
             Executing::Response { goal, child, value } => {
@@ -2135,7 +2195,7 @@ impl Machine {
         }
 
         self.core.try_start(pe);
-        if self.core.pes[pe.idx()].is_idle() && !self.core.completed() {
+        if self.core.pe(pe).is_idle() && !self.core.completed() {
             self.strategy.on_idle(&mut self.core, pe);
         }
     }
@@ -2169,11 +2229,19 @@ impl Machine {
             }
         }
         core.responses_processed += 1;
-        let w = core.pes[pe.idx()]
+        let Core {
+            pes,
+            topo,
+            config,
+            program,
+            ..
+        } = core;
+        let w = pes
+            .get_mut_or(pe.idx(), |id| fresh_pe(topo, config, id))
             .waiting
             .get_mut(&goal)
             .expect("response for unknown waiting task");
-        w.acc = core.program.combine(&w.spec, w.acc, value);
+        w.acc = program.combine(&w.spec, w.acc, value);
         w.pending -= 1;
         if w.pending > 0 {
             return;
@@ -2181,24 +2249,23 @@ impl Machine {
         let (spec, round, acc) = (w.spec, w.round, w.acc);
         match core.program.continue_after(&spec, round, acc) {
             Continuation::Done(result) => {
-                let w = core.pes[pe.idx()].waiting.remove(&goal).unwrap();
+                let w = core.pe_mut(pe).waiting.remove(&goal).unwrap();
                 core.respond(pe, goal, w.parent, result);
             }
             Continuation::Spawn(children) => {
                 assert!(!children.is_empty(), "Continuation::Spawn with no children");
-                let w = core.pes[pe.idx()].waiting.get_mut(&goal).unwrap();
+                let acc = core.program.combine_init(&spec);
+                let w = core.pe_mut(pe).waiting.get_mut(&goal).unwrap();
                 w.round += 1;
                 w.pending = children.len() as u32;
-                w.acc = core.program.combine_init(&spec);
+                w.acc = acc;
                 // Charge another split for the respawn round.
                 let mult = core.program.work_multiplier(&spec).max(1);
-                let cost = core.costs.split_cost
-                    * mult
-                    * core.pes[pe.idx()].cost_factor
-                    * core.pes[pe.idx()].transient_factor;
+                let speed = core.cost_factor(pe) * core.pe(pe).transient_factor;
+                let cost = core.costs.split_cost * mult * speed;
                 core.seq_work += cost;
                 let now = core.events.now();
-                let p = &mut core.pes[pe.idx()];
+                let p = core.pe_mut(pe);
                 debug_assert!(p.executing.is_none());
                 p.exec_start = now;
                 p.busy_until = now + cost;
@@ -2226,7 +2293,7 @@ impl Machine {
     fn handle_channel_done(&mut self, ch: ChannelId) {
         let now = self.core.events.now();
         let costs = self.core.costs; // Copy: needed while the channel is borrowed.
-        let (flight, next) = self.core.channels.get_mut(ch).complete(now);
+        let (flight, next) = self.core.channel_mut(ch).complete(now);
         if let Some(cost) = next.map(|n| hop_cost(&costs, &n.packet)) {
             self.core.schedule_event_after(cost, Event::ChannelDone(ch));
         }
@@ -2273,9 +2340,9 @@ impl Machine {
         }
 
         match flight.dest {
-            FlightDest::Unicast(to) => {
-                self.deliver(to, flight.from, flight.piggyback_load, flight.packet)
-            }
+            // The snoop above has just recorded the piggy-backed word at
+            // the one receiver, so nothing is left for `deliver` to record.
+            FlightDest::Unicast(to) => self.deliver(to, flight.from, None, flight.packet),
             FlightDest::Broadcast => {
                 for i in 0..self.core.topo.channel_members(ch).len() {
                     let to = self.core.topo.channel_members(ch)[i];
@@ -2289,7 +2356,7 @@ impl Machine {
 
     /// A packet reached PE `to` (from neighbour `from`).
     fn deliver(&mut self, to: PeId, from: PeId, piggyback: Option<u32>, packet: Packet) {
-        if self.core.pes[to.idx()].failed {
+        if self.core.pe(to).failed {
             // The dead PE's mailbox is a black hole — but the recovery
             // layer gets to notice what fell in.
             match &packet {
@@ -2305,18 +2372,20 @@ impl Machine {
             }
             return;
         }
-        if let Some(load) = piggyback {
-            self.core.update_known_load(to, from, load);
-        }
+        // A load update's own word overrides any piggy-backed one.
         if let Packet::LoadUpdate { load } = &packet {
             self.core.update_known_load(to, from, *load);
             return; // Updating the load table is free bookkeeping.
+        }
+        if let Some(load) = piggyback {
+            self.core.update_known_load(to, from, load);
         }
         if self.core.config.coprocessor {
             self.process_delivery(to, from, packet);
         } else {
             // No co-processor: handling charges PE time, ahead of user work.
-            self.core.pes[to.idx()]
+            self.core
+                .pe_mut(to)
                 .sys_queue
                 .push_back(WorkItem::Handle { from, packet });
             self.core.try_start(to);
@@ -2336,7 +2405,7 @@ impl Machine {
                 value,
             } => {
                 if ppe == pe {
-                    self.core.pes[pe.idx()].enqueue(WorkItem::Response {
+                    self.core.pe_mut(pe).enqueue(WorkItem::Response {
                         goal: pgoal,
                         child,
                         value,
@@ -2378,40 +2447,50 @@ impl Machine {
         };
 
         // Close any open busy span (possible only for routing work).
-        for i in 0..core.pes.len() {
-            let p = &mut core.pes[i];
-            if let Some(start) = (p.executing.is_some()).then_some(p.exec_start) {
-                if core.config.per_pe_series && start < horizon {
-                    p.series.add_busy(start, horizon);
+        // Untouched PEs execute nothing.
+        if core.config.per_pe_series {
+            for (_, p) in core.pes.iter_mut() {
+                if p.executing.is_some() && p.exec_start < horizon {
+                    p.series.add_busy(p.exec_start, horizon);
                 }
             }
         }
 
-        let num_pes = core.pes.len();
+        let num_pes = core.num_pes();
         let t = horizon.units().max(1);
-        // The aggregates below (mean, CV, quantile sketch, top-K) are
-        // always computed from one pass over the dense PE array — the
-        // same float operations in the same order whatever the state
-        // mode, so sparse and dense runs report bit-identical numbers.
-        // Only the O(PE-count) *vectors* are gated, on `per_pe_metrics`.
-        let per_pe_utilization: Vec<f64> = core
-            .pes
-            .iter()
-            .map(|p| (p.busy.busy_time(horizon) as f64 / t as f64).min(1.0))
-            .collect();
-        let peak_queue_len = core.pes.iter().map(|p| p.peak_queue).max().unwrap_or(0);
+        let util = |p: &Pe| (p.busy.busy_time(horizon) as f64 / t as f64).min(1.0);
+        // Every aggregate below folds the materialized PEs in id order and
+        // accounts for each untouched PE exactly as the pristine PE it
+        // reads as: a utilization of `+0.0` (the identity of these
+        // non-negative sums), zero goals, zero busy time, an empty
+        // dispatch accumulator. Folds whose per-PE term is not an identity
+        // (the variance) add that term once per untouched id, in id order,
+        // so every float matches a walk over a dense array bit for bit.
+        let mut util_sum = 0.0f64;
+        let mut peak_queue_len = 0usize;
+        let mut busy_sketch = LogHistogram::new();
+        let mut ranked: Vec<(u64, u32)> = Vec::new();
+        let mut executed_by_pes = 0u64;
+        let mut dispatch = OnlineStats::new();
+        for (id, p) in core.pes.iter() {
+            util_sum += util(p);
+            peak_queue_len = peak_queue_len.max(p.peak_queue);
+            busy_sketch.record(p.busy.busy_time(horizon));
+            if p.goals_executed > 0 {
+                ranked.push((p.goals_executed, id as u32));
+            }
+            executed_by_pes += p.goals_executed;
+            dispatch.merge(&p.dispatch_latency);
+        }
+        busy_sketch.record_n(0, (num_pes - core.pes.materialized_slots()) as u64);
         // One unit everywhere: every utilization figure on the report is a
         // fraction in [0, 1] (renderers convert to percent at the edge).
-        let avg_utilization = per_pe_utilization.iter().sum::<f64>() / num_pes as f64;
+        let avg_utilization = util_sum / num_pes as f64;
         let speedup = num_pes as f64 * avg_utilization;
 
         // Streaming per-PE summaries, O(1) in the report whatever the
         // machine size: a log-histogram sketch of busy time for the
         // utilization quantiles, and the K busiest PEs by goals executed.
-        let mut busy_sketch = LogHistogram::new();
-        for p in &core.pes {
-            busy_sketch.record(p.busy.busy_time(horizon));
-        }
         let util_quantile =
             |q: f64| -> f64 { (busy_sketch.quantile(q) as f64 / t as f64).min(1.0) };
         let (util_p10, util_p50, util_p90, util_p99) = (
@@ -2420,30 +2499,38 @@ impl Machine {
             util_quantile(0.90),
             util_quantile(0.99),
         );
-        let mut by_goals: Vec<(u64, u32)> = core
-            .pes
+        // Top K by goals executed, ties to the lower id; when fewer than K
+        // PEs executed a goal, the lowest-id idle PEs fill the table.
+        let by_goals = |a: &(u64, u32), b: &(u64, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+        let k = Report::TOP_PES.min(num_pes);
+        if ranked.len() > k {
+            ranked.select_nth_unstable_by(k - 1, by_goals);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(by_goals);
+        let idle = (0..num_pes).filter(|&i| core.pes.get(i).goals_executed == 0);
+        let fill = k - ranked.len();
+        ranked.extend(idle.take(fill).map(|i| (0, i as u32)));
+        let top_pes: Vec<TopPe> = ranked
             .iter()
-            .enumerate()
-            .map(|(i, p)| (p.goals_executed, i as u32))
-            .collect();
-        by_goals.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let top_pes: Vec<TopPe> = by_goals
-            .iter()
-            .take(Report::TOP_PES)
             .map(|&(goals, pe)| TopPe {
                 pe,
                 goals,
-                utilization: per_pe_utilization[pe as usize],
+                utilization: util(core.pes.get(pe as usize)),
             })
             .collect();
-        let executed_by_pes: u64 = by_goals.iter().map(|&(g, _)| g).sum();
         let other_goals = executed_by_pes - top_pes.iter().map(|tp| tp.goals).sum::<u64>();
-        drop(by_goals);
 
-        let per_pe_goals: Vec<u64> = if core.config.per_pe_metrics {
-            core.pes.iter().map(|p| p.goals_executed).collect()
+        // The O(PE-count) vectors are built only on request.
+        let (per_pe_utilization, per_pe_goals) = if core.config.per_pe_metrics {
+            (0..num_pes)
+                .map(|i| {
+                    let p = core.pes.get(i);
+                    (util(p), p.goals_executed)
+                })
+                .unzip()
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
 
         let util_series: Vec<(u64, f64)> = core
@@ -2454,10 +2541,11 @@ impl Machine {
             .collect();
 
         let per_pe_series = core.config.per_pe_series.then(|| {
-            core.pes
-                .iter()
-                .map(|p| {
-                    p.series
+            (0..num_pes)
+                .map(|i| {
+                    core.pes
+                        .get(i)
+                        .series
                         .utilization_series(horizon)
                         .into_iter()
                         .map(|(_, f)| f.min(1.0))
@@ -2466,20 +2554,26 @@ impl Machine {
                 .collect()
         });
 
-        let max_channel_backlog = core
-            .channels
-            .present()
-            .iter()
-            .map(|(_, c)| c.max_backlog)
-            .max()
-            .unwrap_or(0);
         // Imbalance: coefficient of variation of per-PE busy time.
-        let mean_u = per_pe_utilization.iter().sum::<f64>() / num_pes as f64;
-        let var_u = per_pe_utilization
-            .iter()
-            .map(|u| (u - mean_u) * (u - mean_u))
-            .sum::<f64>()
-            / num_pes as f64;
+        let mean_u = util_sum / num_pes as f64;
+        let idle_term = (0.0 - mean_u) * (0.0 - mean_u);
+        let mut var_sum = 0.0f64;
+        for (ids, page) in core.pes.all_pages() {
+            match page {
+                Some(slots) => {
+                    for p in slots {
+                        let u = util(p);
+                        var_sum += (u - mean_u) * (u - mean_u);
+                    }
+                }
+                None => {
+                    for _ in 0..ids {
+                        var_sum += idle_term;
+                    }
+                }
+            }
+        }
+        let var_u = var_sum / num_pes as f64;
         let imbalance_cv = if mean_u > 0.0 {
             var_u.sqrt() / mean_u
         } else {
@@ -2488,17 +2582,16 @@ impl Machine {
 
         // Channel aggregates from the materialized slots only: an
         // untouched channel's utilization term is exactly `+0.0`, the
-        // identity of this non-negative sum, so skipping the untouched
-        // slots (sparse mode) yields bit-identical floats to the dense
-        // walk over every channel — the nonzero terms arrive in the same
-        // ascending-id order either way.
+        // identity of this non-negative sum, and its backlog is empty.
         let num_channels = core.channels.len();
         let mut chan_util_sum = 0.0f64;
         let mut max_channel_utilization = 0.0f64;
-        for (_, c) in core.channels.present() {
+        let mut max_channel_backlog = 0usize;
+        for (_, c) in core.channels.iter() {
             let u = c.busy.busy_time(horizon) as f64 / t as f64;
             chan_util_sum += u;
             max_channel_utilization = max_channel_utilization.max(u);
+            max_channel_backlog = max_channel_backlog.max(c.max_backlog);
         }
         let avg_channel_utilization = chan_util_sum / num_channels.max(1) as f64;
 
@@ -2572,20 +2665,9 @@ impl Machine {
         });
 
         let (hop_histogram, hop_overflow, avg_goal_distance) = Report::hop_fields(&core.hop_hist);
-        // Fold the per-PE accumulators in PE order — fixed order, so the
-        // sparse and dense state modes produce bit-identical floats.
-        let dispatch = core.dispatch_latency.fold();
         let dispatch_latency_mean = dispatch.mean();
         let dispatch_latency_max = dispatch.max().unwrap_or(0.0);
         let efficiency = core.seq_work as f64 / (num_pes as u64 * t) as f64;
-
-        // The O(PE-count) vector is emitted only on request; every
-        // aggregate above was already computed from the full array.
-        let per_pe_utilization = if core.config.per_pe_metrics {
-            per_pe_utilization
-        } else {
-            Vec::new()
-        };
 
         Report {
             strategy: self.strategy.name().to_string(),
@@ -2625,7 +2707,11 @@ impl Machine {
             events: core.events.events_processed(),
             seed: core.config.seed,
             faults: core.faults.metrics(),
-            profile: core.profiler.as_ref().map(|p| p.report()),
+            profile: core.profiler.as_ref().map(|p| {
+                let mut profile = p.report();
+                profile.state = vec![core.pes.footprint("pe"), core.channels.footprint("channel")];
+                profile
+            }),
             open: open_metrics,
         }
     }

@@ -372,9 +372,10 @@ impl Report {
             hist_total, self.goals_executed,
             "hop histogram (with overflow) does not cover every executed goal"
         );
-        // Sparse-mode conservation: the heavy-hitter table plus the
+        // Streaming conservation: the heavy-hitter table plus the
         // remainder must cover every executed goal — the O(1) analogue of
-        // the full per-PE sum below, checked whatever the state mode.
+        // the full per-PE sum below, checked whether or not the per-PE
+        // vectors were requested.
         let top_total: u64 = self.top_pes.iter().map(|t| t.goals).sum();
         assert_eq!(
             top_total + self.other_goals,
@@ -547,9 +548,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "top-K")]
     fn invariants_catch_top_k_undercount() {
-        // Sparse-mode conservation: the heavy-hitter table plus the
+        // Streaming conservation: the heavy-hitter table plus the
         // remainder must cover every executed goal even when the full
-        // per-PE vector is absent (the sparse default).
+        // per-PE vector is absent (the default report shape).
         let mut r = dummy(1.0);
         r.per_pe_goals = Vec::new();
         r.per_pe_utilization = Vec::new();

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use oracle_des::{BusyTracker, FastHashMap, IntervalSeries, SimTime};
+use oracle_des::{BusyTracker, FastHashMap, IntervalSeries, OnlineStats, Rng, SimTime};
 use oracle_topo::PeId;
 
 use crate::config::QueueDiscipline;
@@ -81,11 +81,12 @@ pub struct Waiting {
     pub hops: u32,
 }
 
-/// The state of one processing element.
-#[derive(Debug)]
+/// The state of one processing element, including the PE's share of the
+/// machine's deterministic bookkeeping (its RNG stream and its event-key
+/// and goal-id sequences). Lives in the machine's paged slab: a PE is
+/// built on its page's first write, and untouched PEs read as pristine.
+#[derive(Debug, Clone)]
 pub struct Pe {
-    /// This PE's id.
-    pub id: PeId,
     /// FIFO of user work (goals and responses).
     pub queue: VecDeque<WorkItem>,
     /// Higher-priority queue of message-handling work (only used when no
@@ -101,7 +102,8 @@ pub struct Pe {
     /// lookup is on the response-delivery hot path.
     pub waiting: FastHashMap<GoalId, Waiting>,
     /// Last known load of each neighbour, indexed like
-    /// `Topology::neighbors(id)`.
+    /// `Topology::neighbors(id)`. Empty on the pristine PE an untouched
+    /// slot reads as, so read it through [`Pe::known_load`].
     pub known_load: Vec<u32>,
     /// Busy-time accounting.
     pub busy: BusyTracker,
@@ -114,42 +116,36 @@ pub struct Pe {
     pub queued_responses: u32,
     /// Goals executed by this PE.
     pub goals_executed: u64,
-    /// Execution-cost multiplier of this PE (1 = nominal speed; larger =
-    /// slower hardware). Drawn per PE when the machine is heterogeneous.
-    pub cost_factor: u64,
     /// True once the PE has been killed by failure injection.
     pub failed: bool,
     /// Transient cost multiplier from an open fault-plan slowdown window
-    /// (1 = nominal). Applied on top of `cost_factor` to work started
-    /// while the window is open.
+    /// (1 = nominal). Applied on top of the machine's per-PE cost factor
+    /// to work started while the window is open.
     pub transient_factor: u64,
     /// High-water mark of the work queue length (the memory-footprint
     /// proxy; depth-first disciplines keep it small on tree workloads).
     pub peak_queue: usize,
+    /// Dispatch latency (creation to execution start) of the goals this
+    /// PE started.
+    pub dispatch_latency: OnlineStats,
+    /// This PE's runtime RNG stream.
+    pub rng: Rng,
+    /// Sequence of the next event this PE schedules (the low half of its
+    /// events' ordering keys).
+    pub key_seq: u32,
+    /// Sequence of the next goal this PE creates (the low half of its
+    /// goal ids).
+    pub goal_seq: u32,
 }
 
 impl Pe {
-    /// A fresh idle PE with `degree` neighbours and the given sampling
-    /// interval for its utilization series.
-    pub fn new(id: PeId, degree: usize, sampling_interval: u64) -> Self {
-        // Sized so steady-state enqueues stay allocation-free on the
-        // paper workloads (queues rarely exceed a few dozen items).
-        Self::with_queue_capacity(id, degree, sampling_interval, 32)
-    }
-
-    /// Like [`Pe::new`] but with no queue preallocation — the sparse state
-    /// mode's constructor, where a million mostly idle PEs must not each
-    /// hold a 32-slot buffer they will never fill. The first enqueue on an
-    /// active PE allocates; the counting-allocator regression test runs on
-    /// dense machines, where [`Pe::new`] keeps the hot path allocation-free.
-    pub fn new_lean(id: PeId, degree: usize, sampling_interval: u64) -> Self {
-        Self::with_queue_capacity(id, degree, sampling_interval, 0)
-    }
-
-    fn with_queue_capacity(id: PeId, degree: usize, sampling_interval: u64, cap: usize) -> Self {
+    /// A fresh idle PE with `degree` neighbours, the given sampling
+    /// interval for its utilization series, and its RNG stream. Queues
+    /// start unallocated: a large machine holds many PEs that never queue
+    /// anything.
+    pub fn new(degree: usize, sampling_interval: u64, rng: Rng) -> Self {
         Pe {
-            id,
-            queue: VecDeque::with_capacity(cap),
+            queue: VecDeque::new(),
             sys_queue: VecDeque::new(),
             executing: None,
             exec_start: SimTime::ZERO,
@@ -161,11 +157,21 @@ impl Pe {
             queued_goals: 0,
             queued_responses: 0,
             goals_executed: 0,
-            cost_factor: 1,
             failed: false,
             transient_factor: 1,
             peak_queue: 0,
+            dispatch_latency: OnlineStats::new(),
+            rng,
+            key_seq: 0,
+            goal_seq: 0,
         }
+    }
+
+    /// Last known load of the neighbour at position `i` of this PE's
+    /// neighbour list (0 until a load word arrives).
+    #[inline]
+    pub fn known_load(&self, i: usize) -> u32 {
+        self.known_load.get(i).copied().unwrap_or(0)
     }
 
     /// The paper's load metric: messages waiting to be processed.
@@ -303,7 +309,7 @@ mod tests {
 
     #[test]
     fn load_counts_queued_messages() {
-        let mut pe = Pe::new(PeId(0), 4, 10);
+        let mut pe = Pe::new(4, 10, Rng::seed_from_u64(1));
         pe.enqueue(WorkItem::Goal(goal(1)));
         pe.enqueue(WorkItem::Response {
             goal: GoalId(9),
@@ -317,7 +323,7 @@ mod tests {
 
     #[test]
     fn dequeue_is_fifo_and_maintains_counts() {
-        let mut pe = Pe::new(PeId(0), 0, 10);
+        let mut pe = Pe::new(0, 10, Rng::seed_from_u64(1));
         pe.enqueue(WorkItem::Goal(goal(1)));
         pe.enqueue(WorkItem::Goal(goal(2)));
         assert!(
@@ -333,7 +339,7 @@ mod tests {
 
     #[test]
     fn sys_queue_has_priority() {
-        let mut pe = Pe::new(PeId(0), 0, 10);
+        let mut pe = Pe::new(0, 10, Rng::seed_from_u64(1));
         pe.enqueue(WorkItem::Goal(goal(1)));
         pe.sys_queue.push_back(WorkItem::Handle {
             from: PeId(1),
@@ -351,7 +357,7 @@ mod tests {
 
     #[test]
     fn take_newest_goal_skips_responses() {
-        let mut pe = Pe::new(PeId(0), 0, 10);
+        let mut pe = Pe::new(0, 10, Rng::seed_from_u64(1));
         pe.enqueue(WorkItem::Goal(goal(1)));
         pe.enqueue(WorkItem::Goal(goal(2)));
         pe.enqueue(WorkItem::Response {
@@ -375,7 +381,7 @@ mod tests {
 
     #[test]
     fn take_oldest_goal() {
-        let mut pe = Pe::new(PeId(0), 0, 10);
+        let mut pe = Pe::new(0, 10, Rng::seed_from_u64(1));
         pe.enqueue(WorkItem::Response {
             goal: GoalId(7),
             child: GoalId(8),
@@ -390,7 +396,7 @@ mod tests {
 
     #[test]
     fn lifo_takes_newest_first() {
-        let mut pe = Pe::new(PeId(0), 0, 10);
+        let mut pe = Pe::new(0, 10, Rng::seed_from_u64(1));
         pe.enqueue(WorkItem::Goal(goal(1)));
         pe.enqueue(WorkItem::Goal(goal(2)));
         assert!(
@@ -404,7 +410,7 @@ mod tests {
 
     #[test]
     fn deepest_first_prefers_responses_then_depth() {
-        let mut pe = Pe::new(PeId(0), 0, 10);
+        let mut pe = Pe::new(0, 10, Rng::seed_from_u64(1));
         let mut shallow = goal(1);
         shallow.spec.depth = 1;
         let mut deep = goal(2);
@@ -430,7 +436,7 @@ mod tests {
 
     #[test]
     fn peak_queue_tracks_high_water() {
-        let mut pe = Pe::new(PeId(0), 0, 10);
+        let mut pe = Pe::new(0, 10, Rng::seed_from_u64(1));
         pe.enqueue(WorkItem::Goal(goal(1)));
         pe.enqueue(WorkItem::Goal(goal(2)));
         pe.dequeue(QueueDiscipline::Fifo);
@@ -440,7 +446,7 @@ mod tests {
 
     #[test]
     fn idle_transitions() {
-        let mut pe = Pe::new(PeId(3), 2, 10);
+        let mut pe = Pe::new(2, 10, Rng::seed_from_u64(1));
         assert!(pe.is_idle());
         pe.enqueue(WorkItem::Goal(goal(1)));
         assert!(!pe.is_idle());

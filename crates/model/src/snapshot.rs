@@ -1,8 +1,9 @@
 //! Machine-state snapshot codec — the model half of checkpoint/resume.
 //!
 //! [`Machine::snapshot_bytes`] serializes every piece of *mutable* run
-//! state — both RNG streams, all counters and statistics collectors, every
-//! PE (queues, executing item, waiting tasks, known loads), every channel
+//! state — the machine's RNG streams, all counters and statistics
+//! collectors, every materialized page of PEs (queues, executing item,
+//! waiting tasks, known loads, RNG stream and sequences) and of channels
 //! (in-flight transfer and backlog), the recovery layer's tracking map, the
 //! watchdog/auditor cursors, the pending event queue, and the strategy's
 //! private state — into a self-contained byte blob using the
@@ -31,7 +32,7 @@ use oracle_des::{
 use oracle_topo::{ChannelId, PeId};
 
 use crate::channel::Channel;
-use crate::machine::{Event, Machine, Outstanding};
+use crate::machine::{fresh_pe, Event, Machine, Outstanding};
 use crate::message::{ControlMsg, Flight, FlightDest, GoalId, GoalMsg, Packet};
 use crate::open::{Inflight, OpenState, ProcessState};
 use crate::pe::{Executing, Pe, Waiting, WorkItem};
@@ -62,7 +63,16 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D53_4E50;
 /// round-trip the same state bit-identically (an untouched sparse slot
 /// and a pristine dense slot are the same state, and neither is encoded
 /// when sparse).
-pub const SNAPSHOT_VERSION: u32 = 5;
+///
+/// v6 encodes the paged per-PE and per-channel slabs: each store is a
+/// count of materialized pages plus `(page index, every slot of the page)`
+/// in ascending page order, so a snapshot is O(touched pages). A PE slot
+/// now carries its RNG stream, event-key and goal-id sequences and
+/// dispatch-latency accumulator (no longer separate dense arrays), a
+/// channel slot its event-key sequence; the environment's two sequences
+/// are encoded on their own. Per-PE cost factors are construction-time
+/// state and are no longer encoded.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a restore failed: the blob itself was undecodable, or it decoded
 /// fine but does not belong to this machine.
@@ -782,13 +792,16 @@ fn put_pe(w: &mut SnapWriter, pe: &Pe) {
     w.u32(pe.queued_goals);
     w.u32(pe.queued_responses);
     w.u64(pe.goals_executed);
-    w.u64(pe.cost_factor);
     w.bool(pe.failed);
     w.u64(pe.transient_factor);
     w.usize(pe.peak_queue);
+    put_stats(w, &pe.dispatch_latency);
+    put_rng(w, &pe.rng);
+    w.u32(pe.key_seq);
+    w.u32(pe.goal_seq);
 }
 
-fn get_pe(r: &mut SnapReader, pe: &mut Pe) -> Result<(), RestoreFail> {
+fn get_pe(r: &mut SnapReader, id: usize, pe: &mut Pe) -> Result<(), RestoreFail> {
     pe.queue.clear();
     for _ in 0..r.usize()? {
         pe.queue.push_back(get_work_item(r)?);
@@ -820,8 +833,7 @@ fn get_pe(r: &mut SnapReader, pe: &mut Pe) -> Result<(), RestoreFail> {
     let degree = r.usize()?;
     if degree != pe.known_load.len() {
         return Err(RestoreFail::Mismatch(format!(
-            "snapshot PE {} has degree {degree} but this machine's has {}",
-            pe.id.0,
+            "snapshot PE {id} has degree {degree} but this machine's has {}",
             pe.known_load.len()
         )));
     }
@@ -833,10 +845,13 @@ fn get_pe(r: &mut SnapReader, pe: &mut Pe) -> Result<(), RestoreFail> {
     pe.queued_goals = r.u32()?;
     pe.queued_responses = r.u32()?;
     pe.goals_executed = r.u64()?;
-    pe.cost_factor = r.u64()?;
     pe.failed = r.bool()?;
     pe.transient_factor = r.u64()?;
     pe.peak_queue = r.usize()?;
+    pe.dispatch_latency = get_stats(r)?;
+    pe.rng = get_rng(r)?;
+    pe.key_seq = r.u32()?;
+    pe.goal_seq = r.u32()?;
     Ok(())
 }
 
@@ -856,6 +871,7 @@ fn put_channel(w: &mut SnapWriter, ch: &Channel) {
     w.u64(ch.transfers);
     w.usize(ch.max_backlog);
     w.bool(ch.down);
+    w.u32(ch.key_seq);
 }
 
 fn get_channel(r: &mut SnapReader, ch: &mut Channel) -> Result<(), SnapError> {
@@ -872,7 +888,44 @@ fn get_channel(r: &mut SnapReader, ch: &mut Channel) -> Result<(), SnapError> {
     ch.transfers = r.u64()?;
     ch.max_backlog = r.usize()?;
     ch.down = r.bool()?;
+    ch.key_seq = r.u32()?;
     Ok(())
+}
+
+/// The number of materialized `what` pages a snapshot holds, at most the
+/// `num_pages` this machine has.
+fn page_count(r: &mut SnapReader, what: &str, num_pages: usize) -> Result<usize, RestoreFail> {
+    let n = r.usize()?;
+    if n > num_pages {
+        return Err(RestoreFail::Mismatch(format!(
+            "snapshot has {n} {what} pages for a machine with {num_pages}"
+        )));
+    }
+    Ok(n)
+}
+
+/// The next materialized `what` page index: in range, and above `prev`
+/// (pages are encoded in strictly ascending order).
+fn page_index(
+    r: &mut SnapReader,
+    what: &str,
+    num_pages: usize,
+    prev: &mut Option<usize>,
+) -> Result<usize, RestoreFail> {
+    let p = r.usize()?;
+    if p >= num_pages {
+        return Err(RestoreFail::Mismatch(format!(
+            "snapshot {what} page {p} out of range (machine has {num_pages} pages)"
+        )));
+    }
+    if prev.is_some_and(|q| p <= q) {
+        return Err(RestoreFail::Mismatch(format!(
+            "snapshot {what} pages out of order ({p} after {})",
+            prev.unwrap_or(0)
+        )));
+    }
+    *prev = Some(p);
+    Ok(p)
 }
 
 impl Machine {
@@ -894,15 +947,8 @@ impl Machine {
         w.usize(self.core.channels.len());
         put_rng(&mut w, &self.core.rng);
         put_rng(&mut w, &self.core.fault_rng);
-        for rng in &self.core.pe_rngs {
-            put_rng(&mut w, rng);
-        }
-        for &s in &self.core.key_seq {
-            w.u32(s);
-        }
-        for &s in &self.core.goal_seq {
-            w.u32(s);
-        }
+        w.u32(self.core.env_key_seq);
+        w.u32(self.core.env_goal_seq);
         w.u64(self.core.goals_created);
         w.u64(self.core.goals_executed);
         w.u64(self.core.responses_processed);
@@ -912,14 +958,6 @@ impl Machine {
         w.u64(self.core.traffic.control_msgs);
         w.u64(self.core.traffic.load_updates);
         put_hist(&mut w, &self.core.hop_hist);
-        // Dispatch-latency accumulators as sorted (pe, stats) pairs: the
-        // materialized slots only, so sparse machines encode O(touched).
-        let dispatch_slots = self.core.dispatch_latency.present();
-        w.usize(dispatch_slots.len());
-        for (pe, s) in dispatch_slots {
-            w.u32(pe);
-            put_stats(&mut w, s);
-        }
         put_series(&mut w, &self.core.global_series);
         match self.core.root_result {
             Some((v, t)) => {
@@ -965,15 +1003,21 @@ impl Machine {
             }
             None => w.bool(false),
         }
-        for pe in &self.core.pes {
-            put_pe(&mut w, pe);
+        // PEs and channels as their materialized pages, in ascending page
+        // order: O(touched pages) however large the machine.
+        w.usize(self.core.pes.materialized_pages());
+        for (p, slots) in self.core.pes.pages() {
+            w.usize(p);
+            for pe in slots {
+                put_pe(&mut w, pe);
+            }
         }
-        // Channels as sorted (id, state) pairs, materialized slots only.
-        let chan_slots = self.core.channels.present();
-        w.usize(chan_slots.len());
-        for (cid, ch) in chan_slots {
-            w.u32(cid);
-            put_channel(&mut w, ch);
+        w.usize(self.core.channels.materialized_pages());
+        for (p, slots) in self.core.channels.pages() {
+            w.usize(p);
+            for ch in slots {
+                put_channel(&mut w, ch);
+            }
         }
         w.u64(now.units());
         w.u64(processed);
@@ -1026,25 +1070,18 @@ impl Machine {
         }
         let num_pes = r.usize()?;
         let num_channels = r.usize()?;
-        if num_pes != self.core.pes.len() || num_channels != self.core.channels.len() {
+        if num_pes != self.core.num_pes() || num_channels != self.core.channels.len() {
             return Err(RestoreFail::Mismatch(format!(
                 "snapshot is of a {num_pes}-PE/{num_channels}-channel machine but this one has \
                  {} PEs and {} channels",
-                self.core.pes.len(),
+                self.core.num_pes(),
                 self.core.channels.len()
             )));
         }
         self.core.rng = get_rng(&mut r)?;
         self.core.fault_rng = get_rng(&mut r)?;
-        for rng in &mut self.core.pe_rngs {
-            *rng = get_rng(&mut r)?;
-        }
-        for s in &mut self.core.key_seq {
-            *s = r.u32()?;
-        }
-        for s in &mut self.core.goal_seq {
-            *s = r.u32()?;
-        }
+        self.core.env_key_seq = r.u32()?;
+        self.core.env_goal_seq = r.u32()?;
         self.core.goals_created = r.u64()?;
         self.core.goals_executed = r.u64()?;
         self.core.responses_processed = r.u64()?;
@@ -1054,22 +1091,6 @@ impl Machine {
         self.core.traffic.control_msgs = r.u64()?;
         self.core.traffic.load_updates = r.u64()?;
         self.core.hop_hist = get_hist(&mut r)?;
-        self.core.dispatch_latency.reset();
-        let n_dispatch = r.usize()?;
-        if n_dispatch > num_pes {
-            return Err(RestoreFail::Mismatch(format!(
-                "snapshot has {n_dispatch} dispatch-latency slots for a {num_pes}-PE machine"
-            )));
-        }
-        for _ in 0..n_dispatch {
-            let pe = r.u32()?;
-            if pe as usize >= num_pes {
-                return Err(RestoreFail::Mismatch(format!(
-                    "dispatch-latency slot for PE {pe} out of range (machine has {num_pes})"
-                )));
-            }
-            *self.core.dispatch_latency.slot_mut(pe) = get_stats(&mut r)?;
-        }
         self.core.global_series = get_series(&mut r)?;
         self.core.root_result = if r.bool()? {
             let v = r.i64()?;
@@ -1117,24 +1138,27 @@ impl Machine {
                 ))
             }
         }
-        for pe in &mut self.core.pes {
-            get_pe(&mut r, pe)?;
-        }
-        self.core.channels.reset();
-        let n_chan = r.usize()?;
-        if n_chan > num_channels {
-            return Err(RestoreFail::Mismatch(format!(
-                "snapshot has {n_chan} channel slots for a {num_channels}-channel machine"
-            )));
-        }
-        for _ in 0..n_chan {
-            let cid = r.u32()?;
-            if cid as usize >= num_channels {
-                return Err(RestoreFail::Mismatch(format!(
-                    "channel slot {cid} out of range (machine has {num_channels})"
-                )));
+        let core = &mut self.core;
+        core.pes.clear();
+        let mut prev = None;
+        for _ in 0..page_count(&mut r, "PE", core.pes.num_pages())? {
+            let p = page_index(&mut r, "PE", core.pes.num_pages(), &mut prev)?;
+            let (topo, config) = (&core.topo, &core.config);
+            let slots = core
+                .pes
+                .page_slots_mut_or(p, |id| fresh_pe(topo, config, id));
+            let base = p << crate::sparse::PAGE_BITS;
+            for (i, pe) in slots.iter_mut().enumerate() {
+                get_pe(&mut r, base + i, pe)?;
             }
-            get_channel(&mut r, self.core.channels.get_mut(ChannelId(cid)))?;
+        }
+        core.channels.clear();
+        let mut prev = None;
+        for _ in 0..page_count(&mut r, "channel", core.channels.num_pages())? {
+            let p = page_index(&mut r, "channel", core.channels.num_pages(), &mut prev)?;
+            for ch in core.channels.page_slots_mut_or(p, |_| Channel::new()) {
+                get_channel(&mut r, ch)?;
+            }
         }
         let now = SimTime(r.u64()?);
         let processed = r.u64()?;
@@ -1394,6 +1418,36 @@ mod tests {
         .unwrap();
         let err = other.restore_bytes(&bytes).unwrap_err();
         assert!(err.to_string().contains("8 PEs"), "{err}");
+    }
+
+    #[test]
+    fn page_headers_out_of_range_or_order_are_refused() {
+        let mut w = SnapWriter::with_capacity(64);
+        for v in [5usize, 2, 2, 9, 1, 3] {
+            w.usize(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let mismatch = |e: RestoreFail| match e {
+            RestoreFail::Mismatch(msg) => msg,
+            RestoreFail::Codec(e) => panic!("expected a mismatch, got {e}"),
+        };
+        // More pages than the machine has.
+        let msg = mismatch(page_count(&mut r, "PE", 4).unwrap_err());
+        assert!(msg.contains("5 PE pages"), "{msg}");
+        let mut prev = None;
+        assert_eq!(page_index(&mut r, "PE", 4, &mut prev).ok(), Some(2));
+        // A repeated page.
+        let msg = mismatch(page_index(&mut r, "PE", 4, &mut prev).unwrap_err());
+        assert!(msg.contains("out of order"), "{msg}");
+        // A page past the end of the id space.
+        let msg = mismatch(page_index(&mut r, "channel", 4, &mut None).unwrap_err());
+        assert!(msg.contains("channel page 9 out of range"), "{msg}");
+        // A page below its predecessor.
+        let mut prev = Some(2);
+        let msg = mismatch(page_index(&mut r, "PE", 4, &mut prev).unwrap_err());
+        assert!(msg.contains("out of order"), "{msg}");
+        assert_eq!(page_index(&mut r, "PE", 4, &mut prev).ok(), Some(3));
     }
 
     #[test]

@@ -398,22 +398,33 @@ impl Topology {
         channels: Vec<Vec<PeId>>,
     ) -> Result<Self, SpecError> {
         let name = name.into();
-        let mut t = Self::build_structure(name, num_pes, channels)?;
+        let mut chan_off: Vec<usize> = Vec::with_capacity(channels.len() + 1);
+        let mut chan_pes: Vec<PeId> = Vec::new();
+        chan_off.push(0);
+        for members in channels {
+            chan_pes.extend_from_slice(&members);
+            chan_off.push(chan_pes.len());
+        }
+        let mut t = Self::build_structure(name, num_pes, chan_off, chan_pes)?;
         t.attach_generic_router();
         Ok(t)
     }
 
     /// Build CSR structure and validate membership; the router is attached
     /// by the caller (arithmetic for the regular families, dense/lazy
-    /// otherwise).
+    /// otherwise). Channel `c` is given as the members
+    /// `chan_pes[chan_off[c]..chan_off[c + 1]]`, in any order and with
+    /// repeats; they are normalized in place.
     fn build_structure(
         name: String,
         num_pes: usize,
-        channels: Vec<Vec<PeId>>,
+        mut chan_off: Vec<usize>,
+        mut chan_pes: Vec<PeId>,
     ) -> Result<Self, SpecError> {
         if num_pes == 0 {
             return Err(SpecError(format!("topology {name:?} has no PEs")));
         }
+        let num_channels = chan_off.len() - 1;
         // All ids must round-trip through the u32 `PeId`/`ChannelId` space;
         // `try_from` instead of `as` so oversized graphs fail loudly
         // instead of wrapping.
@@ -422,69 +433,41 @@ impl Topology {
                 "topology {name:?} has {num_pes} PEs, more than PE ids (u32) can address"
             ))
         })?;
-        u32::try_from(channels.len()).map_err(|_| {
+        u32::try_from(num_channels).map_err(|_| {
             SpecError(format!(
-                "topology {name:?} has {} channels, more than channel ids (u32) can address",
-                channels.len()
+                "topology {name:?} has {num_channels} channels, more than channel ids (u32) can address"
             ))
         })?;
 
-        // Normalize channel member sets into CSR.
-        let mut chan_off: Vec<usize> = Vec::with_capacity(channels.len() + 1);
-        chan_off.push(0);
-        let mut chan_pes: Vec<PeId> = Vec::new();
-        for members in channels {
-            let mut m = members;
-            m.sort_unstable();
-            m.dedup();
-            if m.len() < 2 {
+        // Normalize each channel's member set in place: sorted, repeats
+        // dropped, compacted toward the front of `chan_pes`.
+        let mut write = 0usize;
+        for c in 0..num_channels {
+            let (start, end) = (chan_off[c], chan_off[c + 1]);
+            chan_pes[start..end].sort_unstable();
+            let first = write;
+            for i in start..end {
+                if write == first || chan_pes[write - 1] != chan_pes[i] {
+                    chan_pes[write] = chan_pes[i];
+                    write += 1;
+                }
+            }
+            if write - first < 2 {
                 return Err(SpecError(format!(
                     "channel in {name:?} has fewer than two distinct members"
                 )));
             }
-            if m.last().unwrap().idx() >= num_pes {
+            if chan_pes[write - 1].idx() >= num_pes {
                 return Err(SpecError(format!(
                     "channel member out of range in {name:?}"
                 )));
             }
-            chan_pes.extend_from_slice(&m);
-            chan_off.push(chan_pes.len());
+            chan_off[c] = first;
         }
+        chan_off[num_channels] = write;
+        chan_pes.truncate(write);
 
-        // Adjacency: lowest channel id wins when PEs share several channels.
-        // Emitted as (pe, neighbor) pairs, then sorted into CSR — channels
-        // are visited in id order, so the *stable* sort keeps the lowest
-        // channel first and `dedup_by_key` keeps exactly that entry.
-        let mut pairs: Vec<(PeId, Neighbor)> = Vec::new();
-        for cid in 0..chan_off.len() - 1 {
-            let channel = ChannelId(cid as u32); // bounded by the try_from above
-            let members = &chan_pes[chan_off[cid]..chan_off[cid + 1]];
-            for (i, &a) in members.iter().enumerate() {
-                for &b in &members[i + 1..] {
-                    pairs.push((a, Neighbor { pe: b, channel }));
-                    pairs.push((b, Neighbor { pe: a, channel }));
-                }
-            }
-        }
-        pairs.sort_by_key(|(p, n)| (*p, n.pe));
-        pairs.dedup_by_key(|(p, n)| (*p, n.pe));
-        let mut adj_off: Vec<usize> = Vec::with_capacity(num_pes + 1);
-        let mut adj: Vec<Neighbor> = Vec::with_capacity(pairs.len());
-        let mut cursor = 0usize;
-        adj_off.push(0);
-        for (p, n) in pairs {
-            while cursor < p.idx() {
-                adj_off.push(adj.len());
-                cursor += 1;
-            }
-            adj.push(n);
-        }
-        while cursor < num_pes {
-            adj_off.push(adj.len());
-            cursor += 1;
-        }
-        debug_assert_eq!(adj_off.len(), num_pes + 1);
-
+        let (adj_off, adj) = adjacency(num_pes, &chan_off, &chan_pes);
         Ok(Topology {
             name,
             num_pes,
@@ -595,16 +578,19 @@ impl Topology {
     /// Attach an arithmetic (table-free) router. `diameter` must be the
     /// exact diameter; the regular-family constructors compute it in
     /// closed form. Used by [`crate::mesh`], [`crate::hypercube`], and
-    /// [`crate::kary`].
+    /// [`crate::kary`], whose channels are all point-to-point links:
+    /// channel `c` joins `links[2c]` and `links[2c + 1]`, passed flat so a
+    /// million-PE family costs one array, not a `Vec` per channel.
     pub(crate) fn with_arithmetic_router(
         name: impl Into<String>,
         num_pes: usize,
-        channels: Vec<Vec<PeId>>,
+        links: Vec<PeId>,
         kind: ArithmeticRouter,
         diameter: u32,
     ) -> Self {
         let name = name.into();
-        let mut t = match Self::build_structure(name, num_pes, channels) {
+        let chan_off: Vec<usize> = (0..=links.len() / 2).map(|c| 2 * c).collect();
+        let mut t = match Self::build_structure(name, num_pes, chan_off, links) {
             Ok(t) => t,
             Err(SpecError(msg)) => panic!("{msg}"),
         };
@@ -995,6 +981,65 @@ impl Topology {
     }
 }
 
+/// Sorted, deduplicated per-PE neighbour lists in CSR form from the
+/// normalized channel CSR, without a global sort. A counting pass sizes
+/// each PE's slots, a fill pass writes them in channel-id order, and a
+/// stable per-PE sort by neighbour id followed by keeping the first entry
+/// per neighbour leaves the lowest channel for PEs that share several.
+fn adjacency(num_pes: usize, chan_off: &[usize], chan_pes: &[PeId]) -> (Vec<usize>, Vec<Neighbor>) {
+    let members = |c: usize| &chan_pes[chan_off[c]..chan_off[c + 1]];
+    let num_channels = chan_off.len() - 1;
+    let mut adj_off = vec![0usize; num_pes + 1];
+    for c in 0..num_channels {
+        let m = members(c);
+        for p in m {
+            adj_off[p.idx() + 1] += m.len() - 1;
+        }
+    }
+    for p in 0..num_pes {
+        adj_off[p + 1] += adj_off[p];
+    }
+    let blank = Neighbor {
+        pe: PeId(0),
+        channel: ChannelId(0),
+    };
+    let mut adj = vec![blank; adj_off[num_pes]];
+    let mut cursor: Vec<usize> = adj_off[..num_pes].to_vec();
+    for c in 0..num_channels {
+        let channel = ChannelId(c as u32); // bounded by the caller's try_from
+        let m = members(c);
+        for (i, &a) in m.iter().enumerate() {
+            for &b in &m[i + 1..] {
+                adj[cursor[a.idx()]] = Neighbor { pe: b, channel };
+                cursor[a.idx()] += 1;
+                adj[cursor[b.idx()]] = Neighbor { pe: a, channel };
+                cursor[b.idx()] += 1;
+            }
+        }
+    }
+    drop(cursor);
+    // Sort and deduplicate each PE's slots, compacting in place: PE `p`'s
+    // new range starts at or before its old one, so nothing unread is
+    // overwritten.
+    let mut write = 0usize;
+    let mut start = 0usize;
+    for p in 0..num_pes {
+        let end = adj_off[p + 1];
+        adj[start..end].sort_by_key(|n| n.pe);
+        let first = write;
+        for i in start..end {
+            if write == first || adj[write - 1].pe != adj[i].pe {
+                adj[write] = adj[i];
+                write += 1;
+            }
+        }
+        adj_off[p + 1] = write;
+        start = end;
+    }
+    adj.truncate(write);
+    (adj_off, adj)
+}
+
 /// The arithmetic router families the regular constructors attach.
 pub(crate) enum ArithmeticRouter {
     Grid { width: u32, height: u32, wrap: bool },
@@ -1079,6 +1124,105 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pair-sort adjacency builder the counting pass replaced, kept
+    /// as the oracle: emit both directions of every member pair in
+    /// channel order, stable-sort globally by `(pe, neighbour)`, and keep
+    /// the first (lowest-channel) entry per pair.
+    fn adjacency_by_sort(t: &Topology) -> (Vec<usize>, Vec<Neighbor>) {
+        let mut pairs: Vec<(PeId, Neighbor)> = Vec::new();
+        for cid in 0..t.num_channels() {
+            let channel = ChannelId(cid as u32);
+            let members = t.channel_members(channel);
+            for (i, &a) in members.iter().enumerate() {
+                for &b in &members[i + 1..] {
+                    pairs.push((a, Neighbor { pe: b, channel }));
+                    pairs.push((b, Neighbor { pe: a, channel }));
+                }
+            }
+        }
+        pairs.sort_by_key(|(p, n)| (*p, n.pe));
+        pairs.dedup_by_key(|(p, n)| (*p, n.pe));
+        let mut adj_off = vec![0usize; t.num_pes() + 1];
+        for (p, _) in &pairs {
+            adj_off[p.idx() + 1] += 1;
+        }
+        for p in 0..t.num_pes() {
+            adj_off[p + 1] += adj_off[p];
+        }
+        (adj_off, pairs.into_iter().map(|(_, n)| n).collect())
+    }
+
+    fn assert_matches_sort_oracle(t: &Topology) {
+        let (adj_off, adj) = adjacency_by_sort(t);
+        assert_eq!(t.adj_off, adj_off, "{}: adj_off", t.name());
+        assert_eq!(t.adj, adj, "{}: adj", t.name());
+        for c in 0..t.num_channels() {
+            let m = t.channel_members(ChannelId(c as u32));
+            assert!(
+                m.windows(2).all(|w| w[0] < w[1]),
+                "{}: channel {c}",
+                t.name()
+            );
+        }
+    }
+
+    #[test]
+    fn counting_build_matches_the_pair_sort_oracle() {
+        use crate::{dlm, hypercube, kary, mesh, misc};
+        let families = [
+            mesh::mesh2d(7, 5, false),
+            mesh::mesh2d(6, 6, true),
+            mesh::mesh2d(2, 9, true),
+            mesh::mesh2d(1, 4, false),
+            hypercube::hypercube(5),
+            kary::kary_ncube(3, 3),
+            kary::kary_ncube(2, 4),
+            kary::kary_ncube(5, 2),
+            dlm::double_lattice_mesh(3, 6, 6),
+            misc::ring(9),
+            misc::complete(6),
+            misc::star(7),
+            misc::tree(3, 3),
+            misc::single_bus(5),
+            random_regular(300, 4, 7),
+            random_regular(97, 5, 3),
+            tiny(),
+        ];
+        for t in &families {
+            assert_matches_sort_oracle(t);
+        }
+    }
+
+    #[test]
+    fn counting_build_keeps_lowest_channel_for_repeated_and_bus_shared_pairs() {
+        // Repeated links, members given out of order and twice, and two
+        // overlapping buses that also duplicate a link.
+        let t = Topology::from_channels(
+            "shared",
+            6,
+            vec![
+                vec![PeId(3), PeId(1)],
+                vec![PeId(1), PeId(3)],
+                vec![PeId(0), PeId(2), PeId(1), PeId(2)],
+                vec![PeId(4), PeId(5)],
+                vec![PeId(5), PeId(3), PeId(1), PeId(0)],
+                vec![PeId(2), PeId(4)],
+                vec![PeId(0), PeId(1)],
+            ],
+        );
+        assert_matches_sort_oracle(&t);
+        assert_eq!(t.channel_between(PeId(1), PeId(3)), Some(ChannelId(0)));
+        assert_eq!(t.channel_between(PeId(0), PeId(1)), Some(ChannelId(2)));
+        assert_eq!(t.channel_between(PeId(0), PeId(5)), Some(ChannelId(4)));
+        assert_eq!(
+            t.channel_members(ChannelId(2)),
+            &[PeId(0), PeId(1), PeId(2)]
+        );
+        let edges = "pes 5\n0 1\n3 4\n1 2\n4 0\n2 3\n0 2\n";
+        let t = Topology::from_edge_list("edges", std::io::Cursor::new(edges)).unwrap();
+        assert_matches_sort_oracle(&t);
+    }
 
     /// A path 0 - 1 - 2 plus a 3-member bus {0, 1, 3}.
     fn tiny() -> Topology {

@@ -15,19 +15,20 @@ use crate::graph::{ArithmeticRouter, PeId, Topology};
 pub fn hypercube(dim: u32) -> Topology {
     assert!((1..=24).contains(&dim), "hypercube dimension out of range");
     let n = 1usize << dim;
-    let mut channels = Vec::with_capacity(n * dim as usize / 2);
+    // Channel c joins links[2c] and links[2c + 1].
+    let mut links = Vec::with_capacity(n * dim as usize);
     for i in 0..n {
         for b in 0..dim {
             let j = i ^ (1 << b);
             if i < j {
-                channels.push(vec![PeId(i as u32), PeId(j as u32)]);
+                links.extend([PeId(i as u32), PeId(j as u32)]);
             }
         }
     }
     Topology::with_arithmetic_router(
         format!("hypercube dim {dim}"),
         n,
-        channels,
+        links,
         ArithmeticRouter::Hypercube,
         dim,
     )

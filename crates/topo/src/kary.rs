@@ -31,7 +31,8 @@ pub fn kary_ncube(k: usize, n: u32) -> Topology {
     // Stride of each dimension in the mixed-radix address.
     let strides: Vec<usize> = (0..n).map(|d| k.pow(d)).collect();
 
-    let mut channels = Vec::new();
+    // Channel c joins links[2c] and links[2c + 1].
+    let mut links = Vec::new();
     for id in 0..size {
         for (d, &stride) in strides.iter().enumerate() {
             let digit = (id / stride) % k;
@@ -46,7 +47,7 @@ pub fn kary_ncube(k: usize, n: u32) -> Topology {
             if nbr != id {
                 // For k == 2 the pair is emitted once; for k > 2 the wrap
                 // link from digit k-1 to 0 is distinct and needed.
-                channels.push(vec![PeId(id as u32), PeId(nbr as u32)]);
+                links.extend([PeId(id as u32), PeId(nbr as u32)]);
             }
             let _ = d;
         }
@@ -56,7 +57,7 @@ pub fn kary_ncube(k: usize, n: u32) -> Topology {
     Topology::with_arithmetic_router(
         format!("{k}-ary {n}-cube"),
         size,
-        channels,
+        links,
         ArithmeticRouter::KAry { k: k as u32, n },
         diameter,
     )

@@ -38,20 +38,21 @@ pub fn mesh2d(width: usize, height: usize, wraparound: bool) -> Topology {
         .unwrap_or_else(|| panic!("mesh {width}x{height} overflows the PE id space"));
     assert!(n > 1, "a 1x1 mesh has no channels");
     let id = |x: usize, y: usize| PeId((y * width + x) as u32);
-    let mut channels = Vec::with_capacity(2 * n);
+    // Channel c joins links[2c] and links[2c + 1].
+    let mut links = Vec::with_capacity(4 * n);
     for y in 0..height {
         for x in 0..width {
             // Rightward link.
             if x + 1 < width {
-                channels.push(vec![id(x, y), id(x + 1, y)]);
+                links.extend([id(x, y), id(x + 1, y)]);
             } else if wraparound && width > 2 {
-                channels.push(vec![id(x, y), id(0, y)]);
+                links.extend([id(x, y), id(0, y)]);
             }
             // Downward link.
             if y + 1 < height {
-                channels.push(vec![id(x, y), id(x, y + 1)]);
+                links.extend([id(x, y), id(x, y + 1)]);
             } else if wraparound && height > 2 {
-                channels.push(vec![id(x, y), id(x, 0)]);
+                links.extend([id(x, y), id(x, 0)]);
             }
         }
     }
@@ -60,7 +61,7 @@ pub fn mesh2d(width: usize, height: usize, wraparound: bool) -> Topology {
     Topology::with_arithmetic_router(
         format!("{kind} {width}x{height}"),
         n,
-        channels,
+        links,
         ArithmeticRouter::Grid {
             width: width as u32,
             height: height as u32,

@@ -110,6 +110,35 @@ fn watchdog_catches_event_churn_without_progress() {
     );
 }
 
+/// The watchdog counts events, and a load-broadcast round is a burst of
+/// events that says nothing about progress. On a 16x16 torus one round is
+/// 256 `load_bcast` events plus 1,024 transfers, and the root goal's split
+/// runs for 20 time units (about 640 broadcast events) before its first
+/// child exists. A window smaller than that must not declare the run
+/// stalled: the machine sizes its window so no round can fill it.
+#[test]
+fn broadcast_rounds_longer_than_the_watchdog_window_do_not_stall() {
+    let cfg = MachineConfig {
+        progress_window: 100,
+        ..MachineConfig::default()
+    };
+    let report = SimulationBuilder::new()
+        .topology(TopologySpec::Mesh2D {
+            width: 16,
+            height: 16,
+            wraparound: true,
+        })
+        .strategy(StrategySpec::Cwn {
+            radius: 9,
+            horizon: 1,
+        })
+        .workload(WorkloadSpec::fib(10))
+        .machine(cfg)
+        .run()
+        .expect("broadcast traffic is not a stall");
+    assert_eq!(report.result, 55);
+}
+
 #[test]
 fn event_limit_is_enforced() {
     let cfg = MachineConfig {

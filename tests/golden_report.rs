@@ -26,13 +26,17 @@ fn golden_dir() -> PathBuf {
 }
 
 fn check(name: &str, mut config: oracle::builder::RunConfig) {
+    // Goldens pin the full per-PE vectors too (opt-in since the streaming
+    // aggregates became the default report shape).
+    config.machine.per_pe_metrics = true;
+    check_report(name, config);
+}
+
+fn check_report(name: &str, mut config: oracle::builder::RunConfig) {
     // The invariant auditor is pure observation: running every golden with
     // it enabled both proves these configurations audit clean and pins the
     // guarantee that auditing never perturbs simulated results.
     config.machine.audit_every = 50;
-    // Goldens pin the full per-PE vectors too (opt-in since the streaming
-    // aggregates became the default report shape).
-    config.machine.per_pe_metrics = true;
     let report = config.run().expect(name);
     let rendered = format!("{report:#?}\n");
     let path = golden_dir().join(format!("{name}.txt"));
@@ -133,6 +137,43 @@ fn golden_workstealing_softwarerouting_fib12() {
             .topology(TopologySpec::grid(4))
             .strategy(StrategySpec::WorkStealing { retry_delay: 40 })
             .workload(WorkloadSpec::fib(12))
+            .machine(machine)
+            .config(),
+    );
+}
+
+#[test]
+fn golden_cwn_torus300_fib12_piggyback_only() {
+    // 90,000 PEs with load words piggy-backed only: a run that touches a
+    // few hundred PEs of a large machine. Pins the streaming aggregates
+    // (utilization quantiles, top-K table, imbalance CV) over a machine
+    // whose per-PE state is mostly never materialized; the per-PE vectors
+    // stay off, as in the default report shape.
+    let mut machine = oracle_model::MachineConfig::default().with_seed(1);
+    machine.load_info = oracle_model::LoadInfoMode::Piggyback { period: 0 };
+    check_report(
+        "cwn_torus300_fib12_piggyback",
+        SimulationBuilder::new()
+            .topology("torus:300".parse().unwrap())
+            .strategy("cwn:9x1".parse().unwrap())
+            .workload(WorkloadSpec::fib(12))
+            .machine(machine)
+            .config(),
+    );
+}
+
+#[test]
+fn golden_cwn_torus300_fib3_top_pes_fill() {
+    // Fewer PEs execute goals than the top-K table holds: the remaining
+    // entries are the lowest-id zero-goal PEs, most of them never touched.
+    let mut machine = oracle_model::MachineConfig::default().with_seed(1);
+    machine.load_info = oracle_model::LoadInfoMode::Piggyback { period: 0 };
+    check_report(
+        "cwn_torus300_fib3_top_pes_fill",
+        SimulationBuilder::new()
+            .topology("torus:300".parse().unwrap())
+            .strategy("cwn:9x1".parse().unwrap())
+            .workload(WorkloadSpec::fib(3))
             .machine(machine)
             .config(),
     );

@@ -12,41 +12,44 @@
 //! child's `CELL {...}` line — every recorded peak RSS belongs to exactly
 //! one cell. `--cell` alone runs in-process and prints the line (this is
 //! what CI's `scale-smoke` job wraps in `/usr/bin/time -v`). `--check`
-//! validates a committed `BENCH_scale.json` without running anything.
+//! validates a committed `BENCH_scale.json` without running anything. Bad
+//! flags exit 3 with `error[config]`.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::Command;
 
+use oracle::flags::{self, config_error, Flag};
+use oracle::topo::TopologySpec;
 use oracle_bench::scale::{
     cell_line, cell_names, parse_cell_line, run_cell, to_json, validate_json,
 };
 
+static FLAGS: flags::Command = flags::Command {
+    name: "scale",
+    about: "measure build/run time, events/sec and peak RSS vs PE count; write the JSON baseline",
+    positional: None,
+    flags: &[
+        Flag::switch("--quick", "only the decades up to 10^4 PEs"),
+        Flag::value("--seed", "N", "seed for every run (default 1)"),
+        Flag::value("--out", "FILE", "output (default BENCH_scale.json)"),
+        Flag::value("--cell", "SPEC", "run one cell in this process"),
+        Flag::value("--check", "FILE", "only validate a JSON baseline"),
+    ],
+};
+
 fn main() {
-    let mut quick = false;
-    let mut seed = 1u64;
-    let mut out = PathBuf::from("BENCH_scale.json");
-    let mut cell: Option<String> = None;
-    let mut check: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--out" => out = PathBuf::from(args.next().expect("--out needs a path")),
-            "--cell" => cell = Some(args.next().expect("--cell needs a topology spec")),
-            "--check" => check = Some(PathBuf::from(args.next().expect("--check needs a path"))),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let args = FLAGS.parse_or_exit(std::env::args().skip(1));
+    let quick = args.has("--quick");
+    let seed: u64 = args.parse("--seed", 1).unwrap_or_else(|e| config_error(&e));
+    let out = Path::new(args.value("--out").unwrap_or("BENCH_scale.json"));
+    let cell = args.value("--cell");
+    let check = args.value("--check").map(Path::new);
 
     if let Some(path) = check {
-        let json = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("error[io]: {}: {e}", path.display());
+            std::process::exit(3);
+        });
         match validate_json(&json) {
             Ok(()) => {
                 eprintln!("{}: schema valid", path.display());
@@ -61,7 +64,10 @@ fn main() {
 
     if let Some(name) = cell {
         // Child mode: one cell, this process, peak RSS is ours alone.
-        let c = run_cell(&name, seed);
+        if let Err(e) = name.parse::<TopologySpec>() {
+            config_error(&format!("--cell {name:?}: {e}"));
+        }
+        let c = run_cell(name, seed);
         println!("{}", cell_line(&c));
         return;
     }
@@ -109,6 +115,6 @@ fn main() {
             panic!("fresh scale grid failed its own schema validation:\n{problems}")
         });
     }
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    std::fs::write(out, &json).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
     eprintln!("wrote {}", out.display());
 }

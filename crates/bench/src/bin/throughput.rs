@@ -20,38 +20,42 @@
 //! best-of-3 to a single run (the fastest smoke signal, but noisy).
 //!
 //! All measurement logic lives in [`oracle_bench::throughput`]; this binary
-//! only parses flags.
+//! only parses flags (bad flags exit 3 with `error[config]`).
 
+use oracle::flags::{config_error, Command, Flag};
 use oracle_bench::throughput::{check, run_grid, to_json};
 
+static FLAGS: Command = Command {
+    name: "throughput",
+    about: "measure events/sec and peak RSS across the bench grid; write the JSON baseline",
+    positional: None,
+    flags: &[
+        Flag::switch("--quick", "best-of-1 instead of best-of-3"),
+        Flag::value("--reps", "N", "best-of-N per cell (overrides --quick)"),
+        Flag::value("--seed", "N", "seed for every run (default 1)"),
+        Flag::value("--out", "PATH", "output (default BENCH_throughput.json)"),
+        Flag::value("--check", "PATH", "exit 1 on a regression vs PATH"),
+        Flag::value("--tolerance", "F", "--check tolerance (default 0.25)"),
+    ],
+};
+
 fn main() {
-    let mut out_path = String::from("BENCH_throughput.json");
-    let mut check_path: Option<String> = None;
-    let mut tolerance = 0.25f64;
-    let mut reps = 3usize;
-    let mut seed = 1u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--quick" => reps = 1,
-            "--reps" => reps = parse(&value("--reps"), "--reps"),
-            "--seed" => seed = parse(&value("--seed"), "--seed"),
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            "--tolerance" => tolerance = parse(&value("--tolerance"), "--tolerance"),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag {other}")),
-        }
-    }
+    let args = FLAGS.parse_or_exit(std::env::args().skip(1));
+    let default_reps = if args.has("--quick") { 1 } else { 3 };
+    let reps: usize = args
+        .parse("--reps", default_reps)
+        .unwrap_or_else(|e| config_error(&e));
+    let seed: u64 = args.parse("--seed", 1).unwrap_or_else(|e| config_error(&e));
+    let tolerance: f64 = args
+        .parse("--tolerance", 0.25)
+        .unwrap_or_else(|e| config_error(&e));
+    let out_path = args.value("--out").unwrap_or("BENCH_throughput.json");
+    let check_path = args.value("--check");
 
     let cells = run_grid(reps, seed);
     let json = to_json(&cells, reps, seed);
 
-    let ok = match &check_path {
+    let ok = match check_path {
         Some(path) => {
             let reference = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fatal(&format!("read {path}: {e}")));
@@ -60,27 +64,11 @@ fn main() {
         None => true,
     };
 
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| fatal(&format!("write {out_path}: {e}")));
+    std::fs::write(out_path, &json).unwrap_or_else(|e| fatal(&format!("write {out_path}: {e}")));
     eprintln!("wrote {out_path}");
     if !ok {
         std::process::exit(1);
     }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse()
-        .unwrap_or_else(|_| usage(&format!("bad {flag} value {s}")))
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!(
-        "usage: throughput [--quick] [--reps N] [--seed N] [--out PATH] [--check PATH] \
-         [--tolerance F]"
-    );
-    std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
 
 fn fatal(msg: &str) -> ! {

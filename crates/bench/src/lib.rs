@@ -1,90 +1,8 @@
-//! Shared plumbing for the benchmark-harness binaries.
+//! Measurement harnesses behind the `throughput` and `scale` binaries.
 //!
-//! Every binary regenerates one table or figure of the paper. They all
-//! accept:
-//!
-//! * `--quick` — run the miniature (`Fidelity::Quick`) version;
-//! * `--csv`   — print machine-readable CSV instead of aligned tables;
-//! * `--seed N` — override the default seed (1).
-
-use oracle::experiments::Fidelity;
-use oracle::table::Table;
+//! The paper's tables and figures are not here: they live in
+//! [`oracle::experiments::REGISTRY`], printed by `oracle-cli experiment
+//! NAME` and written to `results/` by the `regen_all` binary.
 
 pub mod scale;
 pub mod throughput;
-
-/// Parsed common flags.
-#[derive(Debug, Clone, Copy)]
-pub struct HarnessArgs {
-    /// Paper-scale or miniature run.
-    pub fidelity: Fidelity,
-    /// Emit CSV instead of aligned text.
-    pub csv: bool,
-    /// Seed for every run in the harness.
-    pub seed: u64,
-}
-
-impl HarnessArgs {
-    /// Parse `std::env::args`. Unknown flags abort with a usage message.
-    pub fn parse() -> Self {
-        Self::parse_with(&[])
-    }
-
-    /// Parse, additionally accepting (and skipping) harness-specific flags —
-    /// the caller inspects those itself via `std::env::args`.
-    pub fn parse_with(extra: &[&str]) -> Self {
-        let mut out = HarnessArgs {
-            fidelity: Fidelity::Paper,
-            csv: false,
-            seed: 1,
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--quick" => out.fidelity = Fidelity::Quick,
-                "--csv" => out.csv = true,
-                "--seed" => {
-                    let v = args.next().unwrap_or_else(|| usage("--seed needs a value"));
-                    out.seed = v.parse().unwrap_or_else(|_| usage("bad --seed value"));
-                }
-                "--help" | "-h" => usage(""),
-                other if extra.contains(&other) => {}
-                other => usage(&format!("unknown flag {other}")),
-            }
-        }
-        out
-    }
-
-    /// Print a table in the selected format.
-    pub fn emit(&self, table: &Table) {
-        if self.csv {
-            print!("{}", table.to_csv());
-        } else {
-            println!("{table}");
-        }
-    }
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!("usage: <harness> [--quick] [--csv] [--seed N]");
-    std::process::exit(if msg.is_empty() { 0 } else { 2 });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn emit_csv_path() {
-        let a = HarnessArgs {
-            fidelity: Fidelity::Quick,
-            csv: true,
-            seed: 1,
-        };
-        // Smoke: emitting an empty table must not panic.
-        a.emit(&Table::new("t", &["x"]));
-    }
-}

@@ -4,15 +4,21 @@
 //! ```text
 //! oracle-cli run --topology grid:10 --strategy cwn:9x1 --workload fib:15 [--seed N] [--csv] [--series]
 //! oracle-cli compare --topology grid:10 --workload fib:15 [--seed N]
+//! oracle-cli experiment table2 [--quick]
 //! oracle-cli topo-info grid:20 dlm:20 hypercube:7
-//! oracle-cli list
+//! oracle-cli COMMAND --help
 //! ```
+//!
+//! Every command's flags come from one table in this file, parsed by
+//! [`oracle::flags`]: unknown, repeated, value-less and other-command flags
+//! fail with `error[config]` and exit 3.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use oracle::builder::paper_strategies;
 use oracle::checkpoint::CheckpointError;
+use oracle::flags::{Args, Arity, Command, Flag, Positional};
 use oracle::prelude::*;
 use oracle::table::{f1, f2};
 
@@ -95,27 +101,26 @@ fn checkpoint_failure(e: CheckpointError) -> Failure {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::from(3);
     };
+    let rest = &args[1..];
     let result = match cmd.as_str() {
-        "run" => cmd_run(&args[1..]),
-        "compare" => cmd_compare(&args[1..]),
-        "experiment" => cmd_experiment(&args[1..]),
-        "batch" => cmd_batch(&args[1..]),
-        "chaos" => cmd_chaos(&args[1..]),
-        "trace-check" => cmd_trace_check(&args[1..]),
-        "topo-info" => cmd_topo_info(&args[1..]),
-        "list" => {
-            print_list();
-            Ok(())
-        }
+        "run" => cmd_run(rest),
+        "compare" => cmd_compare(rest),
+        "experiment" => cmd_experiment(rest),
+        "batch" => cmd_batch(rest),
+        "chaos" => cmd_chaos(rest),
+        "trace-check" => cmd_trace_check(rest),
+        "topo-info" => cmd_topo_info(rest),
+        "list" => cmd_list(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
         other => Err(Failure::config(format!(
-            "unknown command {other:?}\n{USAGE}"
+            "unknown command {other:?}\n{}",
+            usage()
         ))),
     };
     match result {
@@ -127,97 +132,179 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-oracle-cli — ORACLE load-distribution simulator (Kale, ICPP 1988 reproduction)
+/// `--shards` is refused loudly: ignoring it would make an old command
+/// line look like it still selects an engine.
+const SHARDS: Flag = Flag::removed(
+    "--shards",
+    "--shards: the sharded engine was removed and every run uses \
+     the sequential engine; --threads N parallelises batch and experiment runs",
+);
 
-commands:
-  run       --topology T --strategy S --workload W [--seed N] [--csv]
-            [--no-coprocessor] [--series]
-            [--per-pe] [--load-period T]
-            [--trace N] [--trace-out FILE]
-            [--trace-format jsonl|chrome] [--trace-last N]
-            [--series-out FILE] [--profile] [--heatmap FILE.ppm]
-            [--faults PLAN|@FILE] [--audit-every N]
-            [--checkpoint-every T [--checkpoint-dir DIR]] [--resume FILE]
-            [--arrivals SPEC] [--duration T] [--warmup T]
-            [--deadline T] [--retry MAXxBASE] [--admission POLICY]
-            [--breaker COOLDOWN]
-            run one simulation and print its report;
-            --arrivals SPEC switches to open-system traffic: requests
-            arrive per SPEC, each spawning one task tree of --workload,
-            for --duration sim units (default 20000) with the first
-            --warmup units (default duration/10) excluded from latency
-            statistics; `--workload open:ARRIVAL/WORKLOAD` is equivalent;
-            --deadline T abandons requests whose sojourn exceeds T (a
-            completion past it is a dead loss, not a success);
-            --retry MAXxBASE re-injects requests lost to crashes or link
-            faults, up to MAX times with exponential backoff from BASE
-            (jittered, from a dedicated RNG stream — deterministic);
-            --admission POLICY sheds arrivals at the door: queue:N (total
-            queued goals), util:F (mean utilization threshold), or
-            bucket:RATExBURST (token bucket, RATE per 1000 units);
-            --breaker COOLDOWN stops routing into a crashed neighborhood
-            until COOLDOWN units after the region recovers;
-            --trace-out exports the event trace (default format jsonl;
-            chrome produces a Perfetto-loadable trace_event file);
-            --trace-last N ring-buffers the *last* N events instead of
-            keeping the first --trace N;
-            --series-out writes the per-PE utilization series as CSV;
-            --profile prints engine counters (per-event-kind counts and
-            wall times, queue pop time, next-hop routing time,
-            queue-depth high-water mark, control tags);
-            --faults @FILE loads a plan file (blank/# lines ignored, one
-            or more `+`-separated terms per line);
-            --no-coprocessor models software message routing (PEs pay
-            the routing cost themselves);
-            --per-pe emits the O(num-PEs) per-PE report vectors (off by
-            default: headline aggregates are O(1) in PE count);
-            --load-period T sets the periodic load-broadcast period
-            (default 40; 0 disables it, leaving piggy-backed load info
-            only — each broadcast round costs O(num-PEs) events, which
-            dominates the event stream on very large machines);
-            --audit-every N checks runtime invariants every N events;
-            --checkpoint-every T writes an atomic checkpoint every T sim
-            time units (to --checkpoint-dir, default ./checkpoints);
-            --resume FILE continues a checkpointed run to a bit-identical
-            final report (config is embedded; spec flags are not needed)
-  trace-check FILE [--format jsonl|chrome]
-            validate an exported trace file (well-formed JSON, required
-            header fields, timestamps monotone per track); the format is
-            sniffed from the file unless --format is given
-  chaos     [--cases N] [--seed N] [--threads N] [--stall-secs S]
-            [--audit-every N] [--out DIR]
-            run a seeded chaos-fuzzing sweep (random fault plans thrown at
-            random runs, auditor on, each case under a panic catcher and
-            watchdog); shrunk reproducers are written to DIR; exits 2 if
-            any case fails
-  compare   --topology T --workload W [--seed N]
-            run CWN vs the Gradient Model with the paper's parameters
-  batch FILE [--csv] [--threads N] [--profile]
-            run a suite file (lines of:
-            TOPOLOGY STRATEGY WORKLOAD [seed=N] [faults=PLAN]
-            [arrivals=SPEC] [duration=T] [warmup=T] [deadline=T]
-            [retry=MAXxBASE] [admission=POLICY] [breaker=COOLDOWN]);
-            --threads caps the worker pool (default: all cores; results
-            are identical at any thread count);
-            --profile profiles every run and prints the merged roll-up
-  experiment NAME [--quick] [--seed N] [--threads N]
-            regenerate a paper table/figure: table1 | table2 | table3 |
-            plots-dc-grid | plots-dc-dlm | plots-fib | plots-time-grid |
-            plots-time-dlm | appendix | ablations |
-            resilience [--json] (fault-injection extension) |
-            capacity [--json] (open-traffic extension: binary-search the
-            max sustainable Poisson arrival rate per strategy x topology
-            holding a p99 sojourn target) |
-            degradation [--json] [--check] (overload extension: goodput
-            under overload x fault intensity, unprotected vs the full
-            deadline+retry+admission+breaker stack; --check additionally
-            asserts goodput degrades monotonically and every run
-            conserves arrivals, exiting 2 on violation)
-  topo-info T [T ...] [--dot]
-            print PEs, channels, diameter, mean distance — or Graphviz DOT
-  list      list the available spec grammars
+/// `--state-mode` likewise, for the removed state representations.
+const STATE_MODE: Flag = Flag::removed(
+    "--state-mode",
+    "--state-mode: the option was removed; per-PE and per-channel state \
+     is always paged, so memory follows the PEs a run touches",
+);
 
+const SEED: Flag = Flag::value("--seed", "N", "RNG seed (default 1)");
+const TOPOLOGY: Flag = Flag::value("--topology", "T", "topology spec (default grid:10)");
+const THREADS: Flag = Flag::value("--threads", "N", "worker threads (default: all cores)");
+
+static RUN: Command = Command {
+    name: "run",
+    about: "run one simulation and print its report",
+    positional: None,
+    flags: &[
+        TOPOLOGY,
+        Flag::value("--strategy", "S", "strategy spec (default cwn:9x1)"),
+        Flag::value("--workload", "W", "workload spec (default fib:15)"),
+        SEED,
+        Flag::switch("--csv", "print the report as CSV"),
+        Flag::switch("--no-coprocessor", "PEs pay the routing cost"),
+        Flag::switch("--series", "print the utilization series"),
+        Flag::switch("--per-pe", "add the O(PEs) per-PE report vectors"),
+        Flag::value(
+            "--load-period",
+            "T",
+            "load-broadcast period (default 40; 0 leaves piggy-backed load words only: \
+             a broadcast round costs O(PEs) events)",
+        ),
+        Flag::value("--trace", "N", "keep and print the first N events"),
+        Flag::value("--trace-last", "N", "keep the last N events instead"),
+        Flag::value("--trace-out", "FILE", "export the event trace"),
+        Flag::value("--trace-format", "F", "jsonl (default) or chrome"),
+        Flag::value("--series-out", "FILE", "write the per-PE series as CSV"),
+        Flag::switch("--profile", "print the engine counters"),
+        Flag::value("--heatmap", "FILE", "write the load heatmap as PPM"),
+        Flag::value("--faults", "PLAN", "fault plan, or @FILE of plan terms"),
+        Flag::value("--audit-every", "N", "audit invariants every N events"),
+        Flag::value("--checkpoint-every", "T", "checkpoint every T time units"),
+        Flag::value("--checkpoint-dir", "DIR", "default ./checkpoints"),
+        Flag::value("--resume", "FILE", "finish a checkpointed run"),
+        Flag::value("--arrivals", "SPEC", "open traffic: the arrival process"),
+        Flag::value("--duration", "T", "open-run length (default 20000)"),
+        Flag::value("--warmup", "T", "unmeasured prefix (default duration/10)"),
+        Flag::value("--deadline", "T", "abandon requests older than T"),
+        Flag::value("--retry", "MAXxBASE", "retry lost requests with backoff"),
+        Flag::value(
+            "--admission",
+            "POLICY",
+            "shed arrivals at the door: queue:N, util:F or bucket:RATExBURST",
+        ),
+        Flag::value("--breaker", "COOLDOWN", "circuit-breaker cooldown"),
+        SHARDS,
+        STATE_MODE,
+    ],
+};
+
+static COMPARE: Command = Command {
+    name: "compare",
+    about: "run CWN vs the Gradient Model with the paper's parameters",
+    positional: None,
+    flags: &[
+        TOPOLOGY,
+        Flag::value("--workload", "W", "workload spec (default fib:15)"),
+        SEED,
+    ],
+};
+
+static EXPERIMENT: Command = Command {
+    name: "experiment",
+    about: "print a paper table, figure or extension study: the text regen_all writes to \
+            results/",
+    positional: Some(Positional::new(
+        "NAME",
+        Arity::One,
+        "an experiment name (see --help)",
+    )),
+    flags: &[
+        Flag::switch("--quick", "run the miniature"),
+        SEED,
+        THREADS,
+        Flag::switch("--json", "print only the per-cell JSON"),
+        Flag::switch("--check", "exit 2 if a physics check fails"),
+        SHARDS,
+        STATE_MODE,
+    ],
+};
+
+static BATCH: Command = Command {
+    name: "batch",
+    about: "run a suite file: lines of TOPOLOGY STRATEGY WORKLOAD [seed=N] \
+            [faults=PLAN] [arrivals=SPEC] [duration=T] [warmup=T] [deadline=T] \
+            [retry=MAXxBASE] [admission=POLICY] [breaker=COOLDOWN]",
+    positional: Some(Positional::new("FILE", Arity::One, "a suite file")),
+    flags: &[
+        Flag::switch("--csv", "print the results as CSV"),
+        THREADS,
+        Flag::switch("--profile", "print the merged engine counters"),
+        SHARDS,
+        STATE_MODE,
+    ],
+};
+
+static CHAOS: Command = Command {
+    name: "chaos",
+    about: "seeded chaos-fuzzing sweep: random fault plans thrown at random runs, \
+            auditor on, each case under a panic catcher and watchdog; exits 2 if any \
+            case fails",
+    positional: None,
+    flags: &[
+        Flag::value("--cases", "N", "number of cases"),
+        Flag::value("--seed", "N", "master seed"),
+        THREADS,
+        Flag::value("--stall-secs", "S", "per-case wall-clock watchdog"),
+        Flag::value("--audit-every", "N", "auditor period in events"),
+        Flag::value("--out", "DIR", "write shrunk reproducers here"),
+        SHARDS,
+        STATE_MODE,
+    ],
+};
+
+static TRACE_CHECK: Command = Command {
+    name: "trace-check",
+    about: "validate an exported trace file (well-formed JSON, required header \
+            fields, timestamps monotone per track)",
+    positional: Some(Positional::new("FILE", Arity::One, "a trace file")),
+    flags: &[Flag::value(
+        "--format",
+        "F",
+        "jsonl or chrome (default: sniffed)",
+    )],
+};
+
+static TOPO_INFO: Command = Command {
+    name: "topo-info",
+    about: "print PEs, channels, diameter, mean distance and degrees",
+    positional: Some(Positional::new(
+        "T",
+        Arity::Many,
+        "at least one topology spec",
+    )),
+    flags: &[Flag::switch("--dot", "print Graphviz DOT instead")],
+};
+
+static LIST: Command = Command {
+    name: "list",
+    about: "print this overview and the paper's presets",
+    positional: None,
+    flags: &[],
+};
+
+/// Every command, in help order.
+static COMMANDS: &[&Command] = &[
+    &RUN,
+    &COMPARE,
+    &EXPERIMENT,
+    &BATCH,
+    &CHAOS,
+    &TRACE_CHECK,
+    &TOPO_INFO,
+    &LIST,
+];
+
+const GRAMMARS: &str = "\
 spec grammars:
   topology: grid:10 | grid:4x6 | torus:8x8 | dlm:10 | dlm:5x20x20 |
             hypercube:7 | kary:4x3 | tree:2x5 | ring:16 | complete:8 |
@@ -235,10 +322,6 @@ spec grammars:
   faults:   `+`-separated terms of crash:PE@T | link:CH@DOWN..UP | loss:P% |
             slow:PE@FROM..UNTILxFACTOR | recover:TIMEOUTxRETRIES | none
 
-parallelism precedence (resolved per command invocation):
-  --threads N   batch worker pool; flag > default (all cores). 0 rejected:
-                \"--threads N (N >= 1; omit the flag for auto)\"
-
 exit codes: 0 success (saturation is a measured outcome, not a failure) |
             2 simulation failed (invariant violation, goals lost, stall,
             …) | 3 configuration or I/O error | 4 overloaded (admission
@@ -246,85 +329,44 @@ exit codes: 0 success (saturation is a measured outcome, not a failure) |
             (no request ever completed within its deadline)
             failures print one line to stderr: error[CLASS]: message";
 
-/// Pull `--flag value` pairs and boolean flags out of an argument list.
-struct Flags<'a> {
-    args: &'a [String],
+/// The top-level help: every command's synopsis, then the grammars.
+fn usage() -> String {
+    let mut s = String::from(
+        "oracle-cli — ORACLE load-distribution simulator (Kale, ICPP 1988 reproduction)\n\n\
+         commands (`oracle-cli COMMAND --help` lists a command's flags):\n",
+    );
+    for cmd in COMMANDS {
+        s += &cmd.overview();
+    }
+    s.push('\n');
+    s.push_str(GRAMMARS);
+    s
 }
 
-impl<'a> Flags<'a> {
-    /// The value following `flag`, `None` when the flag is absent. A flag
-    /// given as the last token has no value: that is an error, not a
-    /// silent fall-back to the default.
-    fn value_of(&self, flag: &str) -> Result<Option<&'a str>, String> {
-        let Some(i) = self.args.iter().position(|a| a == flag) else {
-            return Ok(None);
-        };
-        match self.args.get(i + 1) {
-            Some(v) => Ok(Some(v)),
-            None => Err(format!("{flag} needs a value")),
+/// Parse a command's arguments against its table. `None` means `--help`
+/// was given and the help has been printed.
+fn parse(cmd: &'static Command, args: &[String]) -> Result<Option<Args>, Failure> {
+    let flags = cmd.parse(args.iter().cloned(), COMMANDS)?;
+    if !flags.help {
+        return Ok(Some(flags));
+    }
+    print!("{}", cmd.help("oracle-cli"));
+    if cmd.name == EXPERIMENT.name {
+        println!("\nexperiments:");
+        for e in oracle::experiments::REGISTRY {
+            let json = if e.json { " (--json)" } else { "" };
+            let check = if e.checked { " (--check)" } else { "" };
+            println!("  {:<17}{}{json}{check}", e.name, e.about);
         }
     }
-
-    fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
-    }
-
-    fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.value_of(flag)? {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("{flag} {v:?}: {e}")),
-        }
-    }
-}
-
-/// Apply the shared `--threads N` flag: cap the worker pool every batch in
-/// this process uses. Thread count changes wall clock only, never results.
-fn apply_threads(flags: &Flags) -> Result<(), String> {
-    match flags.value_of("--threads")? {
-        None => oracle::runner::clear_default_threads(),
-        Some(v) => {
-            let threads: usize = v.parse().map_err(|e| format!("--threads {v:?}: {e}"))?;
-            if threads == 0 {
-                return Err(format!(
-                    "--threads must be at least 1 ({})",
-                    oracle::runner::THREADS_GRAMMAR
-                ));
-            }
-            oracle::runner::set_default_threads(threads);
-        }
-    }
-    Ok(())
-}
-
-/// Refuse removed flags loudly: ignoring `--shards` would make an old
-/// command line look like it still selects an engine, and ignoring
-/// `--state-mode` like it still selects a state representation.
-fn reject_removed_flags(flags: &Flags) -> Result<(), String> {
-    if flags.has("--shards") {
-        return Err(
-            "--shards: the sharded engine was removed and every run uses \
-             the sequential engine; --threads N parallelises batch and experiment runs"
-                .into(),
-        );
-    }
-    if flags.has("--state-mode") {
-        return Err(
-            "--state-mode: the option was removed; per-PE and per-channel state \
-             is always paged, so memory follows the PEs a run touches"
-                .into(),
-        );
-    }
-    Ok(())
+    Ok(None)
 }
 
 /// Resolve `--faults`: a plan string, or `@FILE` naming a plan file whose
 /// non-comment lines are joined with `+` (so a file may list one term per
 /// line — the format chaos reproducers are written in).
-fn parse_faults_flag(flags: &Flags) -> Result<oracle::model::FaultPlan, Failure> {
-    let Some(value) = flags.value_of("--faults")? else {
+fn parse_faults_flag(flags: &Args) -> Result<oracle::model::FaultPlan, Failure> {
+    let Some(value) = flags.value("--faults") else {
         return Ok(oracle::model::FaultPlan::none());
     };
     let text = match value.strip_prefix('@') {
@@ -355,19 +397,15 @@ const DEFAULT_EXPORT_TRACE_CAP: usize = 1_000_000;
 
 /// Resolve the open-traffic flags (`--arrivals`, `--duration`, `--warmup`)
 /// and the `open:` workload spelling into the machine's traffic config.
-fn parse_open_flags(flags: &Flags, workload: &AnyWorkload) -> Result<Option<OpenTraffic>, Failure> {
-    let arrivals = match (workload, flags.value_of("--arrivals")?) {
+fn parse_open_flags(flags: &Args, workload: &AnyWorkload) -> Result<Option<OpenTraffic>, Failure> {
+    let arrivals = match (workload, flags.value("--arrivals")) {
         (AnyWorkload::Open(_), Some(_)) => {
             return Err(Failure::config(
                 "--arrivals conflicts with an open: workload — pick one spelling",
             ))
         }
         (AnyWorkload::Open(o), None) => Some(o.arrivals.clone()),
-        (AnyWorkload::Closed(_), Some(spec)) => Some(
-            spec.parse::<ArrivalSpec>()
-                .map_err(|e| Failure::config(format!("--arrivals: {e}")))?,
-        ),
-        (AnyWorkload::Closed(_), None) => None,
+        (AnyWorkload::Closed(_), _) => flags.parse_opt("--arrivals")?,
     };
     let Some(arrivals) = arrivals else {
         for flag in [
@@ -378,7 +416,7 @@ fn parse_open_flags(flags: &Flags, workload: &AnyWorkload) -> Result<Option<Open
             "--admission",
             "--breaker",
         ] {
-            if flags.value_of(flag)?.is_some() {
+            if flags.has(flag) {
                 return Err(Failure::config(format!(
                     "{flag} requires --arrivals SPEC or an open: workload"
                 )));
@@ -389,30 +427,10 @@ fn parse_open_flags(flags: &Flags, workload: &AnyWorkload) -> Result<Option<Open
     let duration: u64 = flags.parse("--duration", oracle::runner::DEFAULT_OPEN_DURATION)?;
     let mut open = OpenTraffic::new(arrivals, duration);
     open.warmup = flags.parse("--warmup", open.warmup)?;
-    if let Some(v) = flags.value_of("--deadline")? {
-        open.deadline = Some(
-            v.parse()
-                .map_err(|e| Failure::config(format!("--deadline {v:?}: {e}")))?,
-        );
-    }
-    if let Some(v) = flags.value_of("--retry")? {
-        open.retry = Some(
-            v.parse::<RetryPolicy>()
-                .map_err(|e| Failure::config(format!("--retry {v:?}: {e}")))?,
-        );
-    }
-    if let Some(v) = flags.value_of("--admission")? {
-        open.admission = Some(
-            v.parse::<AdmissionPolicy>()
-                .map_err(|e| Failure::config(format!("--admission {v:?}: {e}")))?,
-        );
-    }
-    if let Some(v) = flags.value_of("--breaker")? {
-        open.breaker = Some(
-            v.parse()
-                .map_err(|e| Failure::config(format!("--breaker {v:?}: {e}")))?,
-        );
-    }
+    open.deadline = flags.parse_opt("--deadline")?;
+    open.retry = flags.parse_opt("--retry")?;
+    open.admission = flags.parse_opt("--admission")?;
+    open.breaker = flags.parse_opt("--breaker")?;
     Ok(Some(open))
 }
 
@@ -441,13 +459,14 @@ fn open_outcome_failure(report: &Report) -> Result<(), Failure> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Failure> {
-    let flags = Flags { args };
-    reject_removed_flags(&flags)?;
+    let Some(flags) = parse(&RUN, args)? else {
+        return Ok(());
+    };
     let mut trace_cap: usize = flags.parse("--trace", 0)?;
     let trace_last: usize = flags.parse("--trace-last", 0)?;
-    let trace_out = flags.value_of("--trace-out")?;
+    let trace_out = flags.value("--trace-out");
     let trace_format: TraceFormat = flags.parse("--trace-format", TraceFormat::Jsonl)?;
-    let series_out = flags.value_of("--series-out")?;
+    let series_out = flags.value("--series-out");
     let trace_mode = if trace_last > 0 {
         trace_cap = trace_cap.max(trace_last);
         TraceMode::KeepLast
@@ -457,9 +476,9 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     if trace_out.is_some() && trace_cap == 0 {
         trace_cap = DEFAULT_EXPORT_TRACE_CAP;
     }
-    let heatmap_path = flags.value_of("--heatmap")?;
+    let heatmap_path = flags.value("--heatmap");
 
-    if let Some(path) = flags.value_of("--resume")? {
+    if let Some(path) = flags.value("--resume") {
         if trace_cap > 0 || heatmap_path.is_some() {
             return Err(Failure::config(
                 "--resume replays the checkpointed config; --trace/--heatmap do not apply",
@@ -498,10 +517,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
     machine_cfg.per_pe_series =
         flags.has("--series") || heatmap_path.is_some() || series_out.is_some();
     machine_cfg.per_pe_metrics = flags.has("--per-pe");
-    if let Some(v) = flags.value_of("--load-period")? {
-        let period: u64 = v
-            .parse()
-            .map_err(|e| Failure::config(format!("--load-period {v:?}: {e}")))?;
+    if let Some(period) = flags.parse_opt("--load-period")? {
         machine_cfg.load_info = oracle::model::LoadInfoMode::Piggyback { period };
     }
     let config = SimulationBuilder::new()
@@ -518,7 +534,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
                 "--checkpoint-every does not combine with --trace/--heatmap",
             ));
         }
-        let dir = flags.value_of("--checkpoint-dir")?.unwrap_or("checkpoints");
+        let dir = flags.value("--checkpoint-dir").unwrap_or("checkpoints");
         let out =
             oracle::checkpoint::run_with_checkpoints(&config, checkpoint_every, Path::new(dir))
                 .map_err(checkpoint_failure)?;
@@ -595,12 +611,12 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
 /// `trace-check FILE [--format jsonl|chrome]` — structural validation of an
 /// exported trace (CI runs this against freshly exported files).
 fn cmd_trace_check(args: &[String]) -> Result<(), Failure> {
-    let Some(path) = args.first().filter(|a| !a.starts_with('-')) else {
-        return Err(Failure::config("trace-check needs a trace file"));
+    let Some(flags) = parse(&TRACE_CHECK, args)? else {
+        return Ok(());
     };
-    let flags = Flags { args: &args[1..] };
+    let path = &flags.positionals()[0];
     let text = std::fs::read_to_string(path).map_err(|e| Failure::io(format!("{path}: {e}")))?;
-    let format = match flags.value_of("--format")? {
+    let format = match flags.value("--format") {
         Some(f) => f.parse::<TraceFormat>().map_err(Failure::config)?,
         None => oracle::traceio::sniff_format(&text),
     };
@@ -622,7 +638,7 @@ fn cmd_trace_check(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-fn print_report(report: &Report, flags: &Flags) {
+fn print_report(report: &Report, flags: &Args) {
     if flags.has("--csv") {
         println!("metric,value");
         println!("strategy,{}", report.strategy);
@@ -793,22 +809,19 @@ fn print_report(report: &Report, flags: &Flags) {
 
 /// Chaos-fuzzing sweep frontend over [`oracle::chaos`].
 fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
-    let flags = Flags { args };
-    reject_removed_flags(&flags)?;
+    let Some(flags) = parse(&CHAOS, args)? else {
+        return Ok(());
+    };
     let mut config = oracle::chaos::ChaosConfig::default();
     config.cases = flags.parse("--cases", config.cases)?;
     config.seed = flags.parse("--seed", config.seed)?;
     config.audit_every = flags.parse("--audit-every", config.audit_every)?;
-    let threads: usize = flags.parse("--threads", 0)?;
-    if flags.value_of("--threads")?.is_some() {
-        if threads == 0 {
-            return Err(Failure::config("--threads must be at least 1"));
-        }
+    if let Some(threads) = flags.threads()? {
         config.threads = threads;
     }
     let stall_secs: u64 = flags.parse("--stall-secs", config.stall_timeout.as_secs())?;
     config.stall_timeout = std::time::Duration::from_secs(stall_secs);
-    let out_dir = flags.value_of("--out")?;
+    let out_dir = flags.value("--out");
 
     println!(
         "chaos sweep: {} cases, master seed {}, {} threads, auditor every {} events",
@@ -850,221 +863,57 @@ fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_experiment(args: &[String]) -> Result<(), Failure> {
-    use oracle::experiments::{
-        ablations, appendix, capacity, degradation, plots, resilience, table1, table2, table3,
-        Fidelity,
-    };
-    use oracle::topo::TopologySpec as T;
+    use oracle::experiments::{find, Fidelity};
 
-    let Some(name) = args.first() else {
-        return Err(Failure::config(
-            "experiment needs a name (e.g. table2); see --help",
-        ));
+    let Some(flags) = parse(&EXPERIMENT, args)? else {
+        return Ok(());
     };
-    let flags = Flags { args: &args[1..] };
-    reject_removed_flags(&flags)?;
+    let name = &flags.positionals()[0];
+    let experiment = find(name).ok_or_else(|| {
+        Failure::config(format!(
+            "unknown experiment {name:?}; see `oracle-cli experiment --help`"
+        ))
+    })?;
+    for (flag, accepted) in [("--json", experiment.json), ("--check", experiment.checked)] {
+        if flags.has(flag) && !accepted {
+            return Err(Failure::config(format!(
+                "{flag} does not apply to experiment {name}; see `oracle-cli experiment --help`"
+            )));
+        }
+    }
     let fidelity = if flags.has("--quick") {
         Fidelity::Quick
     } else {
         Fidelity::Paper
     };
     let seed: u64 = flags.parse("--seed", 1)?;
-    apply_threads(&flags)?;
+    if let Some(threads) = flags.threads()? {
+        oracle::runner::set_default_threads(threads);
+    }
 
-    match name.as_str() {
-        "table1" => {
-            let grid = table1::optimize(fidelity, true, seed);
-            let dlm = table1::optimize(fidelity, false, seed);
-            println!("{}", table1::render(&grid, &dlm));
-        }
-        "table2" => {
-            let cells = table2::run(fidelity, seed);
-            println!("{}", table2::render(&cells));
-            let s = table2::summarize(&cells);
-            println!(
-                "CWN better in {}/{} cells, significantly in {}",
-                s.cwn_wins, s.cells, s.significant
-            );
-        }
-        "table3" => {
-            let d = table3::run(fidelity, seed);
-            println!("{}", table3::render(&d));
-        }
-        "resilience" => {
-            let cells = resilience::run(fidelity, seed);
-            if flags.has("--json") {
-                println!("{}", resilience::to_json(&cells));
-            } else {
-                println!("{}", resilience::render(&cells));
-                let completed = cells.iter().filter(|c| c.completed).count();
-                println!(
-                    "{completed}/{} runs completed with the correct result \
-                     (--json for per-cell fault counters)",
-                    cells.len()
-                );
-            }
-        }
-        "capacity" => {
-            let cells = capacity::run(fidelity, seed);
-            if flags.has("--json") {
-                println!("{}", capacity::to_json(&cells));
-            } else {
-                println!("{}", capacity::render(&cells, fidelity));
-                if let Some(best) = cells
-                    .iter()
-                    .max_by(|a, b| a.max_rate.partial_cmp(&b.max_rate).unwrap())
-                {
-                    println!(
-                        "highest capacity: {}/{} at {:.2} req per 1000 units \
-                         (--json for per-probe data)",
-                        best.topology, best.strategy, best.max_rate
-                    );
-                }
-            }
-        }
-        "degradation" => {
-            let cells = degradation::run(fidelity, seed);
-            let checked = if flags.has("--check") {
-                degradation::verify(&cells).map_err(|e| Failure {
-                    kind: "degradation",
-                    code: 2,
-                    message: format!("degradation physics check failed:\n{e}"),
-                })?;
-                true
-            } else {
-                false
-            };
-            if flags.has("--json") {
-                println!("{}", degradation::to_json(&cells));
-            } else {
-                println!("{}", degradation::render(&cells, fidelity));
-                // Prefer the best *finite* ratio for the headline: where the
-                // unprotected baseline preserved nothing the ratio is inf,
-                // which is the common case, not the interesting one.
-                let finite = cells
-                    .iter()
-                    .filter(|c| c.protection_ratio().is_finite() && c.protection_ratio() > 0.0)
-                    .max_by(|a, b| a.protection_ratio().total_cmp(&b.protection_ratio()));
-                if let Some(best) = finite {
-                    println!(
-                        "best protection: {}/{} under {} faults preserves {:.1}x the \
-                         unprotected goodput (--json for per-cell data)",
-                        best.topology,
-                        best.strategy,
-                        best.fault_name(),
-                        best.protection_ratio()
-                    );
-                } else if cells.iter().any(|c| c.protection_ratio().is_infinite()) {
-                    println!(
-                        "best protection: the protected stack preserved goodput in every \
-                         cell where the unprotected baseline preserved none \
-                         (--json for per-cell data)"
-                    );
-                }
-            }
-            if checked {
-                println!(
-                    "checks passed: goodput monotone non-increasing in fault intensity; \
-                     every run conserves arrivals"
-                );
-            }
-        }
-        "plots-dc-grid" | "plots-dc-dlm" | "plots-fib" => {
-            let fib = name == "plots-fib";
-            let workloads = plots::plot_workloads(fidelity, fib);
-            for &side in fidelity.grid_sides().iter().rev() {
-                let topos: Vec<T> = if fib {
-                    vec![T::dlm(side), T::grid(side)]
-                } else if name == "plots-dc-grid" {
-                    vec![T::grid(side)]
-                } else {
-                    vec![T::dlm(side)]
-                };
-                for topology in topos {
-                    let p = plots::util_vs_goals(topology, &workloads, seed);
-                    println!("{}", plots::render_util_vs_goals(&p));
-                }
-            }
-        }
-        "plots-time-grid" | "plots-time-dlm" => {
-            let (topology, sizes): (T, &[i64]) = match (name.as_str(), fidelity) {
-                ("plots-time-grid", Fidelity::Paper) => (T::grid(10), &[18, 15, 9]),
-                ("plots-time-grid", Fidelity::Quick) => (T::grid(5), &[13, 9]),
-                (_, Fidelity::Paper) => (T::dlm(10), &[18, 15, 9]),
-                (_, Fidelity::Quick) => (T::dlm(5), &[13, 9]),
-            };
-            for &n in sizes {
-                let p = plots::util_vs_time(
-                    topology,
-                    oracle::workloads::WorkloadSpec::fib(n),
-                    100,
-                    seed,
-                );
-                println!("{}", plots::render_util_vs_time(&p));
-                println!(
-                    "{}",
-                    oracle::chart::cwn_gm_chart(
-                        format!("{} on {}", p.workload, p.topology),
-                        "time (units)",
-                        &p.cwn,
-                        &p.gm
-                    )
-                );
-            }
-        }
-        "appendix" => {
-            for p in appendix::goals_plots(fidelity, seed) {
-                println!("{}", plots::render_util_vs_goals(&p));
-            }
-            for p in appendix::time_plots(fidelity, seed) {
-                println!("{}", plots::render_util_vs_time(&p));
-            }
-        }
-        "ablations" => {
-            let sections = [
-                ("CWN radius sweep", ablations::radius_sweep(fidelity, seed)),
-                (
-                    "CWN horizon sweep",
-                    ablations::horizon_sweep(fidelity, seed),
-                ),
-                (
-                    "GM interval sweep",
-                    ablations::gm_interval_sweep(fidelity, seed),
-                ),
-                ("Load metric", ablations::load_metric(fidelity, seed)),
-                ("Load information", ablations::load_info(fidelity, seed)),
-                ("Co-processor", ablations::coprocessor(fidelity, seed)),
-                (
-                    "Comm/computation ratio",
-                    ablations::comm_ratio(fidelity, seed),
-                ),
-                ("Wraparound", ablations::wraparound(fidelity, seed)),
-                ("Shootout", ablations::shootout(fidelity, seed)),
-                (
-                    "Global scalability",
-                    ablations::global_scalability(fidelity, seed),
-                ),
-            ];
-            for (title, points) in sections {
-                println!("{}", ablations::render(title, &points));
-            }
-        }
-        other => {
-            return Err(Failure::config(format!(
-                "unknown experiment {other:?}; see --help"
-            )))
-        }
+    let out = (experiment.run)(fidelity, seed);
+    if let (true, Some(violations)) = (flags.has("--check"), &out.violations) {
+        return Err(Failure {
+            kind: experiment.name,
+            code: 2,
+            message: format!("{name} physics check failed:\n{violations}"),
+        });
+    }
+    match (flags.has("--json"), out.json) {
+        (true, Some(json)) => println!("{json}"),
+        _ => print!("{}", out.text),
     }
     Ok(())
 }
 
 fn cmd_batch(args: &[String]) -> Result<(), Failure> {
-    let Some(path) = args.first().filter(|a| !a.starts_with('-')) else {
-        return Err(Failure::config("batch needs a suite file"));
+    let Some(flags) = parse(&BATCH, args)? else {
+        return Ok(());
     };
-    let flags = Flags { args: &args[1..] };
-    reject_removed_flags(&flags)?;
-    apply_threads(&flags)?;
+    let path = &flags.positionals()[0];
+    if let Some(threads) = flags.threads()? {
+        oracle::runner::set_default_threads(threads);
+    }
     let text = std::fs::read_to_string(path).map_err(|e| Failure::io(format!("{path}: {e}")))?;
     let mut specs = oracle::runner::parse_suite(&text)?;
     let profile = flags.has("--profile");
@@ -1104,7 +953,9 @@ fn cmd_batch(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), Failure> {
-    let flags = Flags { args };
+    let Some(flags) = parse(&COMPARE, args)? else {
+        return Ok(());
+    };
     let topology: TopologySpec = flags.parse("--topology", TopologySpec::grid(10))?;
     let workload: WorkloadSpec = flags.parse("--workload", WorkloadSpec::fib(15))?;
     let seed: u64 = flags.parse("--seed", 1)?;
@@ -1153,17 +1004,17 @@ fn cmd_compare(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_topo_info(args: &[String]) -> Result<(), Failure> {
-    if args.is_empty() {
-        return Err(Failure::config(
-            "topo-info needs at least one topology spec",
-        ));
-    }
-    // `--dot` prints Graphviz for each spec instead of the table.
-    if args.iter().any(|a| a == "--dot") {
-        for arg in args.iter().filter(|a| !a.starts_with('-')) {
-            let spec: TopologySpec = arg
-                .parse()
-                .map_err(|e: oracle::topo::spec::ParseSpecError| e.to_string())?;
+    let Some(flags) = parse(&TOPO_INFO, args)? else {
+        return Ok(());
+    };
+    let specs: Vec<TopologySpec> = flags
+        .positionals()
+        .iter()
+        .map(|arg| arg.parse())
+        .collect::<Result<_, oracle::topo::spec::ParseSpecError>>()
+        .map_err(|e| e.to_string())?;
+    if flags.has("--dot") {
+        for spec in specs {
             print!("{}", spec.build().to_dot());
         }
         return Ok(());
@@ -1180,10 +1031,7 @@ fn cmd_topo_info(args: &[String]) -> Result<(), Failure> {
             "max deg",
         ],
     );
-    for arg in args {
-        let spec: TopologySpec = arg
-            .parse()
-            .map_err(|e: oracle::topo::spec::ParseSpecError| e.to_string())?;
+    for spec in specs {
         let t = spec.build();
         let (min_deg, max_deg) = t
             .pes()
@@ -1203,12 +1051,16 @@ fn cmd_topo_info(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-fn print_list() {
-    println!("{USAGE}");
+fn cmd_list(args: &[String]) -> Result<(), Failure> {
+    if parse(&LIST, args)?.is_none() {
+        return Ok(());
+    }
+    println!("{}", usage());
     println!("\npaper presets (Table 1):");
     println!("  grids:          cwn:9x1   gm:1x2x20");
     println!("  lattice-meshes: cwn:5x1   gm:1x1x20");
     println!("\npaper configurations: grid/dlm sides 5, 8, 10, 16, 20; fib 7-18; dc 21-4181");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1219,31 +1071,49 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parsed(cmd: &'static Command, args: &[&str]) -> Args {
+        cmd.parse(flags(args), COMMANDS).expect("flags parse")
+    }
+
     #[test]
     fn value_of_finds_pairs() {
-        let a = flags(&["--seed", "42", "--csv"]);
-        let f = Flags { args: &a };
-        assert_eq!(f.value_of("--seed"), Ok(Some("42")));
-        assert_eq!(f.value_of("--missing"), Ok(None));
+        let f = parsed(&RUN, &["--seed", "42", "--csv"]);
+        assert_eq!(f.value("--seed"), Some("42"));
+        assert_eq!(f.value("--trace-out"), None);
         assert!(f.has("--csv"));
         assert!(!f.has("--series"));
     }
 
     #[test]
     fn parse_uses_defaults_and_values() {
-        let a = flags(&["--seed", "7"]);
-        let f = Flags { args: &a };
+        let f = parsed(&RUN, &["--seed", "7"]);
         assert_eq!(f.parse("--seed", 1u64).unwrap(), 7);
         assert_eq!(f.parse("--trace", 0usize).unwrap(), 0);
     }
 
     #[test]
     fn parse_reports_bad_values() {
-        let a = flags(&["--seed", "xyz"]);
-        let f = Flags { args: &a };
+        let f = parsed(&RUN, &["--seed", "xyz"]);
         let err = f.parse("--seed", 1u64).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
         assert!(err.contains("xyz"), "{err}");
+    }
+
+    #[test]
+    fn every_table_flag_appears_in_its_help() {
+        let overview = usage();
+        for cmd in COMMANDS {
+            assert!(overview.contains(&cmd.overview()), "{}", cmd.name);
+            let help = cmd.help("oracle-cli");
+            for flag in cmd.flags {
+                assert!(
+                    help.contains(flag.name),
+                    "{} --help lacks {}",
+                    cmd.name,
+                    flag.name
+                );
+            }
+        }
     }
 
     #[test]
@@ -1499,9 +1369,9 @@ mod tests {
 
     #[test]
     fn trailing_value_flag_is_a_config_error() {
-        let a = flags(&["--csv", "--seed"]);
-        let f = Flags { args: &a };
-        let err = f.parse("--seed", 1u64).unwrap_err();
+        let err = RUN
+            .parse(flags(&["--csv", "--seed"]), COMMANDS)
+            .unwrap_err();
         assert!(err.contains("--seed"), "{err}");
         let err = cmd_run(&flags(&[
             "--topology",
@@ -1575,13 +1445,12 @@ mod tests {
         )
         .unwrap();
         let arg = format!("@{}", path.display());
-        let a = flags(&["--faults", &arg]);
-        let plan = parse_faults_flag(&Flags { args: &a }).expect("plan file parses");
+        let plan = parse_faults_flag(&parsed(&RUN, &["--faults", &arg])).expect("plan file parses");
         assert_eq!(plan.pe_crashes.len(), 1);
         assert!((plan.message_loss - 0.01).abs() < 1e-9);
 
-        let missing = flags(&["--faults", "@/no/such/file"]);
-        let err = parse_faults_flag(&Flags { args: &missing }).unwrap_err();
+        let missing = parsed(&RUN, &["--faults", "@/no/such/file"]);
+        let err = parse_faults_flag(&missing).unwrap_err();
         assert_eq!((err.kind, err.code), ("io", 3));
         std::fs::remove_file(&path).ok();
     }

@@ -228,7 +228,8 @@ pub fn run(fidelity: Fidelity, seed: u64) -> Vec<Cell> {
 /// must be monotone non-increasing in fault intensity (with a small
 /// tolerance for stochastic jitter between single-seed runs), and every
 /// run must conserve arrivals across completed + shed + abandoned +
-/// in-flight. Returns every violation found.
+/// in-flight; and some cell must keep more than twice the unprotected
+/// goodput. Returns every violation found.
 pub fn verify(cells: &[Cell]) -> Result<(), String> {
     let mut problems = Vec::new();
     for c in cells {
@@ -274,6 +275,12 @@ pub fn verify(cells: &[Cell]) -> Result<(), String> {
                 }
             }
         }
+    }
+    if !cells
+        .iter()
+        .any(|c| c.protected.goodput > 2.0 * c.baseline.goodput && c.protected.goodput > 0.0)
+    {
+        problems.push("no cell preserves >2x the unprotected goodput".to_string());
     }
     if problems.is_empty() {
         Ok(())

@@ -13,6 +13,11 @@
 //! | Resilience under faults (extension) | [`resilience`] |
 //! | Open-traffic capacity search (extension) | [`capacity`] |
 //! | Graceful degradation under overload (extension) | [`degradation`] |
+//! | Headline across seeds (extension) | [`seed_robustness`] |
+//!
+//! [`REGISTRY`] names each artefact once — CLI name, `results/` file and
+//! the function rendering its text — for `oracle-cli experiment` and
+//! `regen_all` alike.
 //!
 //! Every function takes a [`Fidelity`]: `Paper` reruns the full
 //! configuration grid (minutes), `Quick` a miniature that exercises the same
@@ -23,10 +28,14 @@ pub mod appendix;
 pub mod capacity;
 pub mod degradation;
 pub mod plots;
+mod registry;
 pub mod resilience;
+pub mod seed_robustness;
 pub mod table1;
 pub mod table2;
 pub mod table3;
+
+pub use registry::{find, Experiment, Output, REGISTRY};
 
 use oracle_topo::TopologySpec;
 use oracle_workloads::WorkloadSpec;

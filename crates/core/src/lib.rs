@@ -36,7 +36,9 @@
 //! * [`checkpoint`] — crash-safe on-disk checkpoints and bit-identical
 //!   resume.
 //! * [`chaos`] — seeded chaos-fuzzing sweeps with shrinking reproducers.
-//! * [`experiments`] — presets for every table and figure in the paper.
+//! * [`experiments`] — presets for every table and figure in the paper,
+//!   and the registry naming each one once.
+//! * [`flags`] — the declarative flag tables every binary parses with.
 //! * [`table`] — plain-text table rendering for harness output.
 //! * [`chart`] — ASCII line charts (the plot harnesses draw the paper's
 //!   figures in the terminal).
@@ -50,6 +52,7 @@ pub mod chaos;
 pub mod chart;
 pub mod checkpoint;
 pub mod experiments;
+pub mod flags;
 pub mod heatmap;
 pub mod runner;
 pub mod table;

@@ -14,7 +14,7 @@ use super::{
 use crate::chart::cwn_gm_chart;
 
 /// What one experiment produces.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Output {
     /// The report, exactly as `results/<file>` holds it.
     pub text: String,

@@ -16,7 +16,10 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use oracle::builder::paper_strategies;
+use oracle::builder::{
+    paper_strategies, RunConfig, ADMISSION, ARRIVALS, AUDIT_EVERY, BREAKER, DEADLINE, DURATION,
+    FAULTS, LOAD_PERIOD, NO_COPROCESSOR, RETRY, SEED, STRATEGY, TOPOLOGY, WARMUP, WORKLOAD,
+};
 use oracle::checkpoint::CheckpointError;
 use oracle::flags::{Args, Arity, Command, Flag, Positional};
 use oracle::prelude::*;
@@ -147,8 +150,6 @@ const STATE_MODE: Flag = Flag::removed(
      is always paged, so memory follows the PEs a run touches",
 );
 
-const SEED: Flag = Flag::value("--seed", "N", "RNG seed (default 1)");
-const TOPOLOGY: Flag = Flag::value("--topology", "T", "topology spec (default grid:10)");
 const THREADS: Flag = Flag::value("--threads", "N", "worker threads (default: all cores)");
 
 static RUN: Command = Command {
@@ -157,19 +158,23 @@ static RUN: Command = Command {
     positional: None,
     flags: &[
         TOPOLOGY,
-        Flag::value("--strategy", "S", "strategy spec (default cwn:9x1)"),
-        Flag::value("--workload", "W", "workload spec (default fib:15)"),
+        STRATEGY,
+        WORKLOAD,
         SEED,
+        FAULTS,
+        ARRIVALS,
+        DURATION,
+        WARMUP,
+        DEADLINE,
+        RETRY,
+        ADMISSION,
+        BREAKER,
+        LOAD_PERIOD,
+        NO_COPROCESSOR,
+        AUDIT_EVERY,
         Flag::switch("--csv", "print the report as CSV"),
-        Flag::switch("--no-coprocessor", "PEs pay the routing cost"),
         Flag::switch("--series", "print the utilization series"),
         Flag::switch("--per-pe", "add the O(PEs) per-PE report vectors"),
-        Flag::value(
-            "--load-period",
-            "T",
-            "load-broadcast period (default 40; 0 leaves piggy-backed load words only: \
-             a broadcast round costs O(PEs) events)",
-        ),
         Flag::value("--trace", "N", "keep and print the first N events"),
         Flag::value("--trace-last", "N", "keep the last N events instead"),
         Flag::value("--trace-out", "FILE", "export the event trace"),
@@ -177,22 +182,9 @@ static RUN: Command = Command {
         Flag::value("--series-out", "FILE", "write the per-PE series as CSV"),
         Flag::switch("--profile", "print the engine counters"),
         Flag::value("--heatmap", "FILE", "write the load heatmap as PPM"),
-        Flag::value("--faults", "PLAN", "fault plan, or @FILE of plan terms"),
-        Flag::value("--audit-every", "N", "audit invariants every N events"),
         Flag::value("--checkpoint-every", "T", "checkpoint every T time units"),
         Flag::value("--checkpoint-dir", "DIR", "default ./checkpoints"),
         Flag::value("--resume", "FILE", "finish a checkpointed run"),
-        Flag::value("--arrivals", "SPEC", "open traffic: the arrival process"),
-        Flag::value("--duration", "T", "open-run length (default 20000)"),
-        Flag::value("--warmup", "T", "unmeasured prefix (default duration/10)"),
-        Flag::value("--deadline", "T", "abandon requests older than T"),
-        Flag::value("--retry", "MAXxBASE", "retry lost requests with backoff"),
-        Flag::value(
-            "--admission",
-            "POLICY",
-            "shed arrivals at the door: queue:N, util:F or bucket:RATExBURST",
-        ),
-        Flag::value("--breaker", "COOLDOWN", "circuit-breaker cooldown"),
         SHARDS,
         STATE_MODE,
     ],
@@ -202,11 +194,7 @@ static COMPARE: Command = Command {
     name: "compare",
     about: "run CWN vs the Gradient Model with the paper's parameters",
     positional: None,
-    flags: &[
-        TOPOLOGY,
-        Flag::value("--workload", "W", "workload spec (default fib:15)"),
-        SEED,
-    ],
+    flags: &[TOPOLOGY, WORKLOAD, SEED],
 };
 
 static EXPERIMENT: Command = Command {
@@ -231,9 +219,9 @@ static EXPERIMENT: Command = Command {
 
 static BATCH: Command = Command {
     name: "batch",
-    about: "run a suite file: lines of TOPOLOGY STRATEGY WORKLOAD [seed=N] \
-            [faults=PLAN] [arrivals=SPEC] [duration=T] [warmup=T] [deadline=T] \
-            [retry=MAXxBASE] [admission=POLICY] [breaker=COOLDOWN]",
+    about: "run a suite file: one run per line, TOPOLOGY STRATEGY WORKLOAD, then any \
+            run flag that shapes the run as key=VALUE (seed=3, faults=PLAN, \
+            audit-every=64) or, for a switch, a bare key (no-coprocessor)",
     positional: Some(Positional::new("FILE", Arity::One, "a suite file")),
     flags: &[
         Flag::switch("--csv", "print the results as CSV"),
@@ -362,77 +350,10 @@ fn parse(cmd: &'static Command, args: &[String]) -> Result<Option<Args>, Failure
     Ok(None)
 }
 
-/// Resolve `--faults`: a plan string, or `@FILE` naming a plan file whose
-/// non-comment lines are joined with `+` (so a file may list one term per
-/// line — the format chaos reproducers are written in).
-fn parse_faults_flag(flags: &Args) -> Result<oracle::model::FaultPlan, Failure> {
-    let Some(value) = flags.value("--faults") else {
-        return Ok(oracle::model::FaultPlan::none());
-    };
-    let text = match value.strip_prefix('@') {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| Failure::io(format!("--faults {path}: {e}")))?,
-        None => value.to_string(),
-    };
-    let terms: Vec<&str> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    if terms.is_empty() {
-        return Ok(oracle::model::FaultPlan::none());
-    }
-    terms
-        .join("+")
-        .parse()
-        .map_err(|e: oracle::model::faults::ParseFaultPlanError| {
-            Failure::config(format!("--faults: {e}"))
-        })
-}
-
 /// Default trace capacity when an export was requested but no explicit
 /// `--trace`/`--trace-last` bound was given: ample for the paper-scale
 /// runs, still bounded.
 const DEFAULT_EXPORT_TRACE_CAP: usize = 1_000_000;
-
-/// Resolve the open-traffic flags (`--arrivals`, `--duration`, `--warmup`)
-/// and the `open:` workload spelling into the machine's traffic config.
-fn parse_open_flags(flags: &Args, workload: &AnyWorkload) -> Result<Option<OpenTraffic>, Failure> {
-    let arrivals = match (workload, flags.value("--arrivals")) {
-        (AnyWorkload::Open(_), Some(_)) => {
-            return Err(Failure::config(
-                "--arrivals conflicts with an open: workload — pick one spelling",
-            ))
-        }
-        (AnyWorkload::Open(o), None) => Some(o.arrivals.clone()),
-        (AnyWorkload::Closed(_), _) => flags.parse_opt("--arrivals")?,
-    };
-    let Some(arrivals) = arrivals else {
-        for flag in [
-            "--duration",
-            "--warmup",
-            "--deadline",
-            "--retry",
-            "--admission",
-            "--breaker",
-        ] {
-            if flags.has(flag) {
-                return Err(Failure::config(format!(
-                    "{flag} requires --arrivals SPEC or an open: workload"
-                )));
-            }
-        }
-        return Ok(None);
-    };
-    let duration: u64 = flags.parse("--duration", oracle::runner::DEFAULT_OPEN_DURATION)?;
-    let mut open = OpenTraffic::new(arrivals, duration);
-    open.warmup = flags.parse("--warmup", open.warmup)?;
-    open.deadline = flags.parse_opt("--deadline")?;
-    open.retry = flags.parse_opt("--retry")?;
-    open.admission = flags.parse_opt("--admission")?;
-    open.breaker = flags.parse_opt("--breaker")?;
-    Ok(Some(open))
-}
 
 /// Classify a degraded open-traffic outcome after its report was printed:
 /// `Overloaded` and `DeadlineExhausted` earn their own exit codes so CI can
@@ -494,38 +415,20 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         return open_outcome_failure(&report);
     }
 
-    let topology: TopologySpec = flags.parse("--topology", TopologySpec::grid(10))?;
-    let strategy: StrategySpec = flags.parse("--strategy", StrategySpec::cwn_paper(true))?;
-    let any: AnyWorkload = flags.parse("--workload", AnyWorkload::Closed(WorkloadSpec::fib(15)))?;
-    let workload = any.workload();
-    let open = parse_open_flags(&flags, &any)?;
-    let seed: u64 = flags.parse("--seed", 1)?;
-    let audit_every: u64 = flags.parse("--audit-every", 0)?;
-    let faults = parse_faults_flag(&flags)?;
-
-    let mut machine_cfg = MachineConfig {
-        audit_every,
-        trace_capacity: trace_cap,
-        trace_mode,
-        profile: flags.has("--profile"),
-        fault_plan: faults,
-        open,
-        ..MachineConfig::default()
-    };
-    machine_cfg.seed = seed;
-    machine_cfg.coprocessor = !flags.has("--no-coprocessor");
-    machine_cfg.per_pe_series =
-        flags.has("--series") || heatmap_path.is_some() || series_out.is_some();
-    machine_cfg.per_pe_metrics = flags.has("--per-pe");
-    if let Some(period) = flags.parse_opt("--load-period")? {
-        machine_cfg.load_info = oracle::model::LoadInfoMode::Piggyback { period };
-    }
-    let config = SimulationBuilder::new()
-        .topology(topology)
-        .strategy(strategy)
-        .workload(workload)
-        .machine(machine_cfg)
-        .config();
+    // An unreadable `--faults @FILE` is an I/O failure, not bad input.
+    let mut config = RunConfig::from_args(&flags).map_err(|e| {
+        if e.starts_with("--faults @") {
+            Failure::io(e)
+        } else {
+            Failure::config(e)
+        }
+    })?;
+    let machine = &mut config.machine;
+    machine.trace_capacity = trace_cap;
+    machine.trace_mode = trace_mode;
+    machine.profile = flags.has("--profile");
+    machine.per_pe_series = flags.has("--series") || heatmap_path.is_some() || series_out.is_some();
+    machine.per_pe_metrics = flags.has("--per-pe");
 
     let checkpoint_every: u64 = flags.parse("--checkpoint-every", 0)?;
     if checkpoint_every > 0 {
@@ -841,7 +744,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
         std::fs::create_dir_all(dir).map_err(|e| Failure::io(format!("{dir}: {e}")))?;
         for failure in &report.failures {
             let path = format!("{dir}/chaos-repro-{:03}.suite", failure.case.index);
-            std::fs::write(&path, failure.reproducer())
+            std::fs::write(&path, failure.reproducer(&config))
                 .map_err(|e| Failure::io(format!("{path}: {e}")))?;
             println!("wrote reproducer {path}");
         }
@@ -854,7 +757,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), Failure> {
                 "{} of {} cases failed; first: {} -> {}",
                 report.failures.len(),
                 config.cases,
-                worst.shrunk.suite_line(),
+                worst.shrunk.suite_line(&config),
                 worst.shrunk_outcome
             ),
         });
@@ -1445,12 +1348,12 @@ mod tests {
         )
         .unwrap();
         let arg = format!("@{}", path.display());
-        let plan = parse_faults_flag(&parsed(&RUN, &["--faults", &arg])).expect("plan file parses");
+        let config = RunConfig::from_args(&parsed(&RUN, &["--faults", &arg]));
+        let plan = config.expect("plan file parses").machine.fault_plan;
         assert_eq!(plan.pe_crashes.len(), 1);
         assert!((plan.message_loss - 0.01).abs() < 1e-9);
 
-        let missing = parsed(&RUN, &["--faults", "@/no/such/file"]);
-        let err = parse_faults_flag(&missing).unwrap_err();
+        let err = cmd_run(&flags(&["--faults", "@/no/such/file"])).unwrap_err();
         assert_eq!((err.kind, err.code), ("io", 3));
         std::fs::remove_file(&path).ok();
     }

@@ -108,3 +108,50 @@ fn degradation_check_exits_2_on_a_violation() {
     assert_eq!(out.status.code(), Some(0));
     assert!(stdout(&out).contains("PHYSICS CHECKS FAILED"));
 }
+
+/// Write a one-off suite file and run `oracle-cli batch` on it.
+fn batch(name: &str, suite: &str) -> Output {
+    let path = std::env::temp_dir().join(format!("oracle_cli_{name}_{}.txt", std::process::id()));
+    std::fs::write(&path, suite).expect("write suite");
+    let out = cli(&["batch", path.to_str().expect("UTF-8 path")]);
+    std::fs::remove_file(&path).ok();
+    out
+}
+
+#[test]
+fn suite_lines_share_the_run_grammar() {
+    // A repeated key fails like a repeated `run` flag.
+    let out = batch("repeated", "grid:4 cwn:4x1 fib:8 seed=1 seed=2\n");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(err.starts_with("error[config]: line 1: "), "{err}");
+    assert!(err.contains("--seed given twice"), "{err}");
+
+    // An unknown key lists every accepted form, rendered from the table.
+    let out = batch(
+        "unknown",
+        "grid:4 cwn:4x1 fib:8\ngrid:4 cwn:4x1 fib:8 sneed=2\n",
+    );
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(err.starts_with("error[config]: line 2: "), "{err}");
+    for form in [
+        "seed=N",
+        "faults=PLAN",
+        "arrivals=SPEC",
+        "breaker=COOLDOWN",
+        "load-period=T",
+        "no-coprocessor",
+        "audit-every=N",
+    ] {
+        assert!(err.contains(form), "{form}: {err}");
+    }
+
+    // The `open:` workload spelling `run --workload` accepts.
+    let out = batch(
+        "open",
+        "grid:6 cwn:5x1 open:poisson:6/fib:10 seed=5 duration=5000\n",
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("grid:6 cwn:5x1 open:poisson:6/fib:10 "));
+}

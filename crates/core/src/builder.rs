@@ -1,14 +1,61 @@
-//! The one-run builder API.
+//! The one-run builder API, and the flags that describe one run.
 
-use oracle_model::config::LoadInfoMode;
-use oracle_model::{CostModel, Machine, MachineConfig, Report, SimError};
+use oracle_model::{
+    CostModel, FaultPlan, LoadInfoMode, Machine, MachineConfig, OpenTraffic, Report, SimError,
+};
 use oracle_strategies::StrategySpec;
 use oracle_topo::TopologySpec;
-use oracle_workloads::WorkloadSpec;
-use serde::{Deserialize, Serialize};
+use oracle_workloads::{AnyWorkload, WorkloadSpec};
+
+use crate::flags::{Args, Flag};
+
+// The flags that change what a run simulates or checks. `oracle-cli run`
+// lists them next to its output flags, and a suite line takes each as
+// `key=value` (a switch as a bare `key`); [`RunConfig::from_args`] is the
+// one reader of all of them.
+
+/// `--topology T`.
+pub const TOPOLOGY: Flag = Flag::value("--topology", "T", "topology spec (default grid:10)");
+/// `--strategy S`.
+pub const STRATEGY: Flag = Flag::value("--strategy", "S", "strategy spec (default cwn:9x1)");
+/// `--workload W`; the `open:ARRIVAL/WORKLOAD` spelling sets the arrivals too.
+pub const WORKLOAD: Flag = Flag::value("--workload", "W", "workload spec (default fib:15)");
+/// `--seed N`.
+pub const SEED: Flag = Flag::value("--seed", "N", "RNG seed (default 1)");
+/// `--faults PLAN`.
+pub const FAULTS: Flag = Flag::value("--faults", "PLAN", "fault plan, or @FILE of plan terms");
+/// `--arrivals SPEC`.
+pub const ARRIVALS: Flag = Flag::value("--arrivals", "SPEC", "open traffic: the arrival process");
+/// `--duration T`.
+pub const DURATION: Flag = Flag::value("--duration", "T", "open-run length (default 20000)");
+/// `--warmup T`.
+pub const WARMUP: Flag = Flag::value("--warmup", "T", "unmeasured prefix (default duration/10)");
+/// `--deadline T`.
+pub const DEADLINE: Flag = Flag::value("--deadline", "T", "abandon requests older than T");
+/// `--retry MAXxBASE`.
+pub const RETRY: Flag = Flag::value("--retry", "MAXxBASE", "retry lost requests with backoff");
+/// `--admission POLICY`.
+pub const ADMISSION: Flag = Flag::value(
+    "--admission",
+    "POLICY",
+    "shed arrivals at the door: queue:N, util:F or bucket:RATExBURST",
+);
+/// `--breaker COOLDOWN`.
+pub const BREAKER: Flag = Flag::value("--breaker", "COOLDOWN", "circuit-breaker cooldown");
+/// `--load-period T`.
+pub const LOAD_PERIOD: Flag = Flag::value(
+    "--load-period",
+    "T",
+    "load-broadcast period (default 40; 0 leaves piggy-backed load words only: \
+     a broadcast round costs O(PEs) events)",
+);
+/// `--no-coprocessor`.
+pub const NO_COPROCESSOR: Flag = Flag::switch("--no-coprocessor", "PEs pay the routing cost");
+/// `--audit-every N`.
+pub const AUDIT_EVERY: Flag = Flag::value("--audit-every", "N", "audit invariants every N events");
 
 /// A fully specified simulation run: everything needed to reproduce it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Interconnection topology.
     pub topology: TopologySpec,
@@ -23,6 +70,30 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
+    /// The run the run-shaping flags ([`TOPOLOGY`] to [`AUDIT_EVERY`])
+    /// describe — the one path from `oracle-cli run` options and suite
+    /// lines to a configuration. Absent flags keep the
+    /// [`SimulationBuilder`] defaults. `--faults @FILE` reads a plan file
+    /// whose non-comment lines are joined with `+` (the format chaos
+    /// reproducers are written in). Errors name the flag.
+    pub fn from_args(args: &Args) -> Result<RunConfig, String> {
+        let mut config = SimulationBuilder::new().config();
+        config.topology = args.parse("--topology", config.topology)?;
+        config.strategy = args.parse("--strategy", config.strategy)?;
+        let workload = args.parse("--workload", AnyWorkload::Closed(config.workload))?;
+        config.workload = workload.workload();
+        let machine = &mut config.machine;
+        machine.open = open_traffic(args, &workload)?;
+        machine.seed = args.parse("--seed", machine.seed)?;
+        machine.audit_every = args.parse("--audit-every", machine.audit_every)?;
+        machine.fault_plan = fault_plan(args)?;
+        machine.coprocessor = !args.has("--no-coprocessor");
+        if let Some(period) = args.parse_opt("--load-period")? {
+            machine.load_info = LoadInfoMode::Piggyback { period };
+        }
+        Ok(config)
+    }
+
     /// Build the configured machine without running it — the checkpoint
     /// tooling pauses, snapshots, and restores machines directly.
     pub fn machine(&self) -> Result<Machine, SimError> {
@@ -68,8 +139,7 @@ impl RunConfig {
         }
         // Under a fault plan the goal count legitimately diverges (lost
         // goals, re-spawned subtrees) — only the result check applies.
-        let faults_planned = !self.machine.fault_plan.is_empty() || self.machine.fail_pe.is_some();
-        if !faults_planned {
+        if self.machine.fault_plan.is_empty() {
             if let Some(goals) = self.workload.build().expected_goals() {
                 if report.goals_created != goals {
                     return Err(SimError::InvalidConfig(format!(
@@ -81,6 +151,63 @@ impl RunConfig {
         }
         Ok(report)
     }
+}
+
+/// The open-traffic settings: `--arrivals` or the `open:` workload
+/// spelling (not both), the measurement windows and the overload knobs,
+/// which need one of the two.
+fn open_traffic(args: &Args, workload: &AnyWorkload) -> Result<Option<OpenTraffic>, String> {
+    let arrivals = match (workload, args.value("--arrivals")) {
+        (AnyWorkload::Open(_), Some(_)) => {
+            return Err("--arrivals conflicts with an open: workload — pick one spelling".into())
+        }
+        (AnyWorkload::Open(o), None) => Some(o.arrivals.clone()),
+        (AnyWorkload::Closed(_), _) => args.parse_opt("--arrivals")?,
+    };
+    let Some(arrivals) = arrivals else {
+        let knobs = [DURATION, WARMUP, DEADLINE, RETRY, ADMISSION, BREAKER];
+        if let Some(flag) = knobs.iter().find(|f| args.has(f.name)) {
+            return Err(format!(
+                "{}: open-traffic options require arrivals (--arrivals SPEC or an open: \
+                 workload)",
+                flag.name
+            ));
+        }
+        return Ok(None);
+    };
+    let duration = args.parse("--duration", crate::runner::DEFAULT_OPEN_DURATION)?;
+    let mut open = OpenTraffic::new(arrivals, duration);
+    open.warmup = args.parse("--warmup", open.warmup)?;
+    open.deadline = args.parse_opt("--deadline")?;
+    open.retry = args.parse_opt("--retry")?;
+    open.admission = args.parse_opt("--admission")?;
+    open.breaker = args.parse_opt("--breaker")?;
+    Ok(Some(open))
+}
+
+/// `--faults`: a plan string, or `@FILE`.
+fn fault_plan(args: &Args) -> Result<FaultPlan, String> {
+    let Some(value) = args.value("--faults") else {
+        return Ok(FaultPlan::none());
+    };
+    let text = match value.strip_prefix('@') {
+        Some(path) => {
+            std::fs::read_to_string(path).map_err(|e| format!("--faults @{path}: {e}"))?
+        }
+        None => value.to_string(),
+    };
+    let terms: Vec<&str> = text
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    if terms.is_empty() {
+        return Ok(FaultPlan::none());
+    }
+    terms
+        .join("+")
+        .parse()
+        .map_err(|e: oracle_model::faults::ParseFaultPlanError| format!("--faults: {e}"))
 }
 
 /// Fluent builder over [`RunConfig`].
@@ -189,19 +316,6 @@ impl SimulationBuilder {
     /// this off for runs whose reports are compared bit-for-bit.
     pub fn profile(mut self, enabled: bool) -> Self {
         self.config.machine.profile = enabled;
-        self
-    }
-
-    /// Select instantaneous (oracle) neighbour-load information instead of
-    /// the paper's piggy-backed/periodic load words.
-    pub fn instant_load_info(mut self) -> Self {
-        self.config.machine.load_info = LoadInfoMode::Instant;
-        self
-    }
-
-    /// Set the periodic load-broadcast period (piggy-backing stays on).
-    pub fn load_broadcast_period(mut self, period: u64) -> Self {
-        self.config.machine.load_info = LoadInfoMode::Piggyback { period };
         self
     }
 

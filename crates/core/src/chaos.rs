@@ -16,11 +16,12 @@
 //! pool only decides wall-clock order. Failing cases are then shrunk
 //! sequentially (drop fault-plan terms, shrink the workload; keep any
 //! reduction that reproduces the same failure kind) into a minimal
-//! reproducer line ready for `parse_suite` / `oracle-cli run --suite`.
+//! reproducer line ready for `parse_suite` / `oracle-cli batch FILE`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use oracle_des::Rng;
@@ -31,7 +32,6 @@ use oracle_model::{
 use oracle_strategies::StrategySpec;
 use oracle_topo::TopologySpec;
 use oracle_workloads::WorkloadSpec;
-use parking_lot::Mutex;
 
 use crate::builder::RunConfig;
 
@@ -120,11 +120,12 @@ impl ChaosCase {
         )
     }
 
-    /// A `parse_suite`-compatible line reproducing this case.
-    pub fn suite_line(&self) -> String {
+    /// A `parse_suite`-compatible line reproducing this case as `chaos`
+    /// ran it, auditor period included.
+    pub fn suite_line(&self, chaos: &ChaosConfig) -> String {
         let mut line = format!(
-            "{} {} {} seed={}",
-            self.topology, self.strategy, self.workload, self.seed
+            "{} {} {} seed={} audit-every={}",
+            self.topology, self.strategy, self.workload, self.seed, chaos.audit_every
         );
         if !self.plan.is_empty() {
             line.push_str(&format!(" faults={}", self.plan));
@@ -217,8 +218,9 @@ pub struct ChaosFailure {
 }
 
 impl ChaosFailure {
-    /// Ready-to-run reproducer: comment header plus a `parse_suite` line.
-    pub fn reproducer(&self) -> String {
+    /// Ready-to-run reproducer of a case of the `chaos` sweep: comment
+    /// header plus a `parse_suite` line.
+    pub fn reproducer(&self, chaos: &ChaosConfig) -> String {
         format!(
             "# chaos reproducer: case {} of master seed {} — {}\n\
              # original: {}\n\
@@ -226,11 +228,11 @@ impl ChaosFailure {
              # run with: oracle-cli batch <this file>\n\
              {}\n",
             self.case.index,
-            self.case.seed,
+            chaos.seed,
             self.outcome,
-            self.case.suite_line(),
+            self.case.suite_line(chaos),
             self.shrunk_outcome,
-            self.shrunk.suite_line()
+            self.shrunk.suite_line(chaos)
         )
     }
 }
@@ -602,7 +604,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
                     break;
                 }
                 let outcome = run_case(&cases[i], config);
-                *slots[i].lock() = Some(outcome);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
             });
         }
     });
@@ -613,6 +615,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
         .map(|(case, slot)| {
             let outcome = slot
                 .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
                 .expect("every chaos slot is filled before scope exit");
             (case, outcome)
         })
@@ -653,11 +656,12 @@ mod tests {
 
     #[test]
     fn case_generation_is_deterministic_and_valid() {
-        let a = generate_cases(&quick_config(12, 7));
-        let b = generate_cases(&quick_config(12, 7));
+        let config = quick_config(12, 7);
+        let a = generate_cases(&config);
+        let b = generate_cases(&config);
         assert_eq!(a.len(), 12);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.suite_line(), y.suite_line());
+            assert_eq!(x.suite_line(&config), y.suite_line(&config));
             let topo = x.topology.build();
             x.plan
                 .validate(topo.num_pes(), topo.num_channels())
@@ -667,25 +671,22 @@ mod tests {
         assert!(
             a.iter()
                 .zip(&c)
-                .any(|(x, y)| x.suite_line() != y.suite_line()),
+                .any(|(x, y)| x.suite_line(&config) != y.suite_line(&config)),
             "different master seeds produced identical sweeps"
         );
     }
 
     #[test]
     fn suite_lines_parse_back() {
-        for case in generate_cases(&quick_config(8, 3)) {
-            let specs = crate::runner::parse_suite(&case.suite_line())
-                .unwrap_or_else(|e| panic!("{}: {e}", case.suite_line()));
+        let config = quick_config(8, 3);
+        for case in generate_cases(&config) {
+            let line = case.suite_line(&config);
+            let specs = crate::runner::parse_suite(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(specs.len(), 1);
             assert_eq!(specs[0].config.machine.seed, case.seed);
+            assert_eq!(specs[0].config.machine.audit_every, config.audit_every);
             assert_eq!(specs[0].config.machine.fault_plan, case.plan);
-            assert_eq!(
-                specs[0].config.machine.open,
-                case.open,
-                "{}",
-                case.suite_line()
-            );
+            assert_eq!(specs[0].config.machine.open, case.open, "{line}");
         }
     }
 

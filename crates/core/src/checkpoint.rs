@@ -54,7 +54,10 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 /// v7 dropped the state-mode byte: per-PE and per-channel state lives in
 /// one paged store whatever the machine size. It embeds the v6 machine
 /// snapshot, which encodes that store page by page.
-pub const CHECKPOINT_VERSION: u32 = 7;
+///
+/// v8 dropped the `fail_pe` shorthand: a single crash is a `crash:PE@T`
+/// term of the fault plan.
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]
@@ -144,14 +147,6 @@ fn put_config(w: &mut SnapWriter, config: &RunConfig) {
         QueueDiscipline::Lifo => 1,
         QueueDiscipline::DeepestFirst => 2,
     });
-    match m.fail_pe {
-        Some((pe, at)) => {
-            w.bool(true);
-            w.u32(pe);
-            w.u64(at);
-        }
-        None => w.bool(false),
-    }
     w.str(&m.fault_plan.to_string());
     w.u64(m.audit_every);
     match &m.open {
@@ -262,11 +257,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             )))
         }
     };
-    let fail_pe = if r.bool()? {
-        Some((r.u32()?, r.u64()?))
-    } else {
-        None
-    };
     let fault_plan = r.str()?;
     let fault_plan =
         fault_plan
@@ -344,7 +334,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             trace_mode: oracle_model::TraceMode::default(),
             profile: false,
             queue_discipline,
-            fail_pe,
             fault_plan,
             audit_every,
             open,
@@ -528,7 +517,6 @@ mod tests {
         config.machine.fault_plan = "crash:3@900+loss:2%+recover:400x5".parse().unwrap();
         config.machine.audit_every = 64;
         config.machine.load_info = LoadInfoMode::Instant;
-        config.machine.fail_pe = Some((2, 1234));
         config.machine.open = Some(oracle_model::OpenTraffic {
             warmup: 500,
             saturation_inflight: 77,
@@ -710,7 +698,7 @@ mod tests {
         );
 
         // A newer layout, and the previous one (whose config block still
-        // carries the queue-backend byte), are both refused by version.
+        // carries the `fail_pe` field), are both refused by version.
         for version in [CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1] {
             let mut w = SnapWriter::new();
             w.u32(CHECKPOINT_MAGIC);

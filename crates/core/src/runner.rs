@@ -7,11 +7,15 @@
 //! output is reproducible.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use oracle_model::{Report, SimError};
-use parking_lot::Mutex;
 
-use crate::builder::RunConfig;
+use crate::builder::{
+    RunConfig, ADMISSION, ARRIVALS, AUDIT_EVERY, BREAKER, DEADLINE, DURATION, FAULTS, LOAD_PERIOD,
+    NO_COPROCESSOR, RETRY, SEED, STRATEGY, TOPOLOGY, WARMUP, WORKLOAD,
+};
+use crate::flags::{Command, Kind};
 
 /// One entry of a batch: a label (carried through to the results) plus the
 /// full run configuration.
@@ -112,7 +116,7 @@ pub fn run_batch_with_threads(
                     break;
                 }
                 let result = specs[i].config.run_validated();
-                *slots[i].lock() = Some(result);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
             });
         }
     });
@@ -123,6 +127,7 @@ pub fn run_batch_with_threads(
         .map(|(spec, slot)| {
             let result = slot
                 .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
                 .expect("every batch slot is filled before scope exit");
             (spec.label.clone(), result)
         })
@@ -204,35 +209,56 @@ pub fn seed_sweep(config: RunConfig, base_seed: u64, n_seeds: u64) -> SeedSummar
     }
 }
 
-/// Duration of a suite-line open run when `duration=` is not given.
+/// Duration of an open run when `--duration` is not given.
 pub const DEFAULT_OPEN_DURATION: u64 = 20_000;
+
+/// The grammar of one suite line: the run-shaping rows of
+/// [`crate::builder`], the same ones `oracle-cli run` lists. The first
+/// three are the line's columns.
+static SUITE_LINE: Command = Command {
+    name: "suite line",
+    about: "one run of a batch suite",
+    positional: None,
+    flags: &[
+        TOPOLOGY,
+        STRATEGY,
+        WORKLOAD,
+        SEED,
+        FAULTS,
+        ARRIVALS,
+        DURATION,
+        WARMUP,
+        DEADLINE,
+        RETRY,
+        ADMISSION,
+        BREAKER,
+        LOAD_PERIOD,
+        NO_COPROCESSOR,
+        AUDIT_EVERY,
+    ],
+};
 
 /// Parse a batch-suite description into run specs.
 ///
-/// One run per non-empty, non-`#` line:
+/// One run per non-empty, non-`#` line: three columns, then any
+/// run-shaping `oracle-cli run` flag as `key=value` (a switch as a bare
+/// `key`):
 ///
 /// ```text
-/// # topology   strategy   workload   [seed=N] [faults=PLAN] [arrivals=SPEC] [duration=T] [warmup=T]
-/// #                                  [deadline=T] [retry=MAXxBASE] [admission=POLICY] [breaker=T]
+/// # topology   strategy   workload   [seed=N] [faults=PLAN] [arrivals=SPEC] ...
 /// grid:10      cwn:9x1    fib:15
-/// grid:10      gm:1x2x20  fib:15     seed=7
-/// dlm:10       cwn:5x1    dc:987
+/// grid:10      gm:1x2x20  fib:15     seed=7 no-coprocessor
 /// grid:6       cwn:5x1    fib:12     seed=3   faults=crash:7@400+loss:1%+recover:500x8
-/// grid:6       cwn:5x1    fib:10     arrivals=poisson:4 duration=20000
-/// grid:6       cwn:5x1    fib:10     arrivals=poisson:40 deadline=800 retry=3x100 admission=queue:8
+/// grid:6       cwn:5x1    fib:10     arrivals=poisson:4 duration=20000 audit-every=64
+/// grid:6       cwn:5x1    open:poisson:40/fib:10  deadline=800 retry=3x100 admission=queue:8
 /// ```
 ///
-/// `arrivals=` switches the line to the open-traffic regime (see
-/// [`oracle_model::open`]); `duration=`/`warmup=` set its measurement
-/// windows (defaults: 20000 and one tenth of the duration). The
-/// overload-protection knobs — `deadline=` (per-request deadline),
-/// `retry=` (cap × base backoff), `admission=`
-/// (`queue:MAX`/`util:FRACTION`/`bucket:RATExBURST`), and `breaker=`
-/// (circuit-breaker cooldown) — also require `arrivals=` on the same
-/// line.
-///
-/// Labels are generated from the three specs. Errors name the offending
-/// line.
+/// A line is the `run` command line `--topology T --strategy S
+/// --workload W --key value ...`, parsed against the same flag rows and
+/// turned into a configuration by [`RunConfig::from_args`]: the same defaults,
+/// grammars and rules (a repeated key is an error; the open-traffic knobs
+/// need arrivals). Labels are the columns plus every field but `seed=`,
+/// `duration=` and `warmup=`, in line order. Errors name the line.
 pub fn parse_suite(text: &str) -> Result<Vec<RunSpec>, String> {
     let mut specs = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -240,139 +266,64 @@ pub fn parse_suite(text: &str) -> Result<Vec<RunSpec>, String> {
         if line.is_empty() {
             continue;
         }
+        let n = lineno + 1;
         let fields: Vec<&str> = line.split_whitespace().collect();
-        if !(3..=12).contains(&fields.len()) {
+        if fields.len() < 3 {
             return Err(format!(
-                "line {}: expected `topology strategy workload [seed=N] [faults=PLAN] \
-                 [arrivals=SPEC] [duration=T] [warmup=T] [deadline=T] [retry=MAXxBASE] \
-                 [admission=POLICY] [breaker=T]`, got {raw:?}",
-                lineno + 1
+                "line {n}: expected `topology strategy workload [key=value ...]`, got {raw:?}"
             ));
         }
-        let err = |what: &str, e: String| format!("line {}: bad {what}: {e}", lineno + 1);
-        let topology: oracle_topo::TopologySpec = fields[0]
-            .parse()
-            .map_err(|e: oracle_topo::spec::ParseSpecError| err("topology", e.to_string()))?;
-        let strategy: oracle_strategies::StrategySpec =
-            fields[1]
-                .parse()
-                .map_err(|e: oracle_strategies::spec::ParseStrategyError| {
-                    err("strategy", e.to_string())
-                })?;
-        let workload: oracle_workloads::WorkloadSpec =
-            fields[2]
-                .parse()
-                .map_err(|e: oracle_workloads::spec::ParseWorkloadError| {
-                    err("workload", e.to_string())
-                })?;
-        let mut config = crate::builder::SimulationBuilder::new()
-            .topology(topology)
-            .strategy(strategy)
-            .workload(workload)
-            .config();
-        let mut label_suffix = String::new();
-        let mut arrivals: Option<oracle_model::ArrivalSpec> = None;
-        let mut duration: Option<u64> = None;
-        let mut warmup: Option<u64> = None;
-        let mut deadline: Option<u64> = None;
-        let mut retry: Option<oracle_model::RetryPolicy> = None;
-        let mut admission: Option<oracle_model::AdmissionPolicy> = None;
-        let mut breaker: Option<u64> = None;
-        for extra in &fields[3..] {
-            if let Some(v) = extra.strip_prefix("seed=") {
-                config.machine.seed = v
-                    .parse()
-                    .map_err(|_| err("seed", format!("{extra:?} (expected seed=N)")))?;
-            } else if let Some(v) = extra.strip_prefix("faults=") {
-                config.machine.fault_plan =
-                    v.parse()
-                        .map_err(|e: oracle_model::faults::ParseFaultPlanError| {
-                            err("faults", format!("{v:?}: {e}"))
-                        })?;
-                label_suffix.push_str(&format!(" faults={v}"));
-            } else if let Some(v) = extra.strip_prefix("arrivals=") {
-                arrivals = Some(v.parse().map_err(|e: oracle_model::ParseArrivalError| {
-                    err("arrivals", e.to_string())
-                })?);
-                label_suffix.push_str(&format!(" arrivals={v}"));
-            } else if let Some(v) = extra.strip_prefix("duration=") {
-                duration =
-                    Some(v.parse().map_err(|_| {
-                        err("duration", format!("{extra:?} (expected duration=T)"))
-                    })?);
-            } else if let Some(v) = extra.strip_prefix("warmup=") {
-                warmup = Some(
-                    v.parse()
-                        .map_err(|_| err("warmup", format!("{extra:?} (expected warmup=T)")))?,
-                );
-            } else if let Some(v) = extra.strip_prefix("deadline=") {
-                deadline =
-                    Some(v.parse().map_err(|_| {
-                        err("deadline", format!("{extra:?} (expected deadline=T)"))
-                    })?);
-                label_suffix.push_str(&format!(" deadline={v}"));
-            } else if let Some(v) = extra.strip_prefix("retry=") {
-                retry =
-                    Some(v.parse().map_err(|e: oracle_model::ParseOverloadError| {
-                        err("retry", e.to_string())
-                    })?);
-                label_suffix.push_str(&format!(" retry={v}"));
-            } else if let Some(v) = extra.strip_prefix("admission=") {
-                admission = Some(v.parse().map_err(|e: oracle_model::ParseOverloadError| {
-                    err("admission", e.to_string())
-                })?);
-                label_suffix.push_str(&format!(" admission={v}"));
-            } else if let Some(v) = extra.strip_prefix("breaker=") {
-                breaker = Some(
-                    v.parse()
-                        .map_err(|_| err("breaker", format!("{extra:?} (expected breaker=T)")))?,
-                );
-                label_suffix.push_str(&format!(" breaker={v}"));
-            } else {
-                return Err(err(
-                    "field",
-                    format!(
-                        "{extra:?} (expected seed=N, faults=PLAN, arrivals=SPEC, duration=T, \
-                         warmup=T, deadline=T, retry=MAXxBASE, admission=POLICY, or breaker=T)"
-                    ),
+        let (columns, keys) = SUITE_LINE.flags.split_at(3);
+        let mut tokens = Vec::new();
+        for (flag, value) in columns.iter().zip(&fields) {
+            tokens.extend([flag.name.to_string(), value.to_string()]);
+        }
+        let mut label = fields[..3].join(" ");
+        for field in &fields[3..] {
+            let (key, value) = match field.split_once('=') {
+                Some((key, value)) => (key, Some(value.to_string())),
+                None => (*field, None),
+            };
+            let flag = format!("--{key}");
+            if !keys.iter().any(|f| f.name == flag) {
+                let forms: Vec<String> = keys
+                    .iter()
+                    .map(|f| match f.kind {
+                        Kind::Value(metavar) => format!("{}={metavar}", &f.name[2..]),
+                        Kind::Switch | Kind::Removed => f.name[2..].to_string(),
+                    })
+                    .collect();
+                return Err(format!(
+                    "line {n}: bad field: {field:?} (expected {})",
+                    forms.join(", ")
                 ));
             }
-        }
-        match arrivals {
-            Some(spec) => {
-                let mut open =
-                    oracle_model::OpenTraffic::new(spec, duration.unwrap_or(DEFAULT_OPEN_DURATION));
-                if let Some(w) = warmup {
-                    open.warmup = w;
-                }
-                open.deadline = deadline;
-                open.retry = retry;
-                open.admission = admission;
-                open.breaker = breaker;
-                config.machine.open = Some(open);
+            tokens.push(flag);
+            tokens.extend(value);
+            if !matches!(key, "seed" | "duration" | "warmup") {
+                label = format!("{label} {field}");
             }
-            None if duration.is_some()
-                || warmup.is_some()
-                || deadline.is_some()
-                || retry.is_some()
-                || admission.is_some()
-                || breaker.is_some() =>
-            {
-                return Err(err(
-                    "field",
-                    "duration=/warmup=/deadline=/retry=/admission=/breaker= require \
-                     arrivals=SPEC on the same line"
-                        .into(),
-                ));
-            }
-            None => {}
         }
-        specs.push(RunSpec::new(
-            format!("{} {} {}{label_suffix}", fields[0], fields[1], fields[2]),
-            config,
-        ));
+        let config = SUITE_LINE
+            .parse(tokens, &[])
+            .and_then(|args| RunConfig::from_args(&args))
+            .map_err(|e| match flag_key(&e) {
+                Some(key) => format!("line {n}: bad {key}: {e}"),
+                None => format!("line {n}: {e}"),
+            })?;
+        specs.push(RunSpec::new(label, config));
     }
     Ok(specs)
+}
+
+/// The key of the flag an error message starts with: `seed` for
+/// `--seed "x": ...`.
+fn flag_key(message: &str) -> Option<&str> {
+    let rest = message.strip_prefix("--")?;
+    let end = rest
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
 }
 
 #[cfg(test)]

@@ -16,14 +16,12 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 /// Handle to one registered event kind (an index into the registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KindId(pub usize);
 
 /// Accumulated count and wall time for one event kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindStats {
     /// Events of this kind processed.
     pub count: u64,
@@ -167,7 +165,7 @@ impl Default for Profiler {
 }
 
 /// Per-kind slice of a [`ProfileReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindProfile {
     /// Registered kind name.
     pub name: String,
@@ -179,20 +177,17 @@ pub struct KindProfile {
 
 /// The end-of-run snapshot of a [`Profiler`], carried on the run report.
 /// Counts and high-water marks are deterministic; `wall_nanos` is not.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileReport {
     /// One entry per registered kind, in registration order.
     pub kinds: Vec<KindProfile>,
     /// Total wall-clock time spent popping the event queue, in
     /// nanoseconds (not part of any kind's time).
-    #[serde(default)]
     pub queue_wall_nanos: u64,
     /// Next-hop routing decisions taken while handling events.
-    #[serde(default)]
     pub route_calls: u64,
     /// Total wall-clock time of those decisions, in nanoseconds (already
     /// part of the handling kinds' time).
-    #[serde(default)]
     pub route_wall_nanos: u64,
     /// Highest pending-event-queue depth observed.
     pub queue_depth_hwm: usize,
@@ -200,14 +195,13 @@ pub struct ProfileReport {
     pub control_by_tag: Vec<(u8, u64)>,
     /// How much of each paged state store the run materialized, in the
     /// order the model lists its stores.
-    #[serde(default)]
     pub state: Vec<StoreFootprint>,
 }
 
 /// Materialized pages and slots of one paged state store, out of the
 /// totals the machine size implies. Deterministic: a function of which
 /// ids the run touched.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreFootprint {
     /// Store name (`pe`, `channel`).
     pub name: String,

@@ -18,8 +18,6 @@
 //! * [`IntervalSeries`] — splits busy time into fixed-width sampling
 //!   intervals, yielding the utilization-vs-time series of Plots 11–16.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Single-pass mean / variance / extrema via Welford's algorithm.
@@ -34,7 +32,7 @@ use crate::time::SimTime;
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.min(), Some(1.0));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -158,7 +156,7 @@ impl OnlineStats {
 /// assert_eq!(h.bucket(2), 2);
 /// assert_eq!(h.total(), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     overflow: u64,
@@ -278,7 +276,7 @@ impl Histogram {
 /// let p50 = h.quantile(0.5);
 /// assert!((44..=50).contains(&p50), "p50 = {p50}");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     total: u64,
@@ -437,7 +435,7 @@ impl LogHistogram {
 ///
 /// The resource is either idle or busy; `set_busy`/`set_idle` mark the
 /// transitions. Utilization over `[0, horizon)` is `busy / horizon`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BusyTracker {
     busy_since: Option<SimTime>,
     accumulated: u64,
@@ -519,7 +517,7 @@ impl BusyTracker {
 /// tracked resource instead of growing linearly with simulated time. Runs that
 /// fit within the capacity — every paper-scale configuration does, by orders
 /// of magnitude — produce bit-identical series to the unbounded version.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntervalSeries {
     width: u64,
     /// Busy units accumulated per interval.

@@ -1,13 +1,11 @@
 //! Machine-level configuration knobs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::faults::FaultPlan;
 use crate::open::OpenTraffic;
 use crate::trace::TraceMode;
 
 /// How PEs learn their neighbours' loads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadInfoMode {
     /// The paper's mechanism: the load word is piggy-backed on every regular
     /// message, plus "a very short message to all the neighbors" broadcast
@@ -19,7 +17,7 @@ pub enum LoadInfoMode {
 }
 
 /// Order in which a PE picks its next work item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueDiscipline {
     /// Oldest first (breadth-first-ish over the task tree) — ORACLE's
     /// behaviour and the default.
@@ -35,7 +33,7 @@ pub enum QueueDiscipline {
 
 /// Configuration of the simulated machine (everything that is not the
 /// topology, the program, the strategy, or the cost model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Seed for all randomness in the run.
     pub seed: u64,
@@ -84,14 +82,12 @@ pub struct MachineConfig {
     /// exercise watchdog crossings without million-event runs. With
     /// periodic load broadcasts armed the machine adds two broadcast
     /// rounds of events to it, so a round alone never fills the window.
-    #[serde(default = "default_progress_window")]
     pub progress_window: u64,
     /// Keep a structured trace of up to this many events (0 disables
     /// tracing; see [`crate::trace`]).
     pub trace_capacity: usize,
     /// What a full trace buffer does with further events: keep the first
     /// `trace_capacity` (the default) or ring-buffer the last.
-    #[serde(default)]
     pub trace_mode: TraceMode,
     /// Run the engine profiler: per-event-kind counts and wall times,
     /// event-queue pop time, next-hop routing time, queue-depth high-water
@@ -99,16 +95,9 @@ pub struct MachineConfig {
     /// Costs three clock reads per event and two per routed hop; wall
     /// times are nondeterministic, so leave this off (the default) for any
     /// run whose report is compared bit-for-bit.
-    #[serde(default)]
     pub profile: bool,
     /// Order in which each PE picks its next work item.
     pub queue_discipline: QueueDiscipline,
-    /// Failure injection shorthand: kill one PE at a simulated instant.
-    /// Folded into [`MachineConfig::fault_plan`] at machine construction;
-    /// kept as a convenience knob for single-crash experiments. Runs that
-    /// depended on the lost work end in [`crate::SimError::GoalsLost`]
-    /// rather than a silent wrong answer.
-    pub fail_pe: Option<(u32, u64)>,
     /// Deterministic fault schedule: PE crashes, link down windows,
     /// message loss, slowdowns, and the recovery layer. The empty plan
     /// (the default) adds no events and draws no random numbers.
@@ -122,20 +111,17 @@ pub struct MachineConfig {
     /// a pure read of machine state: it schedules no events and draws no
     /// random numbers, so an audited run produces bit-identical reports to
     /// an unaudited one.
-    #[serde(default)]
     pub audit_every: u64,
     /// Open-system traffic: `Some` replaces the single root goal with a
     /// stream of arriving requests (each spawning the workload's task tree)
     /// measured by steady-state sojourn times instead of completion time.
     /// `None` (the default) is the classic closed run. See [`crate::open`].
-    #[serde(default)]
     pub open: Option<OpenTraffic>,
     /// Emit the per-PE report vectors (`per_pe_utilization`,
     /// `per_pe_goals`). Off by default so the report stays O(1) in the PE
     /// count; the streaming aggregates (utilization quantiles, top-K
     /// heavy hitters) are always present. The CLI exposes this as
     /// `--per-pe`.
-    #[serde(default)]
     pub per_pe_metrics: bool,
     /// Heterogeneous-machine extension: each PE's execution costs are
     /// multiplied by a seeded per-PE factor drawn uniformly from
@@ -144,10 +130,6 @@ pub struct MachineConfig {
     /// load-*informed* placement should matter more than load-oblivious
     /// scatter.
     pub pe_speed_spread: u64,
-}
-
-fn default_progress_window() -> u64 {
-    crate::machine::PROGRESS_WINDOW
 }
 
 impl Default for MachineConfig {
@@ -163,12 +145,11 @@ impl Default for MachineConfig {
             coprocessor: true,
             per_pe_series: false,
             max_events: 500_000_000,
-            progress_window: default_progress_window(),
+            progress_window: crate::machine::PROGRESS_WINDOW,
             trace_capacity: 0,
             trace_mode: TraceMode::default(),
             profile: false,
             queue_discipline: QueueDiscipline::Fifo,
-            fail_pe: None,
             fault_plan: FaultPlan::default(),
             audit_every: 0,
             open: None,

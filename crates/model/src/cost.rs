@@ -7,10 +7,8 @@
 //! it "such that communication stagnation does not occur" in order to
 //! isolate load-distribution effectiveness.
 
-use serde::{Deserialize, Serialize};
-
 /// Time charged for each primitive operation of the machine model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// PE time to execute a goal that splits into subgoals.
     pub split_cost: u64,

@@ -42,7 +42,7 @@ pub enum SimError {
     /// are attributable while a leaky strategy (losing goals with *no*
     /// fault plan) still fails loudly as a stall.
     GoalsLost {
-        /// Whether a fault plan (or `fail_pe`) was active — i.e. the loss
+        /// Whether a fault plan was active — i.e. the loss
         /// was scheduled rather than a simulator bug.
         expected_by_plan: bool,
         /// Goals destroyed by faults.

@@ -19,12 +19,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Fail-stop crash of one PE at a simulated instant. The PE stops
 /// executing, its queued and in-progress work is lost, and messages
 /// addressed to it are black-holed from then on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeCrash {
     /// Index of the PE to kill (must be `< num_pes`).
     pub pe: u32,
@@ -35,7 +33,7 @@ pub struct PeCrash {
 /// A window during which one channel carries no new traffic. A transfer
 /// already on the wire completes; everything offered while the link is
 /// down queues in the channel backlog and drains after `up_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkWindow {
     /// Index of the channel to take down (must be `< num_channels`).
     pub channel: u32,
@@ -47,7 +45,7 @@ pub struct LinkWindow {
 
 /// Transient slowdown of one PE: work *started* inside the window costs
 /// `factor` times as much. Work already in progress is unaffected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slowdown {
     /// Index of the PE to slow (must be `< num_pes`).
     pub pe: u32,
@@ -65,7 +63,7 @@ pub struct Slowdown {
 /// or silent past its timeout is re-spawned with a fresh id, up to
 /// `max_retries` attempts per slot. Duplicate responses from superseded
 /// attempts are detected and discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryParams {
     /// Base silence window before a tracked goal is re-spawned. The window
     /// doubles with each retry (capped at 32x) so slow subtrees are not
@@ -85,7 +83,7 @@ impl Default for RecoveryParams {
 }
 
 /// A complete, deterministic fault schedule for one run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Fail-stop PE crashes.
     pub pe_crashes: Vec<PeCrash>,

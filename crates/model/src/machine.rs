@@ -16,7 +16,7 @@ use crate::channel::Channel;
 use crate::config::{LoadInfoMode, MachineConfig};
 use crate::cost::CostModel;
 use crate::error::SimError;
-use crate::faults::{FaultPlan, PeCrash};
+use crate::faults::FaultPlan;
 use crate::message::{ControlMsg, Flight, FlightDest, GoalId, GoalMsg, Packet};
 use crate::metrics::{FaultMetrics, OpenMetrics, OpenOutcome, Report, TopPe, TrafficCounters};
 use crate::open::{AdmissionPolicy, Inflight, OpenState};
@@ -160,7 +160,7 @@ impl FaultState {
 pub(crate) const PROGRESS_WINDOW: u64 = 1_000_000;
 
 /// Largest PE count for which the flat O(n²) neighbour-position table is
-/// built (64 MiB of `u16` at the limit). Larger machines binary-search the
+/// built (128 MiB of `u16` at the limit). Larger machines binary-search the
 /// sorted neighbour list instead — an O(log degree) lookup that costs no
 /// quadratic memory.
 pub(crate) const NBR_INDEX_LIMIT: usize = 8192;
@@ -236,8 +236,7 @@ pub struct Core {
     /// trace, deliberately not part of a snapshot: a resumed run's profile
     /// covers the segment since the restore.
     pub(crate) profiler: Option<Box<Profiler>>,
-    /// The effective fault plan (`config.fault_plan` with the legacy
-    /// `fail_pe` shorthand folded in).
+    /// The fault plan, moved out of `config.fault_plan` at construction.
     pub(crate) plan: FaultPlan,
     /// Dedicated RNG stream for fault decisions (message-loss draws), so a
     /// fault plan never perturbs the strategy's random stream.
@@ -1324,16 +1323,9 @@ impl Machine {
                 }
             }
         }
-        // Fold the legacy `fail_pe` shorthand into the effective plan
-        // (leniently: an out-of-range PE is ignored, as it always was).
-        // Taking it out of the config avoids cloning the plan's vectors;
-        // the effective plan in `Core::plan` is the single source of truth.
-        let mut plan = std::mem::take(&mut config.fault_plan);
-        if let Some((pe, at)) = config.fail_pe {
-            if (pe as usize) < topo.num_pes() {
-                plan.pe_crashes.push(PeCrash { pe, at });
-            }
-        }
+        // Taking the plan out of the config avoids cloning its vectors;
+        // `Core::plan` is the single source of truth.
+        let plan = std::mem::take(&mut config.fault_plan);
         // Fault decisions draw from their own stream so that an empty plan
         // leaves the strategy's randomness bit-identical to a run without
         // fault support at all.
@@ -1446,7 +1438,6 @@ impl Machine {
         self.core.next_check = self.progress_window();
 
         // Arm the fault plan: crashes, link windows, slowdown windows.
-        // (The legacy `fail_pe` shorthand was folded in at construction.)
         // Index loops over the `Copy` entries sidestep borrowing the plan
         // while scheduling, without cloning its vectors.
         for i in 0..self.core.plan.pe_crashes.len() {

@@ -1,14 +1,11 @@
 //! Messages exchanged between PEs.
 
 use oracle_topo::PeId;
-use serde::{Deserialize, Serialize};
 
 use crate::program::TaskSpec;
 
 /// Unique identifier of a goal within one simulation run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GoalId(pub u64);
 
 /// A goal message: a piece of work travelling to (or queued at) a PE.
@@ -16,7 +13,7 @@ pub struct GoalId(pub u64);
 /// `Copy` is load-bearing for performance: the hot path duplicates packets
 /// when snooping and broadcasting, and a `Copy` message keeps those
 /// duplications allocation-free (`tests/alloc_regression.rs` pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GoalMsg {
     /// Unique id of this goal.
     pub id: GoalId,
@@ -38,7 +35,7 @@ pub struct GoalMsg {
 /// A strategy-defined control message (one hop, neighbour to neighbour).
 /// The Gradient Model's proximity updates and the work-stealing handshake
 /// travel as these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlMsg {
     /// Strategy-defined discriminator.
     pub tag: u8,

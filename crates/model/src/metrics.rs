@@ -7,10 +7,9 @@
 //! message-distance distribution of the paper's Table 3.
 
 use oracle_des::{Histogram, ProfileReport};
-use serde::{Deserialize, Serialize};
 
 /// Message traffic counters, by message class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficCounters {
     /// Goal-message hops (each hop of each goal message counts once).
     pub goal_hops: u64,
@@ -31,7 +30,7 @@ impl TrafficCounters {
 
 /// Fault-injection and recovery counters for one run. All zero on a
 /// fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultMetrics {
     /// PEs killed by the plan during the run.
     pub pes_crashed: u32,
@@ -68,7 +67,7 @@ impl FaultMetrics {
 }
 
 /// How an open-traffic run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenOutcome {
     /// The run reached its configured duration (or the arrival schedule
     /// was exhausted and all work drained) with the backlog bounded.
@@ -103,7 +102,7 @@ impl OpenOutcome {
 /// of a classic closed run). Sojourn figures cover only requests completing
 /// inside the measurement window `[warmup, duration)`; queue-length figures
 /// are time-weighted over the same window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenMetrics {
     /// How the run ended.
     pub outcome: OpenOutcome,
@@ -171,7 +170,7 @@ pub struct OpenMetrics {
 /// One row of the report's top-K heavy-hitter table: a PE and the work it
 /// absorbed. The table (plus the [`Report::other_goals`] remainder) is the
 /// O(1)-size stand-in for the full `per_pe_goals` vector on huge machines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopPe {
     /// The PE's id.
     pub pe: u32,
@@ -182,7 +181,7 @@ pub struct TopPe {
 }
 
 /// The result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Strategy name.
     pub strategy: String,
@@ -219,21 +218,15 @@ pub struct Report {
     /// log-histogram sketch of per-PE busy time — the O(1) summary of the
     /// utilization distribution that is always present, however large the
     /// machine. Bucket error <= 12.5% relative.
-    #[serde(default)]
     pub util_p10: f64,
-    #[serde(default)]
     pub util_p50: f64,
-    #[serde(default)]
     pub util_p90: f64,
-    #[serde(default)]
     pub util_p99: f64,
     /// The [`Report::TOP_PES`] PEs that executed the most goals (ties to
     /// the lower id), heaviest first. Always present; `top-K + other_goals`
     /// accounts for every executed goal, which `check_invariants` pins.
-    #[serde(default)]
     pub top_pes: Vec<TopPe>,
     /// Goals executed by PEs outside `top_pes`.
-    #[serde(default)]
     pub other_goals: u64,
     /// Per-PE utilization fractions in `[0, 1]`. Opt-in
     /// (`MachineConfig::per_pe_metrics`, the CLI's `--per-pe`); empty by
@@ -295,12 +288,10 @@ pub struct Report {
     /// time, routing time, queue-depth high-water mark, control-tag
     /// counters); `None` unless the run had `MachineConfig::profile` set.
     /// Wall times are nondeterministic.
-    #[serde(default)]
     pub profile: Option<ProfileReport>,
     /// Steady-state open-traffic measurements; `None` on a closed run.
     /// When `Some`, `completion_time` is the run's end time (duration or
     /// saturation instant) and `result` is 0 (there is no single root).
-    #[serde(default)]
     pub open: Option<OpenMetrics>,
 }
 

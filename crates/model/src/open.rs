@@ -33,7 +33,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use oracle_des::{FastHashMap, LogHistogram, OnlineStats, Rng};
-use serde::{Deserialize, Serialize};
 
 use crate::message::GoalId;
 
@@ -58,7 +57,7 @@ pub(crate) const AUTO_SATURATION_PER_PE: u64 = 32;
 pub(crate) const AUTO_SATURATION_BASE: u64 = 256;
 
 /// The stochastic (or replayed) process governing *when* requests arrive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals at `rate` requests per [`RATE_UNIT`] time units.
     Poisson { rate: f64 },
@@ -82,7 +81,7 @@ pub enum ArrivalProcess {
 }
 
 /// The PEs at which requests enter the machine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EdgeSet {
     /// Round-robin over every PE (the default).
     All,
@@ -103,7 +102,7 @@ pub enum EdgeSet {
 /// assert_eq!(spec.edges, EdgeSet::Root);
 /// assert_eq!(spec.to_string(), "poisson:4.5@root");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalSpec {
     pub process: ArrivalProcess,
     pub edges: EdgeSet,
@@ -285,7 +284,7 @@ pub const ADMISSION_GRAMMAR: &str = "queue:MAX | util:FRACTION | bucket:RATExBUR
 /// request is re-injected at the next edge PE after an exponential backoff
 /// with jitter, up to `max` attempts; exhausting the budget abandons the
 /// request (a dead loss, counted in the abandonment rate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum re-injections per request.
     pub max: u32,
@@ -326,7 +325,7 @@ impl fmt::Display for RetryPolicy {
 /// Edge admission-control policy: arrivals that fail the check are shed at
 /// injection (refused before any goal is created) instead of melting the
 /// machine down.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionPolicy {
     /// Shed when the entry PE already holds at least `max` queued goals.
     QueueDepth { max: u64 },
@@ -398,7 +397,7 @@ impl fmt::Display for AdmissionPolicy {
 /// Open-traffic configuration, carried on
 /// [`MachineConfig::open`](crate::config::MachineConfig::open). `None`
 /// there means the classic closed run (one root goal, run to completion).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenTraffic {
     /// When and where requests arrive.
     pub arrivals: ArrivalSpec,
@@ -416,21 +415,17 @@ pub struct OpenTraffic {
     /// time units is a dead loss (abandoned), not a success — the client
     /// already walked away. The deadline clock starts at the *original*
     /// arrival instant and is never reset by retries. `None` disables.
-    #[serde(default)]
     pub deadline: Option<u64>,
     /// Retry lost requests with exponential backoff + jitter.
     /// `None` disables.
-    #[serde(default)]
     pub retry: Option<RetryPolicy>,
     /// Edge admission control: shed arrivals at injection. `None` admits
     /// everything.
-    #[serde(default)]
     pub admission: Option<AdmissionPolicy>,
     /// Per-region circuit breaker: once a neighbour crashes or its link
     /// drops, stop routing new subtrees toward it; after the link
     /// recovers, keep the breaker half-open for this many time units
     /// before trusting the region again. `None` disables.
-    #[serde(default)]
     pub breaker: Option<u64>,
 }
 

@@ -13,12 +13,11 @@
 //! end-to-end checks the whole message plumbing.
 
 use oracle_des::InlineVec;
-use serde::{Deserialize, Serialize};
 
 /// The parameters of one task (goal). The meaning of the fields is
 /// program-specific; two `i64` parameters plus a depth and a tag cover every
 /// workload in this reproduction without heap allocation per task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TaskSpec {
     /// First program-specific parameter (e.g. `M` of `dc(M,N)`, `n` of `fib`).
     pub a: i64,

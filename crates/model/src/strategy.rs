@@ -13,7 +13,6 @@
 //! caught by the machine's termination check).
 
 use oracle_topo::PeId;
-use serde::Serialize;
 
 use crate::machine::Core;
 use crate::message::{ControlMsg, GoalMsg};
@@ -26,7 +25,7 @@ use crate::message::{ControlMsg, GoalMsg};
 /// [`oracle_des::snapshot`] codec. The `name` tag guards against feeding a
 /// snapshot taken from one scheme into another. Stateless strategies use the
 /// empty payload.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StrategyState {
     /// [`Strategy::name`] of the scheme the snapshot was taken from.
     pub name: String,

@@ -11,12 +11,11 @@
 //! goal went where, and when.
 
 use oracle_topo::PeId;
-use serde::{Deserialize, Serialize};
 
 use crate::message::GoalId;
 
 /// One traced event. `t` is the simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A goal was created on `pe` (by its parent executing there).
     GoalCreated {
@@ -258,7 +257,7 @@ impl std::fmt::Display for TraceEvent {
 }
 
 /// What a full trace buffer does with further events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceMode {
     /// Keep the first `capacity` events and count the rest as dropped —
     /// the prefix of a run is usually what matters for debugging
@@ -277,16 +276,14 @@ pub enum TraceMode {
 /// ([`TraceMode::KeepLast`]); either way the losses are counted in
 /// [`Trace::dropped`], and exporters must surface that count — a truncated
 /// trace must never pass for a complete one.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    #[serde(default)]
     mode: TraceMode,
     /// In `KeepLast` mode once full: index of the oldest retained event
     /// (the next overwrite target). Always 0 otherwise.
-    #[serde(default)]
     head: usize,
 }
 

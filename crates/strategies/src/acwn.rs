@@ -24,7 +24,6 @@
 use oracle_des::snapshot::{SnapReader, SnapWriter};
 use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
 use oracle_topo::PeId;
-use serde::{Deserialize, Serialize};
 
 use crate::cwn::CwnParams;
 
@@ -36,7 +35,7 @@ const TAG_REDIST_DENY: u8 = 5;
 const TIMER_RETRY: u64 = 3;
 
 /// Parameters of Adaptive CWN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AcwnParams {
     /// The underlying CWN radius/horizon.
     pub cwn: CwnParams,

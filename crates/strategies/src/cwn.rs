@@ -15,12 +15,11 @@
 
 use oracle_model::{Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of CWN: "the radius, i.e. the maximum distance a goal message
 /// is allowed to travel, and the horizon, i.e. the minimum distance a goal
 /// message is required to travel."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CwnParams {
     /// Maximum hops from the source; at this distance the goal must stop.
     pub radius: u32,

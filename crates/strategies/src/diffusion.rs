@@ -15,13 +15,12 @@
 
 use oracle_model::{Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
-use serde::{Deserialize, Serialize};
 
 /// Timer tag for the diffusion process's periodic wakeup.
 const TIMER_CYCLE: u64 = 4;
 
 /// Parameters of the diffusion strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiffusionParams {
     /// Sleep between diffusion cycles, in time units.
     pub interval: u64,

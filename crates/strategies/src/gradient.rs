@@ -24,7 +24,6 @@
 use oracle_des::snapshot::{SnapReader, SnapWriter};
 use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
 use oracle_topo::PeId;
-use serde::{Deserialize, Serialize};
 
 use crate::util::neighbor_index;
 
@@ -36,7 +35,7 @@ const TIMER_CYCLE: u64 = 1;
 /// Parameters of the Gradient Model: "the low-water-mark, the
 /// high-water-mark, and the sleeping interval between two execution cycles
 /// of the gradient process."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GradientParams {
     /// Below this load a PE is idle.
     pub low_water_mark: u32,

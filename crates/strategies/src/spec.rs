@@ -4,7 +4,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use oracle_model::{MachineConfig, Strategy};
-use serde::{Deserialize, Serialize};
 
 use crate::acwn::{AcwnParams, AdaptiveCwn};
 use crate::baselines::{KeepLocal, RandomWalk, RoundRobin};
@@ -24,7 +23,7 @@ use crate::threshold::{ThresholdParams, ThresholdProbe};
 /// assert_eq!(cwn, StrategySpec::cwn_paper(true));
 /// assert_eq!(cwn.build().name(), "cwn");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategySpec {
     /// Contracting Within a Neighborhood.
     Cwn { radius: u32, horizon: u32 },

@@ -22,7 +22,6 @@ use oracle_des::snapshot::{SnapReader, SnapWriter};
 use oracle_model::snapshot::{get_goal, put_goal};
 use oracle_model::{ControlMsg, Core, GoalId, GoalMsg, Strategy, StrategyState};
 use oracle_topo::PeId;
-use serde::{Deserialize, Serialize};
 
 /// Control tag: "is your load below the threshold?" (value = goal id).
 const TAG_PROBE: u8 = 6;
@@ -32,7 +31,7 @@ const TAG_PROBE_OK: u8 = 7;
 const TAG_PROBE_REJECT: u8 = 8;
 
 /// Parameters of threshold probing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThresholdParams {
     /// Transfer goals away when the local load is at or above this.
     pub threshold: u32,

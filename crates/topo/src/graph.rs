@@ -16,12 +16,8 @@ use std::fmt;
 use std::io::BufRead;
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a processing element, dense in `0..num_pes`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PeId(pub u32);
 
 impl PeId {
@@ -40,9 +36,7 @@ impl fmt::Display for PeId {
 
 /// Identifier of a communication channel (link or bus), dense in
 /// `0..num_channels`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChannelId(pub u32);
 
 impl ChannelId {
@@ -61,7 +55,7 @@ impl fmt::Display for ChannelId {
 
 /// One entry of a PE's neighbour list: the neighbouring PE and the channel a
 /// message to it travels over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Neighbor {
     /// The adjacent PE.
     pub pe: PeId,
@@ -969,15 +963,6 @@ impl Topology {
             )));
         };
         Self::try_from_channels(name, num_pes, edges)
-    }
-
-    /// Load an edge-list topology from a file path (see
-    /// [`Topology::from_edge_list`] for the grammar).
-    pub fn from_edge_list_path(path: &std::path::Path) -> Result<Self, SpecError> {
-        let file = std::fs::File::open(path)
-            .map_err(|e| SpecError(format!("open edge list {}: {e}", path.display())))?;
-        let name = format!("file {}", path.display());
-        Self::from_edge_list(name, std::io::BufReader::new(file))
     }
 }
 

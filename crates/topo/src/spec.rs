@@ -11,8 +11,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::Topology;
 use crate::{dlm, graph, hypercube, kary, mesh, misc};
 
@@ -30,7 +28,7 @@ const RANDOM_TOPOLOGY_SEED: u64 = 0x00C0_FFEE_5EED_5EED;
 /// assert_eq!(topo.num_pes(), 100);
 /// assert_eq!(topo.diameter(), 18);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologySpec {
     /// 2-D nearest-neighbour mesh; `wraparound` joins opposite edges.
     Mesh2D {

@@ -4,7 +4,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use oracle_model::Program;
-use serde::{Deserialize, Serialize};
 
 use crate::{Cyclic, DivideConquer, Fibonacci, Lopsided, RandomTree, Tak};
 
@@ -18,7 +17,7 @@ use crate::{Cyclic, DivideConquer, Fibonacci, Lopsided, RandomTree, Tak};
 /// let program = spec.build();
 /// assert_eq!(program.expected_result(), Some(2584));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadSpec {
     /// Naive doubly-recursive Fibonacci of `n`.
     Fibonacci { n: i64 },

@@ -2,7 +2,9 @@
 //! hang or silently produce a wrong answer.
 
 use oracle::model::{Core, Expansion, GoalMsg, LoadInfoMode};
-use oracle::model::{CostModel, Machine, MachineConfig, Program, SimError, Strategy, TaskSpec};
+use oracle::model::{
+    CostModel, FaultPlan, Machine, MachineConfig, Program, SimError, Strategy, TaskSpec,
+};
 use oracle::prelude::*;
 use oracle::topo::PeId;
 
@@ -204,7 +206,7 @@ fn killing_a_loaded_pe_is_detected_as_a_stall() {
     // recovery layer: the lost work must surface as a fault-attributed
     // failure (the crash was planned), never as a wrong answer.
     let cfg = MachineConfig {
-        fail_pe: Some((0, 200)),
+        fault_plan: FaultPlan::none().crash(0, 200),
         load_info: LoadInfoMode::Instant,
         ..MachineConfig::default()
     };
@@ -236,7 +238,7 @@ fn killing_an_idle_pe_is_harmless() {
     // Keep-local leaves PE 15 idle forever; killing it must not affect the
     // result.
     let cfg = MachineConfig {
-        fail_pe: Some((15, 100)),
+        fault_plan: FaultPlan::none().crash(15, 100),
         ..MachineConfig::default()
     };
     let r = SimulationBuilder::new()

@@ -220,7 +220,7 @@ proptest! {
             .workload(WorkloadSpec::fib(11))
             .seed(seed)
             .config();
-        cfg.machine.fail_pe = Some((pe, at));
+        cfg.machine.fault_plan = oracle::model::FaultPlan::none().crash(pe, at);
         match cfg.run() {
             Ok(report) => {
                 prop_assert_eq!(report.result, 89, "wrong fib(11) after failure");

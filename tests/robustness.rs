@@ -220,7 +220,7 @@ fn chaos_sweeps_are_deterministic_and_contained() {
     let lines = |r: &oracle::chaos::ChaosReport| {
         r.outcomes
             .iter()
-            .map(|(c, o)| format!("{} -> {}", c.suite_line(), o.kind()))
+            .map(|(c, o)| format!("{} -> {}", c.suite_line(&config), o.kind()))
             .collect::<Vec<_>>()
     };
     assert_eq!(lines(&a), lines(&b), "thread count changed chaos outcomes");
@@ -229,7 +229,7 @@ fn chaos_sweeps_are_deterministic_and_contained() {
         "chaos sweep found failures: {:?}",
         a.failures
             .iter()
-            .map(|f| f.reproducer())
+            .map(|f| f.reproducer(&config))
             .collect::<Vec<_>>()
     );
 }

@@ -57,7 +57,11 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 ///
 /// v8 dropped the `fail_pe` shorthand: a single crash is a `crash:PE@T`
 /// term of the fault plan.
-pub const CHECKPOINT_VERSION: u32 = 8;
+///
+/// v9 dropped the `count_responses_in_load` and `optimistic_accounting`
+/// bytes: the load metric always counts queued goals only, and a PE always
+/// bumps its view of a neighbour it forwards a goal to.
+pub const CHECKPOINT_VERSION: u32 = 9;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]
@@ -133,9 +137,7 @@ fn put_config(w: &mut SnapWriter, config: &RunConfig) {
         }
         LoadInfoMode::Instant => w.u8(1),
     }
-    w.bool(m.count_responses_in_load);
     w.u32(m.future_commitment_weight);
-    w.bool(m.optimistic_accounting);
     w.bool(m.coprocessor);
     w.bool(m.per_pe_series);
     w.bool(m.per_pe_metrics);
@@ -238,9 +240,7 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             )))
         }
     };
-    let count_responses_in_load = r.bool()?;
     let future_commitment_weight = r.u32()?;
-    let optimistic_accounting = r.bool()?;
     let coprocessor = r.bool()?;
     let per_pe_series = r.bool()?;
     let per_pe_metrics = r.bool()?;
@@ -319,9 +319,7 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
             root_pe,
             sampling_interval,
             load_info,
-            count_responses_in_load,
             future_commitment_weight,
-            optimistic_accounting,
             coprocessor,
             per_pe_series,
             per_pe_metrics,

@@ -19,7 +19,7 @@
 //!   ground truth); a crashed PE holds no work at all.
 //! - `load-metric-agreement` — [`Core::load`] equals the metric recomputed
 //!   from the recounted queue and the waiting-task set under the
-//!   configured `count_responses_in_load` / `future_commitment_weight`.
+//!   configured `future_commitment_weight`.
 //! - `channel-accounting` — a channel's busy-time tracker claims busy
 //!   exactly when a transfer is in flight, and a non-empty backlog implies
 //!   the channel is either occupied or held down by a fault window.
@@ -114,8 +114,7 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
                 ),
             );
         }
-        let metric = pe.load(core.config.count_responses_in_load)
-            + core.config.future_commitment_weight * pe.waiting.len() as u32;
+        let metric = pe.load() + core.config.future_commitment_weight * pe.waiting.len() as u32;
         let load = core.load(oracle_topo::PeId(id as u32));
         if load != metric {
             return fail(

@@ -44,26 +44,12 @@ pub struct MachineConfig {
     pub sampling_interval: u64,
     /// How neighbour-load information propagates.
     pub load_info: LoadInfoMode,
-    /// Whether pending responses count toward the load metric. Read
-    /// literally, the paper's metric — "the number of messages waiting to be
-    /// processed" — includes responses, but with responses counted the
-    /// Gradient Model's water-marks trip constantly (every combining PE
-    /// looks abundant) and it sheds work far more aggressively than the
-    /// paper observed (mean goal distance ~1.9 vs the paper's 0.92). The
-    /// default is therefore `false` (load = queued goals, the task-queue
-    /// length of Lin & Keller's formulation); `true` is kept as an ablation.
-    pub count_responses_in_load: bool,
     /// Weight of "future commitments" in the load metric: each task waiting
     /// for responses adds this much to the PE's load. The paper's metric
     /// "ignores potential future commitments, indicated by the count of the
     /// tasks that are waiting for messages" — it suggests fixing that, which
     /// the Adaptive CWN preset does by setting this to a non-zero weight.
     pub future_commitment_weight: u32,
-    /// When a PE sends a goal to a neighbour, optimistically bump its local
-    /// view of that neighbour's load by one. Without this, consecutive
-    /// subgoals created between load updates all chase the same "least
-    /// loaded" neighbour.
-    pub optimistic_accounting: bool,
     /// "We assume a communication co-processor to handle the routing and
     /// load-balancing functions." When `false`, every message arrival
     /// charges `software_routing_cost` of PE time, with message handling
@@ -139,9 +125,7 @@ impl Default for MachineConfig {
             root_pe: 0,
             sampling_interval: 100,
             load_info: LoadInfoMode::Piggyback { period: 40 },
-            count_responses_in_load: false,
             future_commitment_weight: 0,
-            optimistic_accounting: true,
             coprocessor: true,
             per_pe_series: false,
             max_events: 500_000_000,

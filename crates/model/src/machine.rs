@@ -159,12 +159,6 @@ impl FaultState {
 /// overrides it per run.
 pub(crate) const PROGRESS_WINDOW: u64 = 1_000_000;
 
-/// Largest PE count for which the flat O(n²) neighbour-position table is
-/// built (128 MiB of `u16` at the limit). Larger machines binary-search the
-/// sorted neighbour list instead — an O(log degree) lookup that costs no
-/// quadratic memory.
-pub(crate) const NBR_INDEX_LIMIT: usize = 8192;
-
 /// Everything a strategy can see and act on: the machine without the
 /// strategy itself. Strategies receive `&mut Core` in every callback.
 ///
@@ -183,20 +177,11 @@ pub struct Core {
     /// Per-channel state, paged like `pes`.
     pub(crate) channels: Slab<Channel>,
     pub(crate) events: CalendarQueue<Event>,
-    /// Distinct channels incident to each PE in CSR form
-    /// (`incident[incident_off[p]..incident_off[p + 1]]`), precomputed at
-    /// construction so broadcasts never rebuild the dedup list per event —
-    /// and flat, so a million PEs cost two arrays rather than a million
-    /// heap allocations.
-    pub(crate) incident_off: Vec<u32>,
-    pub(crate) incident: Vec<ChannelId>,
-    /// Flat `[pe * num_pes + nbr]` position of `nbr` in `topo.neighbors(pe)`
-    /// (`u16::MAX` when not adjacent) — O(1) lookup on the per-delivery
-    /// load-word path, where a binary search was the top profile entry.
-    /// Quadratic in PE count, so built only up to [`NBR_INDEX_LIMIT`] PEs;
-    /// larger machines fall back to a binary search over the (sorted)
-    /// neighbour list.
-    pub(crate) nbr_index: Vec<u16>,
+    /// Scratch for a completed transfer: each receiver with the slot of
+    /// the sender in its neighbour-load table (`Topology::receivers`).
+    pub(crate) receivers: Vec<(PeId, usize)>,
+    /// Scratch for a broadcast: the sender's incident channels.
+    pub(crate) fanout: Vec<ChannelId>,
     /// Construction-time RNG (PE speed spreads). Never drawn from during a
     /// run: runtime randomness comes from the per-PE streams in
     /// [`Pe::rng`], seeded by [`pe_rng`]. The stream layout is part of the
@@ -424,8 +409,7 @@ impl Core {
     #[inline]
     pub fn load(&self, pe: PeId) -> u32 {
         let p = self.pe(pe);
-        p.load(self.config.count_responses_in_load)
-            + self.config.future_commitment_weight * p.waiting_tasks()
+        p.load() + self.config.future_commitment_weight * p.waiting_tasks()
     }
 
     /// Number of tasks pinned on `pe` awaiting responses — the "future
@@ -449,7 +433,8 @@ impl Core {
             LoadInfoMode::Instant => self.load(nbr),
             LoadInfoMode::Piggyback { .. } => {
                 let idx = self
-                    .neighbor_index(pe, nbr)
+                    .topo
+                    .neighbor_position(pe, nbr)
                     .expect("known_load_of: not a neighbour");
                 self.pe(pe).known_load(idx)
             }
@@ -611,56 +596,27 @@ impl Core {
         // after it, so the loop can read neighbours' slots while drawing
         // ties (this is a per-placement-decision hot path).
         let mut rng = self.pe_mut(pe).rng.clone();
-        let Core {
-            topo,
-            pes,
-            channels,
-            config,
-            open,
-            events,
-            ..
-        } = self;
-        // The circuit breaker (open runs only) vetoes routing into
-        // neighbourhoods it has not yet re-trusted after a fault.
-        let breaker = open
-            .as_deref()
-            .filter(|o| o.breaker_cooldown.is_some() && !o.breaker.is_empty());
-        let now = events.now().units();
         let mut best: Option<(PeId, u32)> = None;
         let mut ties = 0u64;
-        for (i, n) in topo.neighbors(pe).iter().enumerate() {
-            if Some(n.pe) == exclude {
-                continue;
+        self.for_each_known_load(pe, |nbr, load| {
+            if Some(nbr) == exclude {
+                return;
             }
-            if pes.get(n.pe.idx()).failed || channels.get(n.channel.idx()).down {
-                continue;
-            }
-            if breaker.is_some_and(|o| o.breaker_blocked(now, pe.0, n.pe.0)) {
-                continue;
-            }
-            let load = match config.load_info {
-                LoadInfoMode::Instant => {
-                    let p = pes.get(n.pe.idx());
-                    p.load(config.count_responses_in_load)
-                        + config.future_commitment_weight * p.waiting_tasks()
-                }
-                LoadInfoMode::Piggyback { .. } => pes.get(pe.idx()).known_load(i),
-            };
             match best {
                 Some((_, b)) if load > b => {}
                 Some((_, b)) if load == b => {
                     // Reservoir-sample among the tied minima.
                     ties += 1;
                     if rng.below(ties + 1) == 0 {
-                        best = Some((n.pe, load));
+                        best = Some((nbr, load));
                     }
                 }
                 _ => {
                     ties = 0;
-                    best = Some((n.pe, load));
+                    best = Some((nbr, load));
                 }
             }
-        }
+        });
         self.pe_mut(pe).rng = rng;
         best
     }
@@ -669,42 +625,46 @@ impl Core {
     /// knowledge. `u32::MAX` when no neighbour is reachable (so a local
     /// minimum test degenerates to "accept locally").
     pub fn min_known_neighbor_load(&self, pe: PeId) -> u32 {
-        let p = self.pe(pe);
-        self.topo
-            .neighbors(pe)
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !self.pe(n.pe).failed && !self.channel(n.channel).down)
-            .filter(|(_, n)| !self.breaker_blocked(pe, n.pe))
-            .map(|(i, n)| match self.config.load_info {
-                LoadInfoMode::Instant => self.load(n.pe),
-                LoadInfoMode::Piggyback { .. } => p.known_load(i),
-            })
-            .min()
-            .unwrap_or(u32::MAX)
+        let mut min = u32::MAX;
+        self.for_each_known_load(pe, |_, load| min = min.min(load));
+        min
     }
 
     /// The most-loaded reachable neighbour of `pe` under its current
     /// knowledge, or `None` when every neighbour is dead or cut off.
     pub fn most_loaded_neighbor(&self, pe: PeId) -> Option<(PeId, u32)> {
         let mut best: Option<(PeId, u32)> = None;
-        for (i, n) in self.topo.neighbors(pe).iter().enumerate() {
-            if self.pe(n.pe).failed || self.channel(n.channel).down {
-                continue;
-            }
-            if self.breaker_blocked(pe, n.pe) {
-                continue;
+        self.for_each_known_load(pe, |nbr, load| match best {
+            Some((_, b)) if b >= load => {}
+            _ => best = Some((nbr, load)),
+        });
+        best
+    }
+
+    /// Call `f` on each reachable neighbour of `pe`, in neighbour order,
+    /// with its load as `pe` knows it. Reachable: alive, over a channel
+    /// that is up, and not vetoed by the circuit breaker (open runs only),
+    /// which distrusts neighbourhoods it has not yet re-trusted after a
+    /// fault.
+    #[inline]
+    fn for_each_known_load(&self, pe: PeId, mut f: impl FnMut(PeId, u32)) {
+        let p = self.pe(pe);
+        let mut slot = 0;
+        self.topo.for_each_neighbor(pe, |n| {
+            let i = slot;
+            slot += 1;
+            if self.pe(n.pe).failed
+                || self.channel(n.channel).down
+                || self.breaker_blocked(pe, n.pe)
+            {
+                return;
             }
             let load = match self.config.load_info {
                 LoadInfoMode::Instant => self.load(n.pe),
-                LoadInfoMode::Piggyback { .. } => self.pe(pe).known_load(i),
+                LoadInfoMode::Piggyback { .. } => p.known_load(i),
             };
-            match best {
-                Some((_, b)) if b >= load => {}
-                _ => best = Some((n.pe, load)),
-            }
-        }
-        best
+            f(n.pe, load);
+        });
     }
 
     // ------------------------------------------------------------------
@@ -753,19 +713,22 @@ impl Core {
                 hops: goal.hops,
             });
         }
-        if self.config.optimistic_accounting {
-            if let Some(idx) = self.neighbor_index(from, to) {
-                let slot = &mut self.pe_mut(from).known_load[idx];
-                *slot = slot.saturating_add(1);
-            }
-        }
+        let (idx, ch) = self
+            .topo
+            .find_neighbor(from, to)
+            .unwrap_or_else(|| panic!("{from} -> {to}: not neighbours"));
+        // Optimistically bump the sender's view of the receiver's load, so
+        // consecutive subgoals created between load updates do not all
+        // chase the same "least loaded" neighbour.
+        let slot = &mut self.pe_mut(from).known_load[idx];
+        *slot = slot.saturating_add(1);
         if self.plan.recovery.is_some() {
             // In flight again: a crash of the old host must not re-spawn it.
             if let Some(o) = self.faults.outstanding.get_mut(&goal.id) {
                 o.resident = None;
             }
         }
-        self.send_unicast(from, to, Packet::Goal(goal));
+        self.send_on(ch, from, to, Packet::Goal(goal));
     }
 
     /// Send a strategy control message one hop to a neighbour.
@@ -886,25 +849,6 @@ impl Core {
         self.schedule_event_after(delay, Event::Retry(goal));
     }
 
-    /// Index of `nbr` within `pe`'s sorted neighbour list. Machines up to
-    /// [`NBR_INDEX_LIMIT`] PEs answer from the flat O(n²) table; larger
-    /// ones binary-search the sorted neighbour list (O(log degree), and no
-    /// quadratic table to hold).
-    #[inline]
-    fn neighbor_index(&self, pe: PeId, nbr: PeId) -> Option<usize> {
-        if self.nbr_index.is_empty() {
-            return self
-                .topo
-                .neighbors(pe)
-                .binary_search_by_key(&nbr, |n| n.pe)
-                .ok();
-        }
-        match self.nbr_index[pe.idx() * self.num_pes() + nbr.idx()] {
-            u16::MAX => None,
-            i => Some(i as usize),
-        }
-    }
-
     fn current_load_word(&self, pe: PeId) -> u32 {
         self.load(pe)
     }
@@ -914,6 +858,12 @@ impl Core {
             .topo
             .channel_between(from, to)
             .unwrap_or_else(|| panic!("{from} -> {to}: not neighbours"));
+        self.send_on(ch, from, to, packet);
+    }
+
+    /// Send `packet` from `from` to its neighbour `to` over `ch`, the
+    /// channel between them.
+    fn send_on(&mut self, ch: ChannelId, from: PeId, to: PeId, packet: Packet) {
         let flight = Flight {
             from,
             dest: FlightDest::Unicast(to),
@@ -924,13 +874,12 @@ impl Core {
     }
 
     fn broadcast_packet(&mut self, from: PeId, packet: Packet) {
-        // One transmission per distinct incident channel (precomputed CSR).
-        let (start, end) = (
-            self.incident_off[from.idx()] as usize,
-            self.incident_off[from.idx() + 1] as usize,
-        );
-        for i in start..end {
-            let ch = self.incident[i];
+        // One transmission per distinct incident channel.
+        let mut fanout = std::mem::take(&mut self.fanout);
+        fanout.clear();
+        self.topo
+            .for_each_incident_channel(from, |ch| fanout.push(ch));
+        for &ch in &fanout {
             let flight = Flight {
                 from,
                 dest: FlightDest::Broadcast,
@@ -939,6 +888,7 @@ impl Core {
             };
             self.offer_to_channel(ch, flight);
         }
+        self.fanout = fanout;
     }
 
     fn piggyback_word(&self, from: PeId) -> Option<u32> {
@@ -973,10 +923,10 @@ impl Core {
         }
     }
 
-    fn update_known_load(&mut self, at: PeId, about: PeId, load: u32) {
-        if let Some(idx) = self.neighbor_index(at, about) {
-            self.pe_mut(at).known_load[idx] = load;
-        }
+    /// Record a neighbour's load word in `at`'s table, at `slot` (the
+    /// neighbour's position in `at`'s neighbour list).
+    fn update_known_load(&mut self, at: PeId, slot: usize, load: u32) {
+        self.pe_mut(at).known_load[slot] = load;
     }
 
     /// Create a fresh goal message for `spec`, child of `parent`.
@@ -1291,38 +1241,6 @@ impl Machine {
         let pes = Slab::new(topo.num_pes(), pristine);
         let channels = Slab::new(topo.num_channels(), Channel::new());
         let max_hops = topo.diameter() as usize + 2;
-        // Distinct incident channels per PE, in first-appearance order —
-        // the broadcast fan-out list, built once instead of per event.
-        // CSR layout: one flat array plus offsets, not a Vec per PE.
-        let n = topo.num_pes();
-        let mut incident_off: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut incident: Vec<ChannelId> = Vec::new();
-        incident_off.push(0);
-        let mut chans: Vec<ChannelId> = Vec::new();
-        for pe in topo.pes() {
-            chans.clear();
-            for nb in topo.neighbors(pe) {
-                if !chans.contains(&nb.channel) {
-                    chans.push(nb.channel);
-                }
-            }
-            incident.extend_from_slice(&chans);
-            incident_off.push(incident.len() as u32);
-        }
-        // Flat `[pe * num_pes + nbr]` neighbour-position table. Every
-        // delivery (and every bus snoop) updates a load-table entry via
-        // this lookup, so it should be O(1), not a search — but the table
-        // is quadratic, so past `NBR_INDEX_LIMIT` PEs it stays empty and
-        // `neighbor_index` binary-searches the sorted neighbour list.
-        let mut nbr_index = Vec::new();
-        if n <= NBR_INDEX_LIMIT {
-            nbr_index = vec![u16::MAX; n * n];
-            for pe in topo.pes() {
-                for (i, nb) in topo.neighbors(pe).iter().enumerate() {
-                    nbr_index[pe.idx() * n + nb.pe.idx()] = i as u16;
-                }
-            }
-        }
         // Taking the plan out of the config avoids cloning its vectors;
         // `Core::plan` is the single source of truth.
         let plan = std::mem::take(&mut config.fault_plan);
@@ -1348,9 +1266,8 @@ impl Machine {
                 pes,
                 channels,
                 events: CalendarQueue::new(),
-                incident_off,
-                incident,
-                nbr_index,
+                receivers: Vec::new(),
+                fanout: Vec::new(),
                 goals_created: 0,
                 goals_executed: 0,
                 responses_processed: 0,
@@ -1498,7 +1415,7 @@ impl Machine {
     fn progress_window(&self) -> u64 {
         let base = self.core.config.progress_window;
         match self.broadcast_period() {
-            Some(_) => base + 2 * (self.core.num_pes() + self.core.incident.len()) as u64,
+            Some(_) => base + 2 * (self.core.num_pes() + self.core.topo.num_incidences()) as u64,
             None => base,
         }
     }
@@ -2319,34 +2236,55 @@ impl Machine {
 
         // On a bus, every member sees every transmission: all of them snoop
         // the piggy-backed load word even when the packet itself is
-        // addressed to one PE. (On a 2-member link this is identical to
-        // updating just the receiver.)
-        if let Some(load) = flight.piggyback_load {
-            for i in 0..self.core.topo.channel_members(ch).len() {
-                let m = self.core.topo.channel_members(ch)[i];
-                if m != flight.from {
-                    self.core.update_known_load(m, flight.from, load);
+        // addressed to one PE. On a link the addressee is the only
+        // receiver, and the snoop is the piggy-backed update.
+        if let FlightDest::Unicast(to) = flight.dest {
+            if self.core.topo.is_link(ch) {
+                let slot = self.core.topo.twin(ch, to, flight.from);
+                if let Some(load) = flight.piggyback_load {
+                    self.core.update_known_load(to, slot, load);
                 }
+                self.deliver(to, flight.from, slot, None, flight.packet);
+                return;
+            }
+        }
+        let mut receivers = std::mem::take(&mut self.core.receivers);
+        self.core.topo.receivers(ch, flight.from, &mut receivers);
+        if let Some(load) = flight.piggyback_load {
+            for &(m, slot) in &receivers {
+                self.core.update_known_load(m, slot, load);
             }
         }
 
         match flight.dest {
             // The snoop above has just recorded the piggy-backed word at
             // the one receiver, so nothing is left for `deliver` to record.
-            FlightDest::Unicast(to) => self.deliver(to, flight.from, None, flight.packet),
+            FlightDest::Unicast(to) => {
+                let (_, slot) = *receivers
+                    .iter()
+                    .find(|r| r.0 == to)
+                    .expect("the receiver is a member of the channel");
+                self.deliver(to, flight.from, slot, None, flight.packet);
+            }
             FlightDest::Broadcast => {
-                for i in 0..self.core.topo.channel_members(ch).len() {
-                    let to = self.core.topo.channel_members(ch)[i];
-                    if to != flight.from {
-                        self.deliver(to, flight.from, flight.piggyback_load, flight.packet);
-                    }
+                for &(to, slot) in &receivers {
+                    self.deliver(to, flight.from, slot, flight.piggyback_load, flight.packet);
                 }
             }
         }
+        self.core.receivers = receivers;
     }
 
-    /// A packet reached PE `to` (from neighbour `from`).
-    fn deliver(&mut self, to: PeId, from: PeId, piggyback: Option<u32>, packet: Packet) {
+    /// A packet reached PE `to` from its neighbour `from`, which sits at
+    /// `slot` in `to`'s neighbour list.
+    fn deliver(
+        &mut self,
+        to: PeId,
+        from: PeId,
+        slot: usize,
+        piggyback: Option<u32>,
+        packet: Packet,
+    ) {
         if self.core.pe(to).failed {
             // The dead PE's mailbox is a black hole — but the recovery
             // layer gets to notice what fell in.
@@ -2365,11 +2303,11 @@ impl Machine {
         }
         // A load update's own word overrides any piggy-backed one.
         if let Packet::LoadUpdate { load } = &packet {
-            self.core.update_known_load(to, from, *load);
+            self.core.update_known_load(to, slot, *load);
             return; // Updating the load table is free bookkeeping.
         }
         if let Some(load) = piggyback {
-            self.core.update_known_load(to, from, load);
+            self.core.update_known_load(to, slot, load);
         }
         if self.core.config.coprocessor {
             self.process_delivery(to, from, packet);

@@ -174,15 +174,15 @@ impl Pe {
         self.known_load.get(i).copied().unwrap_or(0)
     }
 
-    /// The paper's load metric: messages waiting to be processed.
-    /// `count_responses` selects whether pending responses count.
+    /// The paper's load metric, "the number of messages waiting to be
+    /// processed", read as the queued goals (the task-queue length of Lin
+    /// & Keller's formulation). Pending responses do not count: with them
+    /// counted, the Gradient Model's water-marks trip constantly (every
+    /// combining PE looks abundant) and it sheds work far more
+    /// aggressively than the paper observed.
     #[inline]
-    pub fn load(&self, count_responses: bool) -> u32 {
-        if count_responses {
-            self.queued_goals + self.queued_responses
-        } else {
-            self.queued_goals
-        }
+    pub fn load(&self) -> u32 {
+        self.queued_goals
     }
 
     /// Number of tasks pinned here awaiting responses ("future
@@ -316,8 +316,8 @@ mod tests {
             child: GoalId(10),
             value: 0,
         });
-        assert_eq!(pe.load(true), 2);
-        assert_eq!(pe.load(false), 1);
+        assert_eq!(pe.load(), 1);
+        assert_eq!(pe.queued_responses, 1);
         assert_eq!(pe.waiting_tasks(), 0);
     }
 
@@ -334,7 +334,7 @@ mod tests {
             matches!(pe.dequeue(QueueDiscipline::Fifo), Some(WorkItem::Goal(g)) if g.id == GoalId(2))
         );
         assert!(pe.dequeue(QueueDiscipline::Fifo).is_none());
-        assert_eq!(pe.load(true), 0);
+        assert_eq!(pe.load(), 0);
     }
 
     #[test]

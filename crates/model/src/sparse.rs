@@ -14,6 +14,8 @@
 //!   at; the machine keeps id-dependent state (RNG seeds, neighbour-load
 //!   tables) behind mutable access, which always materializes.
 //! - Iteration walks the materialized pages in ascending id order.
+//! - Pages of a dropped slab are kept per thread, up to a bound, and the
+//!   next slab built on the thread reuses them, overwriting every slot.
 //!
 //! Reductions at report time fold over the materialized slots in id order.
 //! Every untouched slot is pristine and contributes exactly what a pristine
@@ -21,6 +23,10 @@
 //! accumulator is the identity, merging an empty [`oracle_des::OnlineStats`]
 //! is a no-op, and folds whose per-slot term is not an identity (the
 //! utilization variance) add that term once per untouched id, in id order.
+
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// log2 of the page size. Small pages keep scattered touches cheap: on a
 /// 10^6-PE random graph a run touches ~5% of the PEs and ~6% of the
@@ -36,9 +42,46 @@ const PAGE_MASK: usize = PAGE_SIZE - 1;
 /// copies of the pristine value and are never exposed.
 type Page<T> = Box<[T; PAGE_SIZE]>;
 
+/// Most pages of one slot type a thread keeps for reuse (4,096 ids).
+const RECYCLE_LIMIT: usize = 512;
+
+thread_local! {
+    /// Pages of dropped slabs, per slot type, for the next slab built on
+    /// this thread: batch runs (experiments, chaos sweeps, benchmark
+    /// passes) build machine after machine, and reusing pages spares each
+    /// one allocating them and the allocator handing their memory back to
+    /// the system and faulting it in again. A reused page's slots are all
+    /// overwritten before it is read, so reuse is invisible. A kept page
+    /// holds its old slots (and whatever they own) until then: at most
+    /// [`RECYCLE_LIMIT`] pages per slot type per thread.
+    static RECYCLED: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> = RefCell::new(HashMap::new());
+}
+
+/// A page of slot type `T` dropped by an earlier slab on this thread.
+fn reuse<T: 'static>() -> Option<Page<T>> {
+    RECYCLED.with(|r| {
+        let page = r.borrow_mut().get_mut(&TypeId::of::<T>())?.pop()?;
+        page.downcast().ok()
+    })
+}
+
+/// Keep `pages` for reuse if they all fit under [`RECYCLE_LIMIT`] per
+/// slot type; otherwise free them. The pool serves the small machines
+/// batches are made of; a big machine's pages go back to the allocator,
+/// which reuses their memory for the next topology instead of growing.
+fn recycle<T: 'static>(pages: Vec<Page<T>>) {
+    RECYCLED.with(|r| {
+        let mut r = r.borrow_mut();
+        let pool = r.entry(TypeId::of::<T>()).or_default();
+        if pool.len() + pages.len() <= RECYCLE_LIMIT {
+            pool.extend(pages.into_iter().map(|page| page as Box<dyn Any>));
+        }
+    });
+}
+
 /// Per-id state in pages materialized on first write.
 #[derive(Debug)]
-pub(crate) struct Slab<T> {
+pub(crate) struct Slab<T: 'static> {
     pages: Vec<Option<Page<T>>>,
     len: usize,
     /// What every untouched slot reads as. Never mutated: writers go
@@ -47,7 +90,7 @@ pub(crate) struct Slab<T> {
     materialized: usize,
 }
 
-impl<T: Clone> Slab<T> {
+impl<T: Clone + 'static> Slab<T> {
     /// A slab covering ids `0..len`, every slot reading as `pristine`.
     pub fn new(len: usize, pristine: T) -> Self {
         Slab {
@@ -135,13 +178,22 @@ impl<T: Clone> Slab<T> {
     fn materialize(&mut self, p: usize, mut init: impl FnMut(usize) -> T) {
         let base = p << PAGE_BITS;
         let (len, pristine) = (self.len, &self.pristine);
-        let page: Page<T> = Box::new(std::array::from_fn(|i| {
+        let mut slot = |i: usize| {
             if base + i < len {
                 init(base + i)
             } else {
                 pristine.clone()
             }
-        }));
+        };
+        let page = match reuse::<T>() {
+            Some(mut page) => {
+                for (i, s) in page.iter_mut().enumerate() {
+                    *s = slot(i);
+                }
+                page
+            }
+            None => Box::new(std::array::from_fn(slot)),
+        };
         self.pages[p] = Some(page);
         self.materialized += 1;
     }
@@ -200,10 +252,14 @@ impl<T: Clone> Slab<T> {
     /// Drop every page: all slots read as pristine again (snapshot restore
     /// re-materializes the encoded pages on top of this blank slab).
     pub fn clear(&mut self) {
-        for page in &mut self.pages {
-            *page = None;
-        }
+        recycle(self.pages.iter_mut().filter_map(Option::take).collect());
         self.materialized = 0;
+    }
+}
+
+impl<T: 'static> Drop for Slab<T> {
+    fn drop(&mut self) {
+        recycle(self.pages.drain(..).flatten().collect());
     }
 }
 
@@ -326,6 +382,33 @@ mod tests {
         assert_eq!(fd.variance().to_bits(), fs.variance().to_bits());
         assert_eq!(fd.count(), fs.count());
         assert_eq!(slab.materialized_pages(), 2);
+    }
+
+    #[test]
+    fn reused_pages_read_as_freshly_built() {
+        // Pages of a dropped or cleared slab go back to this thread's pool;
+        // whichever slab takes them next must see only its own slots.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Tagged(usize);
+        let mut first = Slab::new(4 * PAGE_SIZE, Tagged(0));
+        for id in [1, PAGE_SIZE + 2, 3 * PAGE_SIZE] {
+            first.get_mut_or(id, |i| Tagged(1000 + i)).0 = 7;
+        }
+        drop(first);
+        let mut second = Slab::new(2 * PAGE_SIZE + 3, Tagged(0));
+        second.get_mut_or(PAGE_SIZE, Tagged);
+        second.get_mut_or(2 * PAGE_SIZE + 1, Tagged);
+        let seen: Vec<(usize, Tagged)> = second.iter().map(|(i, t)| (i, t.clone())).collect();
+        let want: Vec<(usize, Tagged)> = (PAGE_SIZE..2 * PAGE_SIZE)
+            .chain(2 * PAGE_SIZE..2 * PAGE_SIZE + 3)
+            .map(|i| (i, Tagged(i)))
+            .collect();
+        assert_eq!(seen, want);
+        assert_eq!(*second.get(0), Tagged(0), "untouched page reads pristine");
+        second.clear();
+        second.get_mut_or(3, |i| Tagged(i + 1));
+        assert_eq!(*second.get(3), Tagged(4));
+        assert_eq!(second.materialized_slots(), PAGE_SIZE);
     }
 
     #[test]

@@ -25,8 +25,6 @@ use oracle_des::snapshot::{SnapReader, SnapWriter};
 use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
 use oracle_topo::PeId;
 
-use crate::util::neighbor_index;
-
 /// Control-message tag for proximity updates.
 const TAG_PROXIMITY: u8 = 1;
 /// Timer tag for the gradient process's periodic wakeup.
@@ -146,16 +144,18 @@ impl GradientModel {
         if load > self.params.high_water_mark {
             let st = &self.state[pe.idx()];
             let mut best: Option<(PeId, u32)> = None;
-            for (i, n) in core.topology().neighbors(pe).iter().enumerate() {
-                if !core.neighbor_reachable(pe, n.pe) {
-                    continue;
-                }
+            let mut i = 0;
+            core.topology().for_each_neighbor(pe, |n| {
                 let prox = st.neighbor_prox[i];
+                i += 1;
+                if !core.neighbor_reachable(pe, n.pe) {
+                    return;
+                }
                 match best {
                     Some((_, b)) if b <= prox => {}
                     _ => best = Some((n.pe, prox)),
                 }
-            }
+            });
             if let Some((to, prox)) = best {
                 let demand_seen = !self.params.require_demand || prox <= core.diameter();
                 if demand_seen {
@@ -211,7 +211,7 @@ impl Strategy for GradientModel {
 
     fn on_control(&mut self, core: &mut Core, pe: PeId, from: PeId, msg: ControlMsg) {
         if msg.tag == TAG_PROXIMITY {
-            if let Some(idx) = neighbor_index(core, pe, from) {
+            if let Some(idx) = core.topology().neighbor_position(pe, from) {
                 self.state[pe.idx()].neighbor_prox[idx] = msg.value as u32;
             }
         }
@@ -226,7 +226,7 @@ impl Strategy for GradientModel {
     fn on_neighbor_down(&mut self, core: &mut Core, pe: PeId, down: PeId) {
         // The stale proximity of a dead neighbour is a phantom demand
         // signal: pin it past the cap so the gradient stops pointing there.
-        if let Some(idx) = neighbor_index(core, pe, down) {
+        if let Some(idx) = core.topology().neighbor_position(pe, down) {
             self.state[pe.idx()].neighbor_prox[idx] = core.diameter() + 1;
         }
     }
@@ -234,7 +234,7 @@ impl Strategy for GradientModel {
     fn on_neighbor_up(&mut self, core: &mut Core, pe: PeId, up: PeId) {
         // Back to the initial assumption ("proximities of their neighbors
         // are 0") until the neighbour's next real update arrives.
-        if let Some(idx) = neighbor_index(core, pe, up) {
+        if let Some(idx) = core.topology().neighbor_position(pe, up) {
             self.state[pe.idx()].neighbor_prox[idx] = 0;
         }
     }

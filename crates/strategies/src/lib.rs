@@ -45,19 +45,6 @@ pub use spec::StrategySpec;
 pub use stealing::WorkStealing;
 pub use threshold::ThresholdProbe;
 
-pub(crate) mod util {
-    use oracle_model::Core;
-    use oracle_topo::PeId;
-
-    /// Index of `nbr` in `pe`'s sorted neighbour list.
-    pub fn neighbor_index(core: &Core, pe: PeId, nbr: PeId) -> Option<usize> {
-        core.topology()
-            .neighbors(pe)
-            .binary_search_by_key(&nbr, |n| n.pe)
-            .ok()
-    }
-}
-
 #[cfg(test)]
 mod resume_tests {
     //! Checkpoint/resume equivalence for every shipped strategy: pausing a

@@ -1,20 +1,27 @@
 //! The concrete topology type: channel sets, adjacency, and routing.
 //!
-//! Storage is compressed sparse rows (CSR) for both the channel member
-//! sets and the per-PE neighbour lists, so a topology costs O(PEs + edges)
-//! memory. Routing goes through a per-family `Router`: the regular
-//! topologies (grid, torus, hypercube, k-ary n-cube) answer distance
-//! queries arithmetically and carry no table at all; small arbitrary
-//! graphs keep the classic dense all-pairs table; large arbitrary graphs
-//! answer each query with a bidirectional BFS and store no routes. All
-//! three produce bit-identical next hops (pinned by tests): the next hop
-//! from `a` toward `b` is always the first neighbour of `a`, in sorted
+//! A topology has one of three shapes. The regular families — the 2-D
+//! mesh and torus ([`crate::mesh::Grid`]) and the k-ary n-cube, whose
+//! `k = 2` case is the binary hypercube ([`crate::kary::Cube`]) — store
+//! nothing per PE or per link: neighbours, channel ids, channel members,
+//! neighbour positions and shortest paths are all computed from the shape,
+//! and they agree exactly with what the CSR build below would store for the
+//! same channel list (pinned by tests). Every other graph keeps its channel
+//! member sets and per-PE neighbour lists in compressed sparse rows (CSR),
+//! so it costs O(PEs + edges) memory; small ones route from a dense
+//! all-pairs table, large ones answer each query with a bidirectional BFS
+//! and store no routes. Every shape produces the same next hops: the next
+//! hop from `a` toward `b` is always the first neighbour of `a`, in sorted
 //! PE-id order, whose distance to `b` is one less than `a`'s.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::BufRead;
 use std::sync::Mutex;
+
+use crate::kary::Cube;
+use crate::list::{List, Members, Neighbors};
+use crate::mesh::Grid;
 
 /// Identifier of a processing element, dense in `0..num_pes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -55,7 +62,7 @@ impl fmt::Display for ChannelId {
 
 /// One entry of a PE's neighbour list: the neighbouring PE and the channel a
 /// message to it travels over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Neighbor {
     /// The adjacent PE.
     pub pe: PeId,
@@ -82,19 +89,10 @@ impl std::error::Error for SpecError {}
 /// table.
 pub const DENSE_ROUTER_LIMIT: usize = 2048;
 
-/// How shortest-path queries are answered. Everything except `Dense` is
-/// O(1) or O(active) memory; `Dense` is the classic O(n²) table kept only
-/// for small arbitrary graphs.
+/// How a CSR graph answers shortest-path queries.
 enum Router {
     /// Flattened `[from * num_pes + to]` next-hop and distance tables.
     Dense { next_hop: Vec<PeId>, dist: Vec<u32> },
-    /// 2-D mesh, row-major `id = y * width + x`; `wrap` adds per-dimension
-    /// torus links on dimensions longer than 2.
-    Grid { width: u32, height: u32, wrap: bool },
-    /// Binary hypercube: distance is the Hamming distance of the ids.
-    Hypercube,
-    /// k-ary n-cube, digit strides `k^d`; per-dimension ring distance.
-    KAry { k: u32, n: u32 },
     /// Bidirectional BFS per query; stores no routes.
     Lazy(LazyRouter),
 }
@@ -103,15 +101,6 @@ impl fmt::Debug for Router {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Router::Dense { dist, .. } => write!(f, "Dense({} entries)", dist.len()),
-            Router::Grid {
-                width,
-                height,
-                wrap,
-            } => {
-                write!(f, "Grid({width}x{height}, wrap={wrap})")
-            }
-            Router::Hypercube => write!(f, "Hypercube"),
-            Router::KAry { k, n } => write!(f, "KAry({k}^{n})"),
             Router::Lazy(_) => write!(f, "Lazy"),
         }
     }
@@ -124,17 +113,6 @@ impl Clone for Router {
                 next_hop: next_hop.clone(),
                 dist: dist.clone(),
             },
-            Router::Grid {
-                width,
-                height,
-                wrap,
-            } => Router::Grid {
-                width: *width,
-                height: *height,
-                wrap: *wrap,
-            },
-            Router::Hypercube => Router::Hypercube,
-            Router::KAry { k, n } => Router::KAry { k: *k, n: *n },
             // The router holds only scratch space; a clone gets its own.
             Router::Lazy(_) => Router::Lazy(LazyRouter::new()),
         }
@@ -232,13 +210,13 @@ impl BfsScratch {
     /// Label the next BFS layer of `side` at `depth`: every neighbour of
     /// the frontier that `side` has not labelled yet. Returns true if any
     /// of them already carries the other side's label.
-    fn expand(&mut self, topo: &Topology, side: usize, depth: u32) -> bool {
+    fn expand(&mut self, g: &Graph, side: usize, depth: u32) -> bool {
         let epoch = self.epoch;
         let order = &mut self.order[side];
         let (start, end) = (self.layer[side], order.len());
         let mut met = false;
         for i in start..end {
-            for nb in topo.neighbors(PeId(order[i])) {
+            for nb in g.neighbors(PeId(order[i])) {
                 let label = &mut self.labels[nb.pe.idx()];
                 if label.stamp != epoch {
                     *label = Label {
@@ -279,13 +257,13 @@ impl LazyRouter {
     /// neighbour of `from` in sorted PE-id order that lies one hop closer
     /// to `target` — identical to what the dense table would answer. A
     /// target in another component has distance `u32::MAX`.
-    fn query(&self, topo: &Topology, from: PeId, target: PeId, want_hop: bool) -> (u32, PeId) {
+    fn query(&self, g: &Graph, from: PeId, target: PeId, want_hop: bool) -> (u32, PeId) {
         if from == target {
             return (0, from);
         }
         let mut scratch = self.scratch.lock().expect("lazy router scratch poisoned");
         let s = &mut *scratch;
-        s.reset(topo.num_pes);
+        s.reset(g.num_pes());
         s.seed(TO_TARGET, target);
         s.seed(FROM_SOURCE, from);
         // F is complete to depth `a`, T to depth `b`.
@@ -298,10 +276,10 @@ impl LazyRouter {
             }
             let met = if f < t {
                 a += 1;
-                s.expand(topo, FROM_SOURCE, a)
+                s.expand(g, FROM_SOURCE, a)
             } else {
                 b += 1;
-                s.expand(topo, TO_TARGET, b)
+                s.expand(g, TO_TARGET, b)
             };
             if met {
                 break;
@@ -322,15 +300,14 @@ impl LazyRouter {
             if k == 0 || k >= a {
                 continue;
             }
-            if topo
-                .neighbors(v)
+            if g.neighbors(v)
                 .iter()
                 .any(|nb| s.to_target(nb.pe) == d - k - 1)
             {
                 s.labels[v.idx()].depth[TO_TARGET] = d - k;
             }
         }
-        let hop = topo
+        let hop = g
             .neighbors(from)
             .iter()
             .find(|nb| s.to_target(nb.pe) == d - 1)
@@ -344,13 +321,33 @@ impl LazyRouter {
 /// routing.
 ///
 /// Built via the constructors in [`crate::mesh`], [`crate::dlm`],
-/// [`crate::hypercube`], [`crate::misc`], generically through
-/// [`Topology::from_channels`], or from an edge-list file through
+/// [`crate::hypercube`], [`crate::kary`], [`crate::misc`], generically
+/// through [`Topology::from_channels`], or from an edge-list file through
 /// [`Topology::from_edge_list`].
 #[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
     num_pes: usize,
+    diameter: u32,
+    shape: Shape,
+}
+
+/// Where a topology's adjacency comes from.
+#[derive(Debug, Clone)]
+pub(crate) enum Shape {
+    /// 2-D mesh or torus, computed from its width and height.
+    Grid(Grid),
+    /// k-ary n-cube (binary hypercube when `k == 2`), computed from `k`
+    /// and `n`.
+    Cube(Cube),
+    /// Any other graph, stored in CSR form.
+    Graph(Box<Graph>),
+}
+
+/// A stored graph: channel member sets, neighbour lists, the twin index
+/// and the broadcast fan-out, all in CSR form, plus its router.
+#[derive(Debug, Clone)]
+pub(crate) struct Graph {
     /// CSR member PEs of each channel (sorted within a channel):
     /// channel `c` owns `chan_pes[chan_off[c]..chan_off[c + 1]]`.
     chan_off: Vec<usize>,
@@ -359,8 +356,256 @@ pub struct Topology {
     /// neighbour): PE `p` owns `adj[adj_off[p]..adj_off[p + 1]]`.
     adj_off: Vec<usize>,
     adj: Vec<Neighbor>,
+    /// Twin index, aligned with `chan_pes`, so a delivery finds each
+    /// receiver's slot for the sender without a search. For a member `m`
+    /// of a link: the position of the other member in `m`'s neighbour
+    /// list. For a member `m` of a bus: the start of `m`'s row in
+    /// `bus_twin`, which gives, for every member of the bus in member
+    /// order, its position in `m`'s neighbour list.
+    twin: Vec<u32>,
+    bus_twin: Vec<u32>,
+    /// Distinct channels incident to each PE, in first-appearance order
+    /// over its neighbour list: PE `p` owns
+    /// `incident[incident_off[p]..incident_off[p + 1]]`. Stored only when
+    /// the graph has a bus; on links alone they are the neighbours'
+    /// channels, and both stay empty.
+    incident_off: Vec<usize>,
+    incident: Vec<ChannelId>,
     router: Router,
-    diameter: u32,
+}
+
+impl Graph {
+    #[inline]
+    fn num_pes(&self) -> usize {
+        self.adj_off.len() - 1
+    }
+
+    #[inline]
+    fn neighbors(&self, pe: PeId) -> &[Neighbor] {
+        &self.adj[self.adj_off[pe.idx()]..self.adj_off[pe.idx() + 1]]
+    }
+
+    #[inline]
+    fn members(&self, c: ChannelId) -> &[PeId] {
+        &self.chan_pes[self.chan_off[c.idx()]..self.chan_off[c.idx() + 1]]
+    }
+
+    #[inline]
+    fn position(&self, pe: PeId, nbr: PeId) -> Option<usize> {
+        self.neighbors(pe).binary_search_by_key(&nbr, |n| n.pe).ok()
+    }
+
+    /// Build the neighbour lists, twin index and fan-out lists from the
+    /// normalized channel CSR.
+    fn new(
+        name: &str,
+        num_pes: usize,
+        chan_off: Vec<usize>,
+        chan_pes: Vec<PeId>,
+    ) -> Result<Self, SpecError> {
+        let (adj_off, adj) = adjacency(num_pes, &chan_off, &chan_pes);
+        let mut g = Graph {
+            chan_off,
+            chan_pes,
+            adj_off,
+            adj,
+            twin: Vec::new(),
+            bus_twin: Vec::new(),
+            incident_off: Vec::new(),
+            incident: Vec::new(),
+            router: Router::Lazy(LazyRouter::new()),
+        };
+        // One pass over the neighbour lists. Entry `i` of a PE's list is
+        // the position of that neighbour, which is the twin of every link
+        // that is the lowest channel joining its pair (a link's members
+        // are its two ends in id order). With buses, the broadcast fan-out
+        // is each PE's distinct channels, deduplicated with a per-channel
+        // stamp of the last PE that listed it.
+        const UNSET: u32 = u32::MAX;
+        let num_channels = g.chan_off.len() - 1;
+        let buses = g.chan_off.windows(2).any(|w| w[1] - w[0] > 2);
+        let mut twin = vec![UNSET; g.chan_pes.len()];
+        let mut listed_by = vec![u32::MAX; if buses { num_channels } else { 0 }];
+        let (mut incident_off, mut incident) = (Vec::new(), Vec::new());
+        for p in 0..num_pes {
+            let pe = PeId(p as u32);
+            if buses {
+                incident_off.push(incident.len());
+            }
+            for (i, nb) in g.neighbors(pe).iter().enumerate() {
+                let c = nb.channel.idx();
+                let start = g.chan_off[c];
+                if g.chan_off[c + 1] - start == 2 {
+                    twin[start + (pe > nb.pe) as usize] = i as u32;
+                }
+                if buses && listed_by[c] != pe.0 {
+                    listed_by[c] = pe.0;
+                    incident.push(nb.channel);
+                }
+            }
+        }
+        if buses {
+            incident_off.push(incident.len());
+        }
+        // Buses, and links repeating a lower channel, by search.
+        let mut bus_twin = Vec::new();
+        for c in 0..num_channels {
+            let start = g.chan_off[c];
+            let members = g.members(ChannelId(c as u32));
+            for (j, &at) in members.iter().enumerate() {
+                let pos = |about: PeId| {
+                    g.position(at, about)
+                        .expect("channel members are neighbours") as u32
+                };
+                if members.len() == 2 {
+                    if twin[start + j] == UNSET {
+                        twin[start + j] = pos(members[1 - j]);
+                    }
+                    continue;
+                }
+                twin[start + j] = u32::try_from(bus_twin.len()).map_err(|_| {
+                    SpecError(format!(
+                        "topology {name:?} has buses too large for the twin index (u32)"
+                    ))
+                })?;
+                bus_twin.extend(members.iter().map(|&about| {
+                    if about == at {
+                        u32::MAX
+                    } else {
+                        pos(about)
+                    }
+                }));
+            }
+        }
+        g.twin = twin;
+        g.bus_twin = bus_twin;
+        g.incident_off = incident_off;
+        g.incident = incident;
+        Ok(g)
+    }
+
+    /// The slot of `pe` among the members of channel `c`.
+    #[inline]
+    fn member_slot(&self, c: ChannelId, pe: PeId) -> usize {
+        self.members(c)
+            .binary_search(&pe)
+            .expect("a member of the channel")
+    }
+
+    /// The position of `about` in `at`'s neighbour list; both are members
+    /// of channel `c`.
+    #[inline]
+    fn twin(&self, c: ChannelId, at: PeId, about: PeId) -> usize {
+        let start = self.chan_off[c.idx()];
+        if self.chan_off[c.idx() + 1] - start == 2 {
+            return self.twin[start + (self.chan_pes[start] != at) as usize] as usize;
+        }
+        let row = self.twin[start + self.member_slot(c, at)] as usize;
+        self.bus_twin[row + self.member_slot(c, about)] as usize
+    }
+
+    /// Each member of channel `c` other than `from`, paired with the
+    /// position of `from` in its neighbour list.
+    #[inline]
+    fn receivers(&self, c: ChannelId, from: PeId, out: &mut Vec<(PeId, usize)>) {
+        let start = self.chan_off[c.idx()];
+        if self.chan_off[c.idx() + 1] - start == 2 {
+            let j = (self.chan_pes[start] == from) as usize;
+            out.push((self.chan_pes[start + j], self.twin[start + j] as usize));
+            return;
+        }
+        let i = self.member_slot(c, from);
+        for (j, &m) in self.members(c).iter().enumerate() {
+            if j != i {
+                let row = self.twin[start + j] as usize;
+                out.push((m, self.bus_twin[row + i] as usize));
+            }
+        }
+    }
+
+    /// All-pairs BFS tables (small arbitrary graphs only). Returns the
+    /// diameter.
+    fn build_dense_router(&mut self, name: &str) -> u32 {
+        let n = self.num_pes();
+        let mut dist = vec![u32::MAX; n * n];
+        let mut next_hop = vec![PeId(u32::MAX); n * n];
+        let mut diameter = 0u32;
+        let mut queue = VecDeque::new();
+        for src in 0..n {
+            let base = src * n;
+            dist[base + src] = 0;
+            next_hop[base + src] = PeId(src as u32);
+            queue.clear();
+            queue.push_back(src);
+            while let Some(v) = queue.pop_front() {
+                let dv = dist[base + v];
+                for n in self.neighbors(PeId(v as u32)) {
+                    let u = n.pe.idx();
+                    if dist[base + u] == u32::MAX {
+                        dist[base + u] = dv + 1;
+                        // First hop from src toward u: if v is the source the
+                        // first hop is u itself, otherwise inherit v's.
+                        next_hop[base + u] = if v == src { n.pe } else { next_hop[base + v] };
+                        diameter = diameter.max(dv + 1);
+                        queue.push_back(u);
+                    }
+                }
+            }
+            assert!(
+                dist[base..base + n].iter().all(|&d| d != u32::MAX),
+                "topology {name:?} is not connected (unreachable from PE {src})"
+            );
+        }
+        self.router = Router::Dense { next_hop, dist };
+        diameter
+    }
+
+    /// Lazy router for large arbitrary graphs: one BFS proves
+    /// connectivity, a second (double-sweep) estimates the diameter, which
+    /// it returns.
+    fn build_lazy_router(&mut self, name: &str) -> u32 {
+        let row0 = self.bfs_row(PeId(0));
+        let (far, ecc0) = row0
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &d)| (d != u32::MAX) as u64 * (d as u64 + 1))
+            .map(|(i, &d)| (i, d))
+            .expect("non-empty topology");
+        assert!(
+            !row0.contains(&u32::MAX),
+            "topology {name:?} is not connected (unreachable from PE 0)"
+        );
+        let ecc_far = self
+            .bfs_row(PeId(far as u32))
+            .into_iter()
+            .max()
+            .unwrap_or(ecc0);
+        self.router = Router::Lazy(LazyRouter::new());
+        // Double-sweep lower bound — exact on trees and typically exact or
+        // near-exact on the sparse random graphs this router serves. The
+        // machine uses it only to size histograms (which carry explicit
+        // overflow counters), never for correctness.
+        ecc_far.max(ecc0)
+    }
+
+    /// One BFS from `src`: distances to every PE (`u32::MAX` = unreachable).
+    fn bfs_row(&self, src: PeId) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.num_pes()];
+        let mut queue = VecDeque::new();
+        dist[src.idx()] = 0;
+        queue.push_back(src.idx());
+        while let Some(v) = queue.pop_front() {
+            let dv = dist[v];
+            for n in self.neighbors(PeId(v as u32)) {
+                let u = n.pe.idx();
+                if dist[u] == u32::MAX {
+                    dist[u] = dv + 1;
+                    queue.push_back(u);
+                }
+            }
+        }
+        dist
+    }
 }
 
 impl Topology {
@@ -399,217 +644,61 @@ impl Topology {
             chan_pes.extend_from_slice(&members);
             chan_off.push(chan_pes.len());
         }
-        let mut t = Self::build_structure(name, num_pes, chan_off, chan_pes)?;
-        t.attach_generic_router();
-        Ok(t)
-    }
-
-    /// Build CSR structure and validate membership; the router is attached
-    /// by the caller (arithmetic for the regular families, dense/lazy
-    /// otherwise). Channel `c` is given as the members
-    /// `chan_pes[chan_off[c]..chan_off[c + 1]]`, in any order and with
-    /// repeats; they are normalized in place.
-    fn build_structure(
-        name: String,
-        num_pes: usize,
-        mut chan_off: Vec<usize>,
-        mut chan_pes: Vec<PeId>,
-    ) -> Result<Self, SpecError> {
-        if num_pes == 0 {
-            return Err(SpecError(format!("topology {name:?} has no PEs")));
-        }
-        let num_channels = chan_off.len() - 1;
-        // All ids must round-trip through the u32 `PeId`/`ChannelId` space;
-        // `try_from` instead of `as` so oversized graphs fail loudly
-        // instead of wrapping.
-        u32::try_from(num_pes).map_err(|_| {
-            SpecError(format!(
-                "topology {name:?} has {num_pes} PEs, more than PE ids (u32) can address"
-            ))
-        })?;
-        u32::try_from(num_channels).map_err(|_| {
-            SpecError(format!(
-                "topology {name:?} has {num_channels} channels, more than channel ids (u32) can address"
-            ))
-        })?;
-
-        // Normalize each channel's member set in place: sorted, repeats
-        // dropped, compacted toward the front of `chan_pes`.
-        let mut write = 0usize;
-        for c in 0..num_channels {
-            let (start, end) = (chan_off[c], chan_off[c + 1]);
-            chan_pes[start..end].sort_unstable();
-            let first = write;
-            for i in start..end {
-                if write == first || chan_pes[write - 1] != chan_pes[i] {
-                    chan_pes[write] = chan_pes[i];
-                    write += 1;
-                }
-            }
-            if write - first < 2 {
-                return Err(SpecError(format!(
-                    "channel in {name:?} has fewer than two distinct members"
-                )));
-            }
-            if chan_pes[write - 1].idx() >= num_pes {
-                return Err(SpecError(format!(
-                    "channel member out of range in {name:?}"
-                )));
-            }
-            chan_off[c] = first;
-        }
-        chan_off[num_channels] = write;
-        chan_pes.truncate(write);
-
-        let (adj_off, adj) = adjacency(num_pes, &chan_off, &chan_pes);
+        check_id_space(&name, num_pes, chan_off.len() - 1)?;
+        normalize_channels(&name, num_pes, &mut chan_off, &mut chan_pes)?;
+        let mut graph = Graph::new(&name, num_pes, chan_off, chan_pes)?;
+        let diameter = if num_pes <= DENSE_ROUTER_LIMIT {
+            graph.build_dense_router(&name)
+        } else {
+            graph.build_lazy_router(&name)
+        };
         Ok(Topology {
             name,
             num_pes,
-            chan_off,
-            chan_pes,
-            adj_off,
-            adj,
-            router: Router::Hypercube, // placeholder; callers attach the real one
-            diameter: 0,
+            diameter,
+            shape: Shape::Graph(Box::new(graph)),
         })
     }
 
-    /// Attach the router for an arbitrary graph: dense all-pairs tables up
-    /// to [`DENSE_ROUTER_LIMIT`] PEs, the lazy bidirectional-BFS router
-    /// beyond. Both verify connectivity.
-    fn attach_generic_router(&mut self) {
-        if self.num_pes <= DENSE_ROUTER_LIMIT {
-            self.build_dense_router();
-        } else {
-            self.build_lazy_router();
-        }
-    }
-
-    /// All-pairs BFS tables (small arbitrary graphs only).
-    fn build_dense_router(&mut self) {
-        let n = self.num_pes;
-        let mut dist = vec![u32::MAX; n * n];
-        let mut next_hop = vec![PeId(u32::MAX); n * n];
-        let mut diameter = 0u32;
-        let mut queue = VecDeque::new();
-        for src in 0..n {
-            let base = src * n;
-            dist[base + src] = 0;
-            next_hop[base + src] = PeId(src as u32);
-            queue.clear();
-            queue.push_back(src);
-            while let Some(v) = queue.pop_front() {
-                let dv = dist[base + v];
-                for n in self.neighbors(PeId(v as u32)) {
-                    let u = n.pe.idx();
-                    if dist[base + u] == u32::MAX {
-                        dist[base + u] = dv + 1;
-                        // First hop from src toward u: if v is the source the
-                        // first hop is u itself, otherwise inherit v's.
-                        next_hop[base + u] = if v == src { n.pe } else { next_hop[base + v] };
-                        diameter = diameter.max(dv + 1);
-                        queue.push_back(u);
-                    }
-                }
-            }
-            assert!(
-                dist[base..base + n].iter().all(|&d| d != u32::MAX),
-                "topology {:?} is not connected (unreachable from PE {src})",
-                self.name
-            );
-        }
-        self.router = Router::Dense { next_hop, dist };
-        self.diameter = diameter;
-    }
-
-    /// Lazy router for large arbitrary graphs: one BFS proves
-    /// connectivity, a second (double-sweep) estimates the diameter.
-    fn build_lazy_router(&mut self) {
-        let row0 = self.bfs_row(PeId(0));
-        let (far, ecc0) = row0
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &d)| (d != u32::MAX) as u64 * (d as u64 + 1))
-            .map(|(i, &d)| (i, d))
-            .expect("non-empty topology");
-        assert!(
-            !row0.contains(&u32::MAX),
-            "topology {:?} is not connected (unreachable from PE 0)",
-            self.name
-        );
-        let ecc_far = self
-            .bfs_row(PeId(far as u32))
-            .into_iter()
-            .max()
-            .unwrap_or(ecc0);
-        // Double-sweep lower bound — exact on trees and typically exact or
-        // near-exact on the sparse random graphs this router serves. The
-        // machine uses it only to size histograms (which carry explicit
-        // overflow counters), never for correctness.
-        self.diameter = ecc_far.max(ecc0);
-        self.router = Router::Lazy(LazyRouter::new());
-    }
-
-    /// One BFS from `src`: distances to every PE (`u32::MAX` = unreachable).
-    fn bfs_row(&self, src: PeId) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.num_pes];
-        let mut queue = VecDeque::new();
-        dist[src.idx()] = 0;
-        queue.push_back(src.idx());
-        while let Some(v) = queue.pop_front() {
-            let dv = dist[v];
-            for n in self.neighbors(PeId(v as u32)) {
-                let u = n.pe.idx();
-                if dist[u] == u32::MAX {
-                    dist[u] = dv + 1;
-                    queue.push_back(u);
-                }
-            }
-        }
-        dist
-    }
-
-    /// Attach an arithmetic (table-free) router. `diameter` must be the
-    /// exact diameter; the regular-family constructors compute it in
-    /// closed form. Used by [`crate::mesh`], [`crate::hypercube`], and
-    /// [`crate::kary`], whose channels are all point-to-point links:
-    /// channel `c` joins `links[2c]` and `links[2c + 1]`, passed flat so a
-    /// million-PE family costs one array, not a `Vec` per channel.
-    pub(crate) fn with_arithmetic_router(
+    /// A regular family: adjacency and routing are computed from `shape`,
+    /// and nothing is stored per PE or per link. `diameter` must be exact;
+    /// the family constructors compute it in closed form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PE or channel count overflows the `u32` id space.
+    pub(crate) fn regular(
         name: impl Into<String>,
         num_pes: usize,
-        links: Vec<PeId>,
-        kind: ArithmeticRouter,
+        shape: Shape,
         diameter: u32,
     ) -> Self {
         let name = name.into();
-        let chan_off: Vec<usize> = (0..=links.len() / 2).map(|c| 2 * c).collect();
-        let mut t = match Self::build_structure(name, num_pes, chan_off, links) {
-            Ok(t) => t,
-            Err(SpecError(msg)) => panic!("{msg}"),
+        let num_channels = match &shape {
+            Shape::Grid(g) => g.num_channels(),
+            Shape::Cube(c) => c.num_channels(),
+            Shape::Graph(_) => unreachable!("regular topologies are computed"),
         };
-        t.router = match kind {
-            ArithmeticRouter::Grid {
-                width,
-                height,
-                wrap,
-            } => Router::Grid {
-                width,
-                height,
-                wrap,
-            },
-            ArithmeticRouter::Hypercube => Router::Hypercube,
-            ArithmeticRouter::KAry { k, n } => Router::KAry { k, n },
-        };
-        t.diameter = diameter;
-        t
+        let num_channels = usize::try_from(num_channels).unwrap_or(usize::MAX);
+        if let Err(SpecError(msg)) = check_id_space(&name, num_pes, num_channels) {
+            panic!("{msg}");
+        }
+        Topology {
+            name,
+            num_pes,
+            diameter,
+            shape,
+        }
     }
 
     /// Replace this topology's router with the lazy router (keeping
     /// the already-computed exact diameter). For tests pinning
-    /// lazy-vs-dense routing equivalence on small graphs.
+    /// lazy-vs-dense routing equivalence on small graphs; regular
+    /// families have no router to replace.
     pub fn force_lazy_router(mut self) -> Self {
-        self.router = Router::Lazy(LazyRouter::new());
+        if let Shape::Graph(g) = &mut self.shape {
+            g.router = Router::Lazy(LazyRouter::new());
+        }
         self
     }
 
@@ -627,7 +716,11 @@ impl Topology {
     /// Number of channels (links plus buses).
     #[inline]
     pub fn num_channels(&self) -> usize {
-        self.chan_off.len() - 1
+        match &self.shape {
+            Shape::Grid(g) => g.num_channels() as usize,
+            Shape::Cube(c) => c.num_channels() as usize,
+            Shape::Graph(g) => g.chan_off.len() - 1,
+        }
     }
 
     /// All PE ids.
@@ -637,71 +730,186 @@ impl Topology {
 
     /// The sorted member PEs of channel `c`.
     #[inline]
-    pub fn channel_members(&self, c: ChannelId) -> &[PeId] {
-        &self.chan_pes[self.chan_off[c.idx()]..self.chan_off[c.idx() + 1]]
+    pub fn channel_members(&self, c: ChannelId) -> Members<'_> {
+        match &self.shape {
+            Shape::Grid(g) => link(g.members(c)),
+            Shape::Cube(cube) => link(cube.members(c)),
+            Shape::Graph(g) => List::borrowed(g.members(c)),
+        }
+    }
+
+    /// Call `f` on every neighbour of `pe`, in sorted PE-id order: the
+    /// entries of [`Topology::neighbors`] without building the list.
+    #[inline]
+    pub fn for_each_neighbor(&self, pe: PeId, f: impl FnMut(Neighbor)) {
+        match &self.shape {
+            Shape::Grid(g) => g.links(pe, f),
+            Shape::Cube(c) => c.links(pe, f),
+            Shape::Graph(g) => g.neighbors(pe).iter().copied().for_each(f),
+        }
     }
 
     /// The sorted neighbour list of `pe`.
     #[inline]
-    pub fn neighbors(&self, pe: PeId) -> &[Neighbor] {
-        &self.adj[self.adj_off[pe.idx()]..self.adj_off[pe.idx() + 1]]
+    pub fn neighbors(&self, pe: PeId) -> Neighbors<'_> {
+        if let Shape::Graph(g) = &self.shape {
+            return List::borrowed(g.neighbors(pe));
+        }
+        let mut list = List::inline();
+        self.for_each_neighbor(pe, |nb| list.push(nb));
+        list
     }
 
     /// Number of distinct neighbours of `pe`.
+    #[inline]
     pub fn degree(&self, pe: PeId) -> usize {
-        self.adj_off[pe.idx() + 1] - self.adj_off[pe.idx()]
+        match &self.shape {
+            Shape::Graph(g) => g.adj_off[pe.idx() + 1] - g.adj_off[pe.idx()],
+            Shape::Cube(c) => c.degree(),
+            Shape::Grid(_) => {
+                let mut degree = 0;
+                self.for_each_neighbor(pe, |_| degree += 1);
+                degree
+            }
+        }
+    }
+
+    /// The position of `nbr` in `pe`'s neighbour list together with the
+    /// channel between them, or `None` if they are not neighbours. A binary
+    /// search on stored graphs; computed on the regular families.
+    #[inline]
+    pub fn find_neighbor(&self, pe: PeId, nbr: PeId) -> Option<(usize, ChannelId)> {
+        match &self.shape {
+            Shape::Grid(g) => g.find(pe, nbr),
+            Shape::Cube(c) => c.find(pe, nbr),
+            Shape::Graph(g) => {
+                let list = g.neighbors(pe);
+                g.position(pe, nbr).map(|i| (i, list[i].channel))
+            }
+        }
+    }
+
+    /// The position of `nbr` in `pe`'s neighbour list.
+    #[inline]
+    pub fn neighbor_position(&self, pe: PeId, nbr: PeId) -> Option<usize> {
+        self.find_neighbor(pe, nbr).map(|(i, _)| i)
     }
 
     /// True if `a` and `b` share a channel.
     pub fn is_neighbor(&self, a: PeId, b: PeId) -> bool {
-        self.neighbors(a).binary_search_by_key(&b, |n| n.pe).is_ok()
+        self.find_neighbor(a, b).is_some()
     }
 
     /// The channel a single-hop message from `a` to its neighbour `b` uses.
+    #[inline]
     pub fn channel_between(&self, a: PeId, b: PeId) -> Option<ChannelId> {
-        self.neighbors(a)
-            .binary_search_by_key(&b, |n| n.pe)
-            .ok()
-            .map(|i| self.neighbors(a)[i].channel)
+        self.find_neighbor(a, b).map(|(_, c)| c)
+    }
+
+    /// Call `f` on each distinct channel incident to `pe`, in
+    /// first-appearance order over its neighbour list: a broadcast from
+    /// `pe` transmits once on each. On the regular families, whose channels
+    /// are all links, these are just the neighbours' channels.
+    #[inline]
+    pub fn for_each_incident_channel(&self, pe: PeId, mut f: impl FnMut(ChannelId)) {
+        match &self.shape {
+            Shape::Graph(g) if !g.incident_off.is_empty() => g.incident
+                [g.incident_off[pe.idx()]..g.incident_off[pe.idx() + 1]]
+                .iter()
+                .copied()
+                .for_each(f),
+            _ => self.for_each_neighbor(pe, |nb| f(nb.channel)),
+        }
+    }
+
+    /// The number of incident channels summed over every PE (see
+    /// [`Topology::for_each_incident_channel`]): the transfers of one
+    /// broadcast round from every PE.
+    pub fn num_incidences(&self) -> usize {
+        match &self.shape {
+            Shape::Graph(g) if !g.incident_off.is_empty() => g.incident.len(),
+            Shape::Graph(g) => g.adj.len(),
+            // Every link is incident to both of its ends.
+            _ => 2 * self.num_channels(),
+        }
+    }
+
+    /// True if channel `c` is a link (two members) rather than a bus.
+    #[inline]
+    pub fn is_link(&self, c: ChannelId) -> bool {
+        match &self.shape {
+            Shape::Graph(g) => g.chan_off[c.idx() + 1] - g.chan_off[c.idx()] == 2,
+            _ => true,
+        }
+    }
+
+    /// The position of `about` in `at`'s neighbour list, where both are
+    /// members of channel `c`: the slot a transfer over `c` from `about`
+    /// updates at `at`. O(1): computed on the regular families, read from
+    /// the twin index on stored graphs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` and `about` are not neighbours, or on a stored graph
+    /// if either is not a member of `c`.
+    #[inline]
+    pub fn twin(&self, c: ChannelId, at: PeId, about: PeId) -> usize {
+        match &self.shape {
+            Shape::Graph(g) => g.twin(c, at, about),
+            _ => self
+                .neighbor_position(at, about)
+                .expect("channel members are neighbours"),
+        }
+    }
+
+    /// Fill `out` with each member of channel `c` other than the sender
+    /// `from`, in member order, paired with the position of `from` in that
+    /// member's neighbour list — the slot a delivery over `c` updates. O(1)
+    /// per receiver: computed on the regular families, read from the twin
+    /// index on stored graphs. `from` must be a member of `c`.
+    #[inline]
+    pub fn receivers(&self, c: ChannelId, from: PeId, out: &mut Vec<(PeId, usize)>) {
+        out.clear();
+        if let Shape::Graph(g) = &self.shape {
+            return g.receivers(c, from, out);
+        }
+        for to in self.channel_members(c) {
+            if to != from {
+                out.push((to, self.twin(c, to, from)));
+            }
+        }
     }
 
     /// Shortest-path distance in hops.
     #[inline]
     pub fn distance(&self, from: PeId, to: PeId) -> u32 {
-        match &self.router {
-            Router::Dense { dist, .. } => dist[from.idx() * self.num_pes + to.idx()],
-            Router::Grid {
-                width,
-                height,
-                wrap,
-            } => {
-                let (w, h) = (*width, *height);
-                let (x1, y1) = (from.0 % w, from.0 / w);
-                let (x2, y2) = (to.0 % w, to.0 / w);
-                let _ = h;
-                dim_distance(x1, x2, w, *wrap) + dim_distance(y1, y2, h, *wrap)
-            }
-            Router::Hypercube => (from.0 ^ to.0).count_ones(),
-            Router::KAry { k, n } => {
+        match &self.shape {
+            Shape::Grid(g) => g.distance(from, to),
+            // The binary hypercube: the Hamming distance of the ids.
+            Shape::Cube(c) if c.k == 2 => (from.0 ^ to.0).count_ones(),
+            Shape::Cube(c) => {
                 let (mut a, mut b, mut d) = (from.0, to.0, 0u32);
-                for _ in 0..*n {
-                    d += dim_distance(a % k, b % k, *k, true);
-                    a /= k;
-                    b /= k;
+                for _ in 0..c.n {
+                    d += dim_distance(a % c.k, b % c.k, c.k, true);
+                    a /= c.k;
+                    b /= c.k;
                 }
                 d
             }
-            Router::Lazy(lazy) => {
-                if from == to {
-                    0
-                } else if self.is_neighbor(from, to) {
-                    // The dominant query on neighbourhood-local strategies;
-                    // answered without a search.
-                    1
-                } else {
-                    lazy.query(self, from, to, false).0
+            Shape::Graph(g) => match &g.router {
+                Router::Dense { dist, .. } => dist[from.idx() * self.num_pes + to.idx()],
+                Router::Lazy(lazy) => {
+                    if from == to {
+                        0
+                    } else if g.position(from, to).is_some() {
+                        // The dominant query on neighbourhood-local
+                        // strategies; answered without a search.
+                        1
+                    } else {
+                        lazy.query(g, from, to, false).0
+                    }
                 }
-            }
+            },
         }
     }
 
@@ -717,17 +925,35 @@ impl Topology {
         if from == to {
             return from;
         }
-        match &self.router {
-            Router::Dense { next_hop, .. } => next_hop[from.idx() * self.num_pes + to.idx()],
-            Router::Lazy(lazy) => lazy.query(self, from, to, true).1,
-            _ => {
-                let d = self.distance(from, to);
-                self.neighbors(from)
-                    .iter()
-                    .find(|n| self.distance(n.pe, to) == d - 1)
-                    .map(|n| n.pe)
-                    .expect("connected graph has a descending neighbour")
+        let g = match &self.shape {
+            Shape::Grid(g) => return g.next_hop(from, to),
+            // The smallest descending neighbour clears the highest bit
+            // that `from` has and `to` lacks, or else sets the lowest bit
+            // that `to` has and `from` lacks.
+            Shape::Cube(c) if c.k == 2 => {
+                let (diff, fall) = (from.0 ^ to.0, (from.0 ^ to.0) & from.0);
+                let b = if fall != 0 {
+                    31 - fall.leading_zeros()
+                } else {
+                    diff.trailing_zeros()
+                };
+                return PeId(from.0 ^ (1 << b));
             }
+            Shape::Cube(_) => {
+                let d = self.distance(from, to);
+                let mut hop: Option<PeId> = None;
+                self.for_each_neighbor(from, |nb| {
+                    if hop.is_none() && self.distance(nb.pe, to) == d - 1 {
+                        hop = Some(nb.pe);
+                    }
+                });
+                return hop.expect("connected graph has a descending neighbour");
+            }
+            Shape::Graph(g) => g,
+        };
+        match &g.router {
+            Router::Dense { next_hop, .. } => next_hop[from.idx() * self.num_pes + to.idx()],
+            Router::Lazy(lazy) => lazy.query(g, from, to, true).1,
         }
     }
 
@@ -741,7 +967,7 @@ impl Topology {
 
     /// Mean shortest-path distance over ordered pairs of distinct PEs.
     ///
-    /// Closed-form for the arithmetic families, exact table sum for dense
+    /// Closed-form for the regular families, exact table sum for dense
     /// graphs; on the lazy router it is exact up to 4096 PEs (all-source
     /// BFS) and a deterministic 64-source sample beyond.
     pub fn mean_distance(&self) -> f64 {
@@ -750,46 +976,37 @@ impl Topology {
             return 0.0;
         }
         let pairs = (n * (n - 1)) as f64;
-        match &self.router {
-            Router::Dense { dist, .. } => {
-                let sum: u64 = dist.iter().map(|&d| d as u64).sum();
-                sum as f64 / pairs
-            }
-            Router::Grid {
-                width,
-                height,
-                wrap,
-            } => {
-                let (w, h) = (*width as u128, *height as u128);
+        match &self.shape {
+            Shape::Grid(g) => {
+                let (w, h) = (g.width as u128, g.height as u128);
                 let sum =
-                    dim_pair_sum(*width, *wrap) * h * h + dim_pair_sum(*height, *wrap) * w * w;
+                    dim_pair_sum(g.width, g.wrap) * h * h + dim_pair_sum(g.height, g.wrap) * w * w;
                 sum as f64 / pairs
             }
-            Router::Hypercube => {
-                // Each of the `dim` bits differs in exactly half of the
-                // n² ordered pairs.
-                let dim = (self.num_pes as u64).trailing_zeros() as u128;
-                let sum = dim * n * n / 2;
+            Shape::Cube(c) => {
+                let per_dim = dim_pair_sum(c.k, true);
+                let rest = n / c.k as u128; // k^(dims-1)
+                let sum = per_dim * rest * rest * (c.n as u128);
                 sum as f64 / pairs
             }
-            Router::KAry { k, n: dims } => {
-                let per_dim = dim_pair_sum(*k, true);
-                let rest = n / *k as u128; // k^(dims-1)
-                let sum = per_dim * rest * rest * (*dims as u128);
-                sum as f64 / pairs
-            }
-            Router::Lazy(_) => {
-                let exact = self.num_pes <= 4096;
-                let stride = if exact { 1 } else { (self.num_pes / 64).max(1) };
-                let sources: Vec<usize> = (0..self.num_pes).step_by(stride).collect();
-                let mut sum = 0u128;
-                for &s in &sources {
-                    let row = self.bfs_row(PeId(s as u32));
-                    sum += row.iter().map(|&d| d as u128).sum::<u128>();
+            Shape::Graph(g) => match &g.router {
+                Router::Dense { dist, .. } => {
+                    let sum: u64 = dist.iter().map(|&d| d as u64).sum();
+                    sum as f64 / pairs
                 }
-                let per_source_pairs = (self.num_pes - 1) as f64;
-                sum as f64 / (sources.len() as f64 * per_source_pairs)
-            }
+                Router::Lazy(_) => {
+                    let exact = self.num_pes <= 4096;
+                    let stride = if exact { 1 } else { (self.num_pes / 64).max(1) };
+                    let sources: Vec<usize> = (0..self.num_pes).step_by(stride).collect();
+                    let mut sum = 0u128;
+                    for &s in &sources {
+                        let row = g.bfs_row(PeId(s as u32));
+                        sum += row.iter().map(|&d| d as u128).sum::<u128>();
+                    }
+                    let per_source_pairs = (self.num_pes - 1) as f64;
+                    sum as f64 / (sources.len() as f64 * per_source_pairs)
+                }
+            },
         }
     }
 
@@ -820,7 +1037,8 @@ impl Topology {
     /// routing consistency, and the triangle inequality on distances.
     /// O(n²) — intended for small topologies.
     pub fn check_invariants(&self) {
-        let lazy_estimate = matches!(self.router, Router::Lazy(_));
+        let lazy_estimate =
+            matches!(&self.shape, Shape::Graph(g) if matches!(g.router, Router::Lazy(_)));
         for a in self.pes() {
             for n in self.neighbors(a) {
                 assert!(self.is_neighbor(n.pe, a), "asymmetric adjacency");
@@ -966,6 +1184,74 @@ impl Topology {
     }
 }
 
+/// Fail unless every PE and channel id fits the `u32` id space (checked
+/// with `try_from` rather than `as`, so oversized graphs fail loudly
+/// instead of wrapping).
+fn check_id_space(name: &str, num_pes: usize, num_channels: usize) -> Result<(), SpecError> {
+    if num_pes == 0 {
+        return Err(SpecError(format!("topology {name:?} has no PEs")));
+    }
+    u32::try_from(num_pes).map_err(|_| {
+        SpecError(format!(
+            "topology {name:?} has {num_pes} PEs, more than PE ids (u32) can address"
+        ))
+    })?;
+    u32::try_from(num_channels).map_err(|_| {
+        SpecError(format!(
+            "topology {name:?} has {num_channels} channels, more than channel ids (u32) can address"
+        ))
+    })?;
+    Ok(())
+}
+
+/// Normalize each channel's member set in place: sorted, repeats dropped,
+/// compacted toward the front of `chan_pes`. Channel `c` is given as the
+/// members `chan_pes[chan_off[c]..chan_off[c + 1]]`, in any order and with
+/// repeats.
+fn normalize_channels(
+    name: &str,
+    num_pes: usize,
+    chan_off: &mut [usize],
+    chan_pes: &mut Vec<PeId>,
+) -> Result<(), SpecError> {
+    let num_channels = chan_off.len() - 1;
+    let mut write = 0usize;
+    for c in 0..num_channels {
+        let (start, end) = (chan_off[c], chan_off[c + 1]);
+        chan_pes[start..end].sort_unstable();
+        let first = write;
+        for i in start..end {
+            if write == first || chan_pes[write - 1] != chan_pes[i] {
+                chan_pes[write] = chan_pes[i];
+                write += 1;
+            }
+        }
+        if write - first < 2 {
+            return Err(SpecError(format!(
+                "channel in {name:?} has fewer than two distinct members"
+            )));
+        }
+        if chan_pes[write - 1].idx() >= num_pes {
+            return Err(SpecError(format!(
+                "channel member out of range in {name:?}"
+            )));
+        }
+        chan_off[c] = first;
+    }
+    chan_off[num_channels] = write;
+    chan_pes.truncate(write);
+    Ok(())
+}
+
+/// A computed link's member list.
+#[inline]
+fn link<'a>([a, b]: [PeId; 2]) -> Members<'a> {
+    let mut list = List::inline();
+    list.push(a);
+    list.push(b);
+    list
+}
+
 /// Sorted, deduplicated per-PE neighbour lists in CSR form from the
 /// normalized channel CSR, without a global sort. A counting pass sizes
 /// each PE's slots, a fill pass writes them in channel-id order, and a
@@ -1025,19 +1311,12 @@ fn adjacency(num_pes: usize, chan_off: &[usize], chan_pes: &[PeId]) -> (Vec<usiz
     (adj_off, adj)
 }
 
-/// The arithmetic router families the regular constructors attach.
-pub(crate) enum ArithmeticRouter {
-    Grid { width: u32, height: u32, wrap: bool },
-    Hypercube,
-    KAry { k: u32, n: u32 },
-}
-
 /// Per-dimension hop distance: plain `|a - b|`, or the ring distance when
 /// the dimension wraps. Wrap links only exist on dimensions longer than 2
 /// (a width-2 wrap would duplicate the existing link), matching the mesh
 /// constructors.
 #[inline]
-fn dim_distance(a: u32, b: u32, size: u32, wrap: bool) -> u32 {
+pub(crate) fn dim_distance(a: u32, b: u32, size: u32, wrap: bool) -> u32 {
     let d = a.abs_diff(b);
     if wrap && size > 2 {
         d.min(size - d)
@@ -1140,8 +1419,10 @@ mod tests {
 
     fn assert_matches_sort_oracle(t: &Topology) {
         let (adj_off, adj) = adjacency_by_sort(t);
-        assert_eq!(t.adj_off, adj_off, "{}: adj_off", t.name());
-        assert_eq!(t.adj, adj, "{}: adj", t.name());
+        for p in t.pes() {
+            let oracle = &adj[adj_off[p.idx()]..adj_off[p.idx() + 1]];
+            assert_eq!(&*t.neighbors(p), oracle, "{}: {p}", t.name());
+        }
         for c in 0..t.num_channels() {
             let m = t.channel_members(ChannelId(c as u32));
             assert!(
@@ -1201,12 +1482,79 @@ mod tests {
         assert_eq!(t.channel_between(PeId(0), PeId(1)), Some(ChannelId(2)));
         assert_eq!(t.channel_between(PeId(0), PeId(5)), Some(ChannelId(4)));
         assert_eq!(
-            t.channel_members(ChannelId(2)),
+            &*t.channel_members(ChannelId(2)),
             &[PeId(0), PeId(1), PeId(2)]
         );
         let edges = "pes 5\n0 1\n3 4\n1 2\n4 0\n2 3\n0 2\n";
         let t = Topology::from_edge_list("edges", std::io::Cursor::new(edges)).unwrap();
         assert_matches_sort_oracle(&t);
+    }
+
+    /// The twin index against its definition (neighbour positions), and
+    /// the stored fan-out against the first-appearance dedup of the
+    /// neighbour list, on links, buses, overlapping buses and a link
+    /// repeated by a bus.
+    #[test]
+    fn twin_index_and_fan_out_match_their_definitions() {
+        use crate::{dlm, misc};
+        let overlapping = Topology::from_channels(
+            "overlapping",
+            6,
+            vec![
+                vec![PeId(0), PeId(1), PeId(2), PeId(3)],
+                vec![PeId(2), PeId(3), PeId(4)],
+                vec![PeId(3), PeId(4)],
+                vec![PeId(4), PeId(5), PeId(0)],
+            ],
+        );
+        let mut out = Vec::new();
+        for t in [
+            tiny(),
+            overlapping,
+            dlm::double_lattice_mesh(3, 6, 6),
+            misc::single_bus(5),
+            misc::star(7),
+            random_regular(60, 4, 2),
+        ] {
+            let name = t.name().to_string();
+            for c in 0..t.num_channels() {
+                let c = ChannelId(c as u32);
+                let members = t.channel_members(c);
+                assert_eq!(t.is_link(c), members.len() == 2, "{name}: {c}");
+                for &from in &*members {
+                    t.receivers(c, from, &mut out);
+                    let want: Vec<(PeId, usize)> = members
+                        .iter()
+                        .filter(|&&m| m != from)
+                        .map(|&m| (m, t.neighbor_position(m, from).unwrap()))
+                        .collect();
+                    assert_eq!(out, want, "{name}: receivers of {c} from {from}");
+                    for &(at, slot) in &want {
+                        assert_eq!(t.twin(c, at, from), slot, "{name}: {c}");
+                    }
+                }
+            }
+            for p in t.pes() {
+                let mut fanout = Vec::new();
+                t.for_each_incident_channel(p, |c| fanout.push(c));
+                let mut want: Vec<ChannelId> = Vec::new();
+                for nb in t.neighbors(p) {
+                    if !want.contains(&nb.channel) {
+                        want.push(nb.channel);
+                    }
+                }
+                assert_eq!(fanout, want, "{name}: fan-out of {p}");
+            }
+            let total: usize = t
+                .pes()
+                .map(|p| {
+                    let mut n = 0;
+                    t.for_each_incident_channel(p, |_| n += 1);
+                    n
+                })
+                .sum();
+            assert_eq!(t.num_incidences(), total, "{name}");
+        }
     }
 
     /// A path 0 - 1 - 2 plus a 3-member bus {0, 1, 3}.

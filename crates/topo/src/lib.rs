@@ -9,21 +9,23 @@
 //!
 //! A topology is a set of *channels*; a channel is either a point-to-point
 //! link (two members) or a bus (more than two members). Two PEs are
-//! *neighbours* iff they share a channel. Every topology answers
-//! shortest-path distance and deterministic next-hop queries: the regular
-//! families (grid/torus/hypercube/k-ary) arithmetically with no stored
-//! table, small arbitrary graphs from a precomputed all-pairs table, and
-//! large arbitrary graphs (edge-list files, `rand:NxD`) through a
-//! bidirectional BFS per query that stores no routes — so memory stays
-//! O(PEs + links) at every scale.
+//! *neighbours* iff they share a channel. The regular families
+//! (grid/torus/hypercube/k-ary) compute their adjacency and shortest paths
+//! from their shape and store nothing per PE or per link. Every other graph
+//! keeps its adjacency in CSR form and answers shortest-path queries from a
+//! precomputed all-pairs table when small, and through a bidirectional BFS
+//! per query that stores no routes when large (edge-list files,
+//! `rand:NxD`) — so memory stays O(PEs + links) at every scale.
 
 pub mod dlm;
 pub mod graph;
 pub mod hypercube;
 pub mod kary;
+pub mod list;
 pub mod mesh;
 pub mod misc;
 pub mod spec;
 
 pub use graph::{random_regular, ChannelId, Neighbor, PeId, SpecError, Topology};
+pub use list::{Members, Neighbors};
 pub use spec::TopologySpec;

@@ -6,10 +6,311 @@
 //! Both variants are provided; the experiment presets follow the quoted
 //! diameters and use `wraparound = false` (see DESIGN.md).
 //!
-//! Meshes route arithmetically (per-dimension coordinate walk), so a
-//! 1000×1000 torus costs O(PEs + links) memory — no all-pairs table.
+//! Meshes are computed, not stored: neighbours, channel ids and shortest
+//! paths all follow from the width and height, so a 1000×1000 torus costs
+//! no memory per PE or per link.
 
-use crate::graph::{ArithmeticRouter, PeId, Topology};
+use crate::graph::{dim_distance, ChannelId, Neighbor, PeId, Shape, Topology};
+
+/// A missing neighbour in [`Grid::around`]: larger than every PE id.
+const NONE: u32 = u32::MAX;
+
+/// The shape of a `width × height` mesh, PEs numbered row-major. With
+/// `wrap`, each dimension longer than 2 closes into a ring (a width-2 wrap
+/// would duplicate the existing link).
+///
+/// Channel ids follow [`mesh2d`]'s construction order: PE by PE in id
+/// order, each PE's rightward link (the wrap link at the end of a wrapped
+/// row) before its downward one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Grid {
+    pub(crate) width: u32,
+    pub(crate) height: u32,
+    pub(crate) wrap: bool,
+    /// Whether rows (`wrap_x`) and columns (`wrap_y`) close into rings.
+    wrap_x: bool,
+    wrap_y: bool,
+    /// Channels of a row with downward links: its rightward links plus one
+    /// downward link per PE (saturated on a single row too long for it,
+    /// which has no second row to offset).
+    row: u32,
+    /// Divisions by the width (ids to coordinates) and by `row` (channel
+    /// ids to rows), done by multiplication.
+    by_width: Divisor,
+    by_row: Divisor,
+}
+
+/// Division of a `u32` by a fixed divisor as a multiplication by its
+/// precomputed inverse (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019): `inverse = u64::MAX / d + 1`, exact for every
+/// `u32` dividend and divisor. Divisor 1, whose inverse would be 2^64,
+/// divides directly.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u32,
+    inverse: u64,
+}
+
+impl Divisor {
+    fn new(d: u32) -> Self {
+        Divisor {
+            d,
+            inverse: (u64::MAX / d as u64).wrapping_add(1),
+        }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(&self, n: u32) -> (u32, u32) {
+        let q = if self.d == 1 {
+            n
+        } else {
+            ((self.inverse as u128 * n as u128) >> 64) as u32
+        };
+        (q, n - q * self.d)
+    }
+}
+
+impl Grid {
+    fn new(width: u32, height: u32, wrap: bool) -> Self {
+        let (wrap_x, wrap_y) = (wrap && width > 2, wrap && height > 2);
+        let row = (width - 1 + wrap_x as u32).saturating_add(width);
+        Grid {
+            width,
+            height,
+            wrap,
+            wrap_x,
+            wrap_y,
+            row,
+            by_width: Divisor::new(width),
+            by_row: Divisor::new(row),
+        }
+    }
+
+    /// The column and row of `pe`.
+    #[inline]
+    pub(crate) fn coords(&self, pe: PeId) -> (u32, u32) {
+        let (y, x) = self.by_width.div_rem(pe.0);
+        (x, y)
+    }
+
+    /// Whether the PEs of column `x` have a rightward link.
+    #[inline]
+    fn has_right(&self, x: u32) -> bool {
+        x + 1 < self.width || self.wrap_x
+    }
+
+    /// Whether the PEs of row `y` have a downward link.
+    #[inline]
+    fn has_down(&self, y: u32) -> bool {
+        y + 1 < self.height || self.wrap_y
+    }
+
+    /// The first channel of PE `(x, y)`. Every earlier row has all its
+    /// downward links, and every earlier PE of the row its rightward one.
+    #[inline]
+    fn first_channel(&self, x: u32, y: u32) -> u32 {
+        y * self.row + x * (1 + self.has_down(y) as u32)
+    }
+
+    #[inline]
+    fn right(&self, x: u32, y: u32) -> ChannelId {
+        ChannelId(self.first_channel(x, y))
+    }
+
+    #[inline]
+    fn down(&self, x: u32, y: u32) -> ChannelId {
+        ChannelId(self.first_channel(x, y) + self.has_right(x) as u32)
+    }
+
+    pub(crate) fn num_channels(&self) -> u64 {
+        let (w, h) = (self.width as u64, self.height as u64);
+        let right = w - 1 + self.wrap_x as u64;
+        (h - 1) * (right + w) + right + w * self.wrap_y as u64
+    }
+
+    /// The up, left, right and down neighbours' ids of PE `id` at
+    /// `(x, y)` ([`NONE`] where the mesh has none).
+    #[inline]
+    fn around(&self, id: u32, x: u32, y: u32) -> [u32; 4] {
+        let (w, h) = (self.width, self.height);
+        let up = match y {
+            0 if self.wrap_y => id + (h - 1) * w,
+            0 => NONE,
+            _ => id - w,
+        };
+        let left = match x {
+            0 if self.wrap_x => id + w - 1,
+            0 => NONE,
+            _ => id - 1,
+        };
+        let right = match x + 1 < w {
+            true => id + 1,
+            false if self.wrap_x => id + 1 - w,
+            false => NONE,
+        };
+        let down = match y + 1 < h {
+            true => id + w,
+            false if self.wrap_y => id - (h - 1) * w,
+            false => NONE,
+        };
+        [up, left, right, down]
+    }
+
+    /// The channel from `(x, y)` to its neighbour in direction `dir`
+    /// (0 up, 1 left, 2 right, 3 down): its own rightward and downward
+    /// links, and the upper and left neighbours' for the other two.
+    #[inline]
+    fn channel(&self, x: u32, y: u32, dir: usize) -> ChannelId {
+        let (w, h) = (self.width, self.height);
+        match dir {
+            0 => self.down(x, if y > 0 { y - 1 } else { h - 1 }),
+            1 => self.right(if x > 0 { x - 1 } else { w - 1 }, y),
+            2 => self.right(x, y),
+            _ => self.down(x, y),
+        }
+    }
+
+    /// The directions of `(x, y)`'s neighbours in id order. Without wrap
+    /// links that is up, left, right, down; a wrap link jumps across its
+    /// row or column, which moves the wrapped neighbour: a wrapped left or
+    /// right neighbour swaps sides, a wrapped up neighbour is the largest
+    /// id and a wrapped down neighbour the smallest.
+    #[inline]
+    fn order(&self, x: u32, y: u32) -> [usize; 4] {
+        let (left, right) = if self.wrap_x && (x == 0 || x + 1 == self.width) {
+            (2, 1)
+        } else {
+            (1, 2)
+        };
+        if self.wrap_y && y == 0 {
+            [left, right, 3, 0]
+        } else if self.wrap_y && y + 1 == self.height {
+            [3, 0, left, right]
+        } else {
+            [0, left, right, 3]
+        }
+    }
+
+    /// Whether `(x, y)` lies on no wrapped border. Then its neighbours are
+    /// up, left, right, down in id order, each present unless the mesh
+    /// ends there, and the hot queries answer without the wrap-aware
+    /// machinery: every PE of the paper's grids, and every inner PE of a
+    /// torus, takes this path.
+    #[inline]
+    fn off_wrap(&self, x: u32, y: u32) -> bool {
+        !(self.wrap_x && (x == 0 || x + 1 == self.width))
+            && !(self.wrap_y && (y == 0 || y + 1 == self.height))
+    }
+
+    /// Every neighbour of `pe` with its channel, in id order.
+    #[inline]
+    pub(crate) fn links(&self, pe: PeId, mut f: impl FnMut(Neighbor)) {
+        let (w, id, (x, y)) = (self.width, pe.0, self.coords(pe));
+        if self.off_wrap(x, y) {
+            let mut link = |pe: u32, channel: ChannelId| {
+                f(Neighbor {
+                    pe: PeId(pe),
+                    channel,
+                })
+            };
+            if y > 0 {
+                link(id - w, self.down(x, y - 1));
+            }
+            if x > 0 {
+                link(id - 1, self.right(x - 1, y));
+            }
+            if x + 1 < w {
+                link(id + 1, self.right(x, y));
+            }
+            if y + 1 < self.height {
+                link(id + w, self.down(x, y));
+            }
+            return;
+        }
+        let ids = self.around(id, x, y);
+        for dir in self.order(x, y) {
+            if ids[dir] != NONE {
+                f(Neighbor {
+                    pe: PeId(ids[dir]),
+                    channel: self.channel(x, y, dir),
+                });
+            }
+        }
+    }
+
+    /// Hop distance: the per-dimension distances, each the ring distance
+    /// on a wrapped dimension.
+    #[inline]
+    pub(crate) fn distance(&self, a: PeId, b: PeId) -> u32 {
+        let ((x1, y1), (x2, y2)) = (self.coords(a), self.coords(b));
+        dim_distance(x1, x2, self.width, self.wrap) + dim_distance(y1, y2, self.height, self.wrap)
+    }
+
+    /// The first neighbour of `from`, in id order, one hop closer to `to`.
+    #[inline]
+    pub(crate) fn next_hop(&self, from: PeId, to: PeId) -> PeId {
+        let d = self.distance(from, to);
+        let (x, y) = self.coords(from);
+        let ids = self.around(from.0, x, y);
+        self.order(x, y)
+            .into_iter()
+            .map(|dir| PeId(ids[dir]))
+            .find(|&nb| nb.0 != NONE && self.distance(nb, to) + 1 == d)
+            .expect("connected graph has a descending neighbour")
+    }
+
+    /// The position of `nbr` among `pe`'s neighbours in id order, and the
+    /// channel to it.
+    #[inline]
+    pub(crate) fn find(&self, pe: PeId, nbr: PeId) -> Option<(usize, ChannelId)> {
+        let (w, id, to, (x, y)) = (self.width, pe.0, nbr.0, self.coords(pe));
+        if self.off_wrap(x, y) {
+            let (up, left, right) = (y > 0, x > 0, x + 1 < w);
+            let below = |dirs: &[bool]| dirs.iter().filter(|&&d| d).count();
+            return if up && to == id - w {
+                Some((0, self.down(x, y - 1)))
+            } else if left && to == id - 1 {
+                Some((below(&[up]), self.right(x - 1, y)))
+            } else if right && to == id + 1 {
+                Some((below(&[up, left]), self.right(x, y)))
+            } else if y + 1 < self.height && to == id + w {
+                Some((below(&[up, left, right]), self.down(x, y)))
+            } else {
+                None
+            };
+        }
+        let ids = self.around(id, x, y);
+        let dir = ids.iter().position(|&id| id == to && id != NONE)?;
+        Some((position(&ids, nbr), self.channel(x, y, dir)))
+    }
+
+    /// The two ends of channel `c`, in id order.
+    pub(crate) fn members(&self, c: ChannelId) -> [PeId; 2] {
+        let (w, h) = (self.width, self.height);
+        let (y, offset) = self.by_row.div_rem(c.0);
+        let (x, down) = if self.has_down(y) {
+            (offset / 2, offset % 2 == 1 || !self.has_right(offset / 2))
+        } else {
+            (offset, false)
+        };
+        let id = y * w + x;
+        let other = match (down, x + 1 < w, y + 1 < h) {
+            (false, true, _) => id + 1,
+            (false, false, _) => id + 1 - w,
+            (true, _, true) => id + w,
+            (true, _, false) => id - (h - 1) * w,
+        };
+        [PeId(id.min(other)), PeId(id.max(other))]
+    }
+}
+
+/// The position of `nbr` in id order among the neighbour `ids`: the
+/// number of smaller ones ([`NONE`] is larger than every id).
+#[inline]
+fn position(ids: &[u32; 4], nbr: PeId) -> usize {
+    ids.iter().filter(|&&id| id < nbr.0).count()
+}
 
 /// Diameter contribution of one dimension: `size - 1` on a path, `size / 2`
 /// on a ring (wrap links exist only on dimensions longer than 2).
@@ -37,36 +338,12 @@ pub fn mesh2d(width: usize, height: usize, wraparound: bool) -> Topology {
         .filter(|&n| u32::try_from(n).is_ok())
         .unwrap_or_else(|| panic!("mesh {width}x{height} overflows the PE id space"));
     assert!(n > 1, "a 1x1 mesh has no channels");
-    let id = |x: usize, y: usize| PeId((y * width + x) as u32);
-    // Channel c joins links[2c] and links[2c + 1].
-    let mut links = Vec::with_capacity(4 * n);
-    for y in 0..height {
-        for x in 0..width {
-            // Rightward link.
-            if x + 1 < width {
-                links.extend([id(x, y), id(x + 1, y)]);
-            } else if wraparound && width > 2 {
-                links.extend([id(x, y), id(0, y)]);
-            }
-            // Downward link.
-            if y + 1 < height {
-                links.extend([id(x, y), id(x, y + 1)]);
-            } else if wraparound && height > 2 {
-                links.extend([id(x, y), id(x, 0)]);
-            }
-        }
-    }
     let kind = if wraparound { "torus" } else { "grid" };
     let diameter = dim_diameter(width, wraparound) + dim_diameter(height, wraparound);
-    Topology::with_arithmetic_router(
+    Topology::regular(
         format!("{kind} {width}x{height}"),
         n,
-        links,
-        ArithmeticRouter::Grid {
-            width: width as u32,
-            height: height as u32,
-            wrap: wraparound,
-        },
+        Shape::Grid(Grid::new(width as u32, height as u32, wraparound)),
         diameter,
     )
 }
@@ -140,6 +417,34 @@ mod tests {
         let t = mesh2d(6, 1, false);
         assert_eq!(t.diameter(), 5);
         assert_eq!(t.num_channels(), 5);
+    }
+
+    #[test]
+    fn divisor_divides_exactly() {
+        for d in [
+            1u32,
+            2,
+            3,
+            7,
+            10,
+            32,
+            641,
+            1000,
+            65_535,
+            65_536,
+            3_000_000_007,
+            u32::MAX,
+        ] {
+            let divisor = Divisor::new(d);
+            let mut ns: Vec<u32> = (0..5000).chain(u32::MAX - 5000..=u32::MAX).collect();
+            ns.extend((1..=u32::MAX / d).step_by(9973).flat_map(|q| {
+                let n = q * d;
+                [n - 1, n, n.saturating_add(1)]
+            }));
+            for n in ns {
+                assert_eq!(divisor.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
     }
 
     #[test]

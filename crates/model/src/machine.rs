@@ -2236,18 +2236,8 @@ impl Machine {
 
         // On a bus, every member sees every transmission: all of them snoop
         // the piggy-backed load word even when the packet itself is
-        // addressed to one PE. On a link the addressee is the only
-        // receiver, and the snoop is the piggy-backed update.
-        if let FlightDest::Unicast(to) = flight.dest {
-            if self.core.topo.is_link(ch) {
-                let slot = self.core.topo.twin(ch, to, flight.from);
-                if let Some(load) = flight.piggyback_load {
-                    self.core.update_known_load(to, slot, load);
-                }
-                self.deliver(to, flight.from, slot, None, flight.packet);
-                return;
-            }
-        }
+        // addressed to one PE. (On a 2-member link this is identical to
+        // updating just the receiver.)
         let mut receivers = std::mem::take(&mut self.core.receivers);
         self.core.topo.receivers(ch, flight.from, &mut receivers);
         if let Some(load) = flight.piggyback_load {

@@ -47,13 +47,19 @@ const RECYCLE_LIMIT: usize = 512;
 
 thread_local! {
     /// Pages of dropped slabs, per slot type, for the next slab built on
-    /// this thread: batch runs (experiments, chaos sweeps, benchmark
-    /// passes) build machine after machine, and reusing pages spares each
-    /// one allocating them and the allocator handing their memory back to
-    /// the system and faulting it in again. A reused page's slots are all
-    /// overwritten before it is read, so reuse is invisible. A kept page
-    /// holds its old slots (and whatever they own) until then: at most
-    /// [`RECYCLE_LIMIT`] pages per slot type per thread.
+    /// this thread. This is tuned to glibc's malloc: a dropped machine's
+    /// pages sit at the top of the heap, and once their total passes the
+    /// trim threshold (128 KiB by default) `free` returns them to the
+    /// system, so the next machine faults them in again. Without the pool,
+    /// building, running and dropping a 1,024-PE machine in a loop takes
+    /// about five times as long to drop and half again as long to build
+    /// (see EXPERIMENTS.md, "Computed adjacency on regular machines"); in
+    /// `oracle-cli experiment` and `regen_all`, whose runs are longer, the
+    /// pool makes no measurable difference. A reused
+    /// page's slots are all overwritten before it is read, so reuse is
+    /// invisible. A kept page holds its old slots (and whatever they own)
+    /// until then: at most [`RECYCLE_LIMIT`] pages per slot type per
+    /// thread.
     static RECYCLED: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> = RefCell::new(HashMap::new());
 }
 

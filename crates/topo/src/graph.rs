@@ -1,25 +1,24 @@
 //! The concrete topology type: channel sets, adjacency, and routing.
 //!
-//! A topology has one of three shapes. The regular families — the 2-D
-//! mesh and torus ([`crate::mesh::Grid`]) and the k-ary n-cube, whose
-//! `k = 2` case is the binary hypercube ([`crate::kary::Cube`]) — store
-//! nothing per PE or per link: neighbours, channel ids, channel members,
-//! neighbour positions and shortest paths are all computed from the shape,
-//! and they agree exactly with what the CSR build below would store for the
-//! same channel list (pinned by tests). Every other graph keeps its channel
-//! member sets and per-PE neighbour lists in compressed sparse rows (CSR),
-//! so it costs O(PEs + edges) memory; small ones route from a dense
-//! all-pairs table, large ones answer each query with a bidirectional BFS
-//! and store no routes. Every shape produces the same next hops: the next
-//! hop from `a` toward `b` is always the first neighbour of `a`, in sorted
-//! PE-id order, whose distance to `b` is one less than `a`'s.
+//! A topology has one of two shapes. The 2-D mesh and torus
+//! ([`crate::mesh::Grid`]) store nothing per PE or per link: neighbours,
+//! channel ids, channel members, neighbour positions and shortest paths are
+//! all computed from the width and height, and they agree exactly with what
+//! the CSR build below would store for the same channel list (pinned by
+//! tests). Every other graph keeps its channel member sets and per-PE
+//! neighbour lists in compressed sparse rows (CSR), so it costs
+//! O(PEs + edges) memory. k-ary n-cubes (the binary hypercube is `k = 2`)
+//! route arithmetically; other small graphs route from a dense all-pairs
+//! table, large ones answer each query with a bidirectional BFS and store
+//! no routes. Every router produces the same next hops: the next hop from
+//! `a` toward `b` is always the first neighbour of `a`, in sorted PE-id
+//! order, whose distance to `b` is one less than `a`'s.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::BufRead;
 use std::sync::Mutex;
 
-use crate::kary::Cube;
 use crate::list::{List, Members, Neighbors};
 use crate::mesh::Grid;
 
@@ -93,6 +92,9 @@ pub const DENSE_ROUTER_LIMIT: usize = 2048;
 enum Router {
     /// Flattened `[from * num_pes + to]` next-hop and distance tables.
     Dense { next_hop: Vec<PeId>, dist: Vec<u32> },
+    /// k-ary n-cube (binary hypercube when `k == 2`), ids in base `k`:
+    /// per-digit ring distance, no table.
+    Cube { k: u32, n: u32 },
     /// Bidirectional BFS per query; stores no routes.
     Lazy(LazyRouter),
 }
@@ -101,6 +103,7 @@ impl fmt::Debug for Router {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Router::Dense { dist, .. } => write!(f, "Dense({} entries)", dist.len()),
+            Router::Cube { k, n } => write!(f, "Cube({k}-ary {n}-cube)"),
             Router::Lazy(_) => write!(f, "Lazy"),
         }
     }
@@ -113,6 +116,7 @@ impl Clone for Router {
                 next_hop: next_hop.clone(),
                 dist: dist.clone(),
             },
+            Router::Cube { k, n } => Router::Cube { k: *k, n: *n },
             // The router holds only scratch space; a clone gets its own.
             Router::Lazy(_) => Router::Lazy(LazyRouter::new()),
         }
@@ -337,9 +341,6 @@ pub struct Topology {
 pub(crate) enum Shape {
     /// 2-D mesh or torus, computed from its width and height.
     Grid(Grid),
-    /// k-ary n-cube (binary hypercube when `k == 2`), computed from `k`
-    /// and `n`.
-    Cube(Cube),
     /// Any other graph, stored in CSR form.
     Graph(Box<Graph>),
 }
@@ -393,6 +394,19 @@ impl Graph {
     #[inline]
     fn position(&self, pe: PeId, nbr: PeId) -> Option<usize> {
         self.neighbors(pe).binary_search_by_key(&nbr, |n| n.pe).ok()
+    }
+
+    /// Check the id space, normalize the channel CSR (any member order,
+    /// repeats allowed) and build the graph on it, with no router yet.
+    fn stored(
+        name: &str,
+        num_pes: usize,
+        mut chan_off: Vec<usize>,
+        mut chan_pes: Vec<PeId>,
+    ) -> Result<Self, SpecError> {
+        check_id_space(name, num_pes, chan_off.len() - 1)?;
+        normalize_channels(name, num_pes, &mut chan_off, &mut chan_pes)?;
+        Graph::new(name, num_pes, chan_off, chan_pes)
     }
 
     /// Build the neighbour lists, twin index and fan-out lists from the
@@ -490,18 +504,6 @@ impl Graph {
         self.members(c)
             .binary_search(&pe)
             .expect("a member of the channel")
-    }
-
-    /// The position of `about` in `at`'s neighbour list; both are members
-    /// of channel `c`.
-    #[inline]
-    fn twin(&self, c: ChannelId, at: PeId, about: PeId) -> usize {
-        let start = self.chan_off[c.idx()];
-        if self.chan_off[c.idx() + 1] - start == 2 {
-            return self.twin[start + (self.chan_pes[start] != at) as usize] as usize;
-        }
-        let row = self.twin[start + self.member_slot(c, at)] as usize;
-        self.bus_twin[row + self.member_slot(c, about)] as usize
     }
 
     /// Each member of channel `c` other than `from`, paired with the
@@ -644,9 +646,7 @@ impl Topology {
             chan_pes.extend_from_slice(&members);
             chan_off.push(chan_pes.len());
         }
-        check_id_space(&name, num_pes, chan_off.len() - 1)?;
-        normalize_channels(&name, num_pes, &mut chan_off, &mut chan_pes)?;
-        let mut graph = Graph::new(&name, num_pes, chan_off, chan_pes)?;
+        let mut graph = Graph::stored(&name, num_pes, chan_off, chan_pes)?;
         let diameter = if num_pes <= DENSE_ROUTER_LIMIT {
             graph.build_dense_router(&name)
         } else {
@@ -660,26 +660,16 @@ impl Topology {
         })
     }
 
-    /// A regular family: adjacency and routing are computed from `shape`,
+    /// A mesh or torus: adjacency and routing are computed from `grid`,
     /// and nothing is stored per PE or per link. `diameter` must be exact;
-    /// the family constructors compute it in closed form.
+    /// [`crate::mesh::mesh2d`] computes it in closed form.
     ///
     /// # Panics
     ///
     /// Panics if the PE or channel count overflows the `u32` id space.
-    pub(crate) fn regular(
-        name: impl Into<String>,
-        num_pes: usize,
-        shape: Shape,
-        diameter: u32,
-    ) -> Self {
+    pub(crate) fn grid(name: impl Into<String>, num_pes: usize, grid: Grid, diameter: u32) -> Self {
         let name = name.into();
-        let num_channels = match &shape {
-            Shape::Grid(g) => g.num_channels(),
-            Shape::Cube(c) => c.num_channels(),
-            Shape::Graph(_) => unreachable!("regular topologies are computed"),
-        };
-        let num_channels = usize::try_from(num_channels).unwrap_or(usize::MAX);
+        let num_channels = usize::try_from(grid.num_channels()).unwrap_or(usize::MAX);
         if let Err(SpecError(msg)) = check_id_space(&name, num_pes, num_channels) {
             panic!("{msg}");
         }
@@ -687,14 +677,46 @@ impl Topology {
             name,
             num_pes,
             diameter,
-            shape,
+            shape: Shape::Grid(grid),
+        }
+    }
+
+    /// A k-ary n-cube of `k^n` PEs, stored in CSR form and routed by
+    /// per-digit arithmetic ([`crate::kary`], [`crate::hypercube`]). Its
+    /// channels are all links: channel `c` joins `links[2c]` and
+    /// `links[2c + 1]`, passed flat so a big cube costs one array, not a
+    /// `Vec` per channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PE or channel count overflows the `u32` id space.
+    pub(crate) fn cube(
+        name: impl Into<String>,
+        num_pes: usize,
+        links: Vec<PeId>,
+        k: u32,
+        n: u32,
+    ) -> Self {
+        let name = name.into();
+        let chan_off: Vec<usize> = (0..=links.len() / 2).map(|c| 2 * c).collect();
+        let mut graph = match Graph::stored(&name, num_pes, chan_off, links) {
+            Ok(g) => g,
+            Err(SpecError(msg)) => panic!("{msg}"),
+        };
+        graph.router = Router::Cube { k, n };
+        Topology {
+            name,
+            num_pes,
+            // Each digit contributes at most floor(k/2) ring hops.
+            diameter: n * (k / 2),
+            shape: Shape::Graph(Box::new(graph)),
         }
     }
 
     /// Replace this topology's router with the lazy router (keeping
     /// the already-computed exact diameter). For tests pinning
-    /// lazy-vs-dense routing equivalence on small graphs; regular
-    /// families have no router to replace.
+    /// lazy-vs-dense routing equivalence on small graphs; meshes have no
+    /// router to replace.
     pub fn force_lazy_router(mut self) -> Self {
         if let Shape::Graph(g) = &mut self.shape {
             g.router = Router::Lazy(LazyRouter::new());
@@ -718,7 +740,6 @@ impl Topology {
     pub fn num_channels(&self) -> usize {
         match &self.shape {
             Shape::Grid(g) => g.num_channels() as usize,
-            Shape::Cube(c) => c.num_channels() as usize,
             Shape::Graph(g) => g.chan_off.len() - 1,
         }
     }
@@ -733,7 +754,6 @@ impl Topology {
     pub fn channel_members(&self, c: ChannelId) -> Members<'_> {
         match &self.shape {
             Shape::Grid(g) => link(g.members(c)),
-            Shape::Cube(cube) => link(cube.members(c)),
             Shape::Graph(g) => List::borrowed(g.members(c)),
         }
     }
@@ -744,7 +764,6 @@ impl Topology {
     pub fn for_each_neighbor(&self, pe: PeId, f: impl FnMut(Neighbor)) {
         match &self.shape {
             Shape::Grid(g) => g.links(pe, f),
-            Shape::Cube(c) => c.links(pe, f),
             Shape::Graph(g) => g.neighbors(pe).iter().copied().for_each(f),
         }
     }
@@ -765,7 +784,6 @@ impl Topology {
     pub fn degree(&self, pe: PeId) -> usize {
         match &self.shape {
             Shape::Graph(g) => g.adj_off[pe.idx() + 1] - g.adj_off[pe.idx()],
-            Shape::Cube(c) => c.degree(),
             Shape::Grid(_) => {
                 let mut degree = 0;
                 self.for_each_neighbor(pe, |_| degree += 1);
@@ -776,12 +794,11 @@ impl Topology {
 
     /// The position of `nbr` in `pe`'s neighbour list together with the
     /// channel between them, or `None` if they are not neighbours. A binary
-    /// search on stored graphs; computed on the regular families.
+    /// search on stored graphs; computed on meshes.
     #[inline]
     pub fn find_neighbor(&self, pe: PeId, nbr: PeId) -> Option<(usize, ChannelId)> {
         match &self.shape {
             Shape::Grid(g) => g.find(pe, nbr),
-            Shape::Cube(c) => c.find(pe, nbr),
             Shape::Graph(g) => {
                 let list = g.neighbors(pe);
                 g.position(pe, nbr).map(|i| (i, list[i].channel))
@@ -808,8 +825,9 @@ impl Topology {
 
     /// Call `f` on each distinct channel incident to `pe`, in
     /// first-appearance order over its neighbour list: a broadcast from
-    /// `pe` transmits once on each. On the regular families, whose channels
-    /// are all links, these are just the neighbours' channels.
+    /// `pe` transmits once on each. Where every channel is a link (meshes,
+    /// and stored graphs without a bus), these are just the neighbours'
+    /// channels.
     #[inline]
     pub fn for_each_incident_channel(&self, pe: PeId, mut f: impl FnMut(ChannelId)) {
         match &self.shape {
@@ -834,49 +852,17 @@ impl Topology {
         }
     }
 
-    /// True if channel `c` is a link (two members) rather than a bus.
-    #[inline]
-    pub fn is_link(&self, c: ChannelId) -> bool {
-        match &self.shape {
-            Shape::Graph(g) => g.chan_off[c.idx() + 1] - g.chan_off[c.idx()] == 2,
-            _ => true,
-        }
-    }
-
-    /// The position of `about` in `at`'s neighbour list, where both are
-    /// members of channel `c`: the slot a transfer over `c` from `about`
-    /// updates at `at`. O(1): computed on the regular families, read from
-    /// the twin index on stored graphs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` and `about` are not neighbours, or on a stored graph
-    /// if either is not a member of `c`.
-    #[inline]
-    pub fn twin(&self, c: ChannelId, at: PeId, about: PeId) -> usize {
-        match &self.shape {
-            Shape::Graph(g) => g.twin(c, at, about),
-            _ => self
-                .neighbor_position(at, about)
-                .expect("channel members are neighbours"),
-        }
-    }
-
     /// Fill `out` with each member of channel `c` other than the sender
     /// `from`, in member order, paired with the position of `from` in that
     /// member's neighbour list — the slot a delivery over `c` updates. O(1)
-    /// per receiver: computed on the regular families, read from the twin
-    /// index on stored graphs. `from` must be a member of `c`.
+    /// per receiver: computed on meshes, read from the twin index on stored
+    /// graphs. `from` must be a member of `c`.
     #[inline]
     pub fn receivers(&self, c: ChannelId, from: PeId, out: &mut Vec<(PeId, usize)>) {
         out.clear();
-        if let Shape::Graph(g) = &self.shape {
-            return g.receivers(c, from, out);
-        }
-        for to in self.channel_members(c) {
-            if to != from {
-                out.push((to, self.twin(c, to, from)));
-            }
+        match &self.shape {
+            Shape::Grid(g) => out.push(g.receiver(c, from)),
+            Shape::Graph(g) => g.receivers(c, from, out),
         }
     }
 
@@ -885,19 +871,19 @@ impl Topology {
     pub fn distance(&self, from: PeId, to: PeId) -> u32 {
         match &self.shape {
             Shape::Grid(g) => g.distance(from, to),
-            // The binary hypercube: the Hamming distance of the ids.
-            Shape::Cube(c) if c.k == 2 => (from.0 ^ to.0).count_ones(),
-            Shape::Cube(c) => {
-                let (mut a, mut b, mut d) = (from.0, to.0, 0u32);
-                for _ in 0..c.n {
-                    d += dim_distance(a % c.k, b % c.k, c.k, true);
-                    a /= c.k;
-                    b /= c.k;
-                }
-                d
-            }
             Shape::Graph(g) => match &g.router {
                 Router::Dense { dist, .. } => dist[from.idx() * self.num_pes + to.idx()],
+                // The binary hypercube: the Hamming distance of the ids.
+                Router::Cube { k: 2, .. } => (from.0 ^ to.0).count_ones(),
+                &Router::Cube { k, n } => {
+                    let (mut a, mut b, mut d) = (from.0, to.0, 0u32);
+                    for _ in 0..n {
+                        d += dim_distance(a % k, b % k, k, true);
+                        a /= k;
+                        b /= k;
+                    }
+                    d
+                }
                 Router::Lazy(lazy) => {
                     if from == to {
                         0
@@ -927,32 +913,30 @@ impl Topology {
         }
         let g = match &self.shape {
             Shape::Grid(g) => return g.next_hop(from, to),
+            Shape::Graph(g) => g,
+        };
+        match &g.router {
+            Router::Dense { next_hop, .. } => next_hop[from.idx() * self.num_pes + to.idx()],
             // The smallest descending neighbour clears the highest bit
             // that `from` has and `to` lacks, or else sets the lowest bit
             // that `to` has and `from` lacks.
-            Shape::Cube(c) if c.k == 2 => {
+            Router::Cube { k: 2, .. } => {
                 let (diff, fall) = (from.0 ^ to.0, (from.0 ^ to.0) & from.0);
                 let b = if fall != 0 {
                     31 - fall.leading_zeros()
                 } else {
                     diff.trailing_zeros()
                 };
-                return PeId(from.0 ^ (1 << b));
+                PeId(from.0 ^ (1 << b))
             }
-            Shape::Cube(_) => {
+            Router::Cube { .. } => {
                 let d = self.distance(from, to);
-                let mut hop: Option<PeId> = None;
-                self.for_each_neighbor(from, |nb| {
-                    if hop.is_none() && self.distance(nb.pe, to) == d - 1 {
-                        hop = Some(nb.pe);
-                    }
-                });
-                return hop.expect("connected graph has a descending neighbour");
+                g.neighbors(from)
+                    .iter()
+                    .find(|nb| self.distance(nb.pe, to) == d - 1)
+                    .map(|nb| nb.pe)
+                    .expect("connected graph has a descending neighbour")
             }
-            Shape::Graph(g) => g,
-        };
-        match &g.router {
-            Router::Dense { next_hop, .. } => next_hop[from.idx() * self.num_pes + to.idx()],
             Router::Lazy(lazy) => lazy.query(g, from, to, true).1,
         }
     }
@@ -967,7 +951,7 @@ impl Topology {
 
     /// Mean shortest-path distance over ordered pairs of distinct PEs.
     ///
-    /// Closed-form for the regular families, exact table sum for dense
+    /// Closed-form for meshes and cubes, exact table sum for dense
     /// graphs; on the lazy router it is exact up to 4096 PEs (all-source
     /// BFS) and a deterministic 64-source sample beyond.
     pub fn mean_distance(&self) -> f64 {
@@ -983,15 +967,15 @@ impl Topology {
                     dim_pair_sum(g.width, g.wrap) * h * h + dim_pair_sum(g.height, g.wrap) * w * w;
                 sum as f64 / pairs
             }
-            Shape::Cube(c) => {
-                let per_dim = dim_pair_sum(c.k, true);
-                let rest = n / c.k as u128; // k^(dims-1)
-                let sum = per_dim * rest * rest * (c.n as u128);
-                sum as f64 / pairs
-            }
             Shape::Graph(g) => match &g.router {
                 Router::Dense { dist, .. } => {
                     let sum: u64 = dist.iter().map(|&d| d as u64).sum();
+                    sum as f64 / pairs
+                }
+                &Router::Cube { k, n: dims } => {
+                    let per_dim = dim_pair_sum(k, true);
+                    let rest = n / k as u128; // k^(dims-1)
+                    let sum = per_dim * rest * rest * (dims as u128);
                     sum as f64 / pairs
                 }
                 Router::Lazy(_) => {
@@ -1520,7 +1504,6 @@ mod tests {
             for c in 0..t.num_channels() {
                 let c = ChannelId(c as u32);
                 let members = t.channel_members(c);
-                assert_eq!(t.is_link(c), members.len() == 2, "{name}: {c}");
                 for &from in &*members {
                     t.receivers(c, from, &mut out);
                     let want: Vec<(PeId, usize)> = members
@@ -1529,9 +1512,6 @@ mod tests {
                         .map(|&m| (m, t.neighbor_position(m, from).unwrap()))
                         .collect();
                     assert_eq!(out, want, "{name}: receivers of {c} from {from}");
-                    for &(at, slot) in &want {
-                        assert_eq!(t.twin(c, at, from), slot, "{name}: {c}");
-                    }
                 }
             }
             for p in t.pes() {

@@ -1,10 +1,10 @@
 //! Binary hypercubes (the paper's Appendix I topology).
 //!
-//! Distance is the Hamming distance of the PE ids. A hypercube is the
-//! k-ary n-cube with `k = 2` ([`crate::kary::Cube`]), so it is computed,
-//! not stored.
+//! Distance is the Hamming distance of the PE ids, so hypercubes route
+//! arithmetically with no stored table. A hypercube is the k-ary n-cube
+//! with `k = 2`, and shares its router.
 
-use crate::graph::Topology;
+use crate::graph::{PeId, Topology};
 
 /// Build a binary hypercube of the given dimension (`2^dim` PEs; PEs whose
 /// ids differ in exactly one bit are linked).
@@ -12,10 +12,21 @@ use crate::graph::Topology;
 /// # Panics
 ///
 /// Panics if `dim == 0` (a single PE has no channels) or `dim > 24`
-/// (16 Mi PEs).
+/// (16 Mi PEs — beyond that the link lists alone dwarf any simulation).
 pub fn hypercube(dim: u32) -> Topology {
     assert!((1..=24).contains(&dim), "hypercube dimension out of range");
-    crate::kary::cube(format!("hypercube dim {dim}"), 2, dim, 1 << dim)
+    let n = 1usize << dim;
+    // Channel c joins links[2c] and links[2c + 1].
+    let mut links = Vec::with_capacity(n * dim as usize);
+    for i in 0..n {
+        for b in 0..dim {
+            let j = i ^ (1 << b);
+            if i < j {
+                links.extend([PeId(i as u32), PeId(j as u32)]);
+            }
+        }
+    }
+    Topology::cube(format!("hypercube dim {dim}"), n, links, 2, dim)
 }
 
 #[cfg(test)]

@@ -8,231 +8,10 @@
 //! argued over, and lets the ablation harness sweep dimensionality at a
 //! fixed PE count.
 //!
-//! Cubes are computed, not stored: neighbours, channel ids and shortest
-//! paths follow from `k` and `n` (per-digit ring arithmetic), so even
-//! million-PE cubes cost no memory per PE or per link.
+//! Routing is arithmetic (per-digit ring distance), so even million-PE
+//! cubes carry no distance table; adjacency is stored in CSR form.
 
-use crate::graph::{ChannelId, Neighbor, PeId, Shape, Topology};
-use crate::list::MAX_REGULAR_DEGREE;
-
-/// The shape of a k-ary n-cube; `k == 2` is the binary hypercube.
-///
-/// Channel ids follow the construction order of [`kary_ncube`] and
-/// [`crate::hypercube::hypercube`], which agree: PE by PE in id order,
-/// digit by digit from the least significant, the link to the PE whose
-/// digit is one higher (mod `k`). For `k == 2` the `+1` and `-1` links
-/// coincide, so only PEs whose digit is 0 emit it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Cube {
-    pub(crate) k: u32,
-    pub(crate) n: u32,
-}
-
-impl Cube {
-    pub(crate) fn num_channels(&self) -> u64 {
-        let size = (self.k as u64).pow(self.n);
-        let per_pe = if self.k == 2 { 1 } else { 2 };
-        size * self.n as u64 * per_pe / 2
-    }
-
-    #[inline]
-    pub(crate) fn degree(&self) -> usize {
-        let per_digit = if self.k == 2 { 1 } else { 2 };
-        self.n as usize * per_digit
-    }
-
-    /// Binary cube: the links emitted by the PEs before `pe`, one per
-    /// clear bit of each. Walking `pe`'s set bits down, set bit `b` with
-    /// `above` set bits over it stands for the `2^b` ids that share those
-    /// high bits and have bit `b` clear; their low `b` bits take every
-    /// value, so they hold `2^b (n - above) - b 2^(b-1)` clear bits.
-    #[inline]
-    fn binary_links_before(&self, pe: u32) -> u64 {
-        let n = self.n as u64;
-        let (mut before, mut above, mut bits) = (0u64, 0u64, pe);
-        while bits != 0 {
-            let b = 31 - bits.leading_zeros();
-            before += ((n - above) << b) - ((b as u64) << b >> 1);
-            above += 1;
-            bits ^= 1 << b;
-        }
-        before
-    }
-
-    /// Binary cube: the channel of the link from `pe` along its clear bit
-    /// `b`, given `before = binary_links_before(pe)` and the number of
-    /// `pe`'s set bits below `b`: `pe`'s links go out in bit order, one
-    /// per clear bit.
-    #[inline]
-    fn binary_link(before: u64, b: u32, ones_below: u32) -> ChannelId {
-        ChannelId((before + (b - ones_below) as u64) as u32)
-    }
-
-    /// Binary cube: the neighbour of `pe` across bit `b`, with its
-    /// channel and its position among `pe`'s neighbours in id order,
-    /// given `before = binary_links_before(pe)` and the numbers of `pe`'s
-    /// set bits below and above `b`.
-    #[inline]
-    fn binary_neighbor(
-        &self,
-        pe: u32,
-        b: u32,
-        before: u64,
-        (ones_below, ones_above): (u32, u32),
-    ) -> (Neighbor, usize) {
-        let n = self.n as u64;
-        let below_mask = (1u32 << b) - 1;
-        let other = pe ^ (1 << b);
-        if other > pe {
-            // After every smaller neighbour (one per set bit) and the
-            // larger ones across lower clear bits.
-            let position = (ones_below + ones_above) + (b - ones_below);
-            let channel = Self::binary_link(before, b, ones_below);
-            return (nb(other, channel), position as usize);
-        }
-        // The `2^b` ids from `other` up to `pe` emit one link per clear
-        // bit: `2^b n` bits less `pe`'s set bits above `b` in each, and
-        // less `b 2^(b-1) + low` set bits below it.
-        let low = (pe & below_mask) as u64;
-        let other_before =
-            before + ((ones_above as u64) << b) + low + ((b as u64) << b >> 1) - (n << b);
-        let channel = Self::binary_link(other_before, b, ones_below);
-        (nb(other, channel), ones_above as usize)
-    }
-
-    /// The position of `nbr` among `pe`'s neighbours in id order, and the
-    /// channel to it.
-    #[inline]
-    pub(crate) fn find(&self, pe: PeId, nbr: PeId) -> Option<(usize, ChannelId)> {
-        if self.k != 2 {
-            let (mut below, mut channel) = (0, None);
-            self.links(pe, |link| {
-                if link.pe < nbr {
-                    below += 1;
-                } else if link.pe == nbr {
-                    channel = Some(link.channel);
-                }
-            });
-            return channel.map(|c| (below, c));
-        }
-        let diff = pe.0 ^ nbr.0;
-        if !diff.is_power_of_two() || diff >> self.n != 0 {
-            return None;
-        }
-        let b = diff.trailing_zeros();
-        let ones = (
-            (pe.0 & (diff - 1)).count_ones(),
-            (pe.0 >> b >> 1).count_ones(),
-        );
-        let before = self.binary_links_before(pe.0);
-        let (link, position) = self.binary_neighbor(pe.0, b, before, ones);
-        Some((position, link.channel))
-    }
-
-    /// Every neighbour of `pe` with its channel, in id order: first the
-    /// smaller ids, most significant digit first, then the larger ones,
-    /// least significant digit first. (Along one digit every step is
-    /// smaller than one step of the next digit.)
-    #[inline]
-    pub(crate) fn links(&self, pe: PeId, mut f: impl FnMut(Neighbor)) {
-        let (k, n, id) = (self.k, self.n, pe.0);
-        if k == 2 {
-            // Smaller neighbours across set bits, most significant first,
-            // then larger ones across clear bits; set bits are counted on
-            // the way rather than per neighbour.
-            let (before, total) = (self.binary_links_before(id), id.count_ones());
-            let (mut set, mut above) = (id, 0);
-            while set != 0 {
-                let b = 31 - set.leading_zeros();
-                f(self
-                    .binary_neighbor(id, b, before, (total - above - 1, above))
-                    .0);
-                (set, above) = (set ^ 1 << b, above + 1);
-            }
-            let mut clear = !id & ((1u64 << n) - 1) as u32;
-            while clear != 0 {
-                let b = clear.trailing_zeros();
-                let below = (id & ((1 << b) - 1)).count_ones();
-                f(self
-                    .binary_neighbor(id, b, before, (below, total - below))
-                    .0);
-                clear &= clear - 1;
-            }
-            return;
-        }
-        let mut link = |pe: u32, channel: ChannelId| f(nb(pe, channel));
-        // Digits and strides, least significant first. The link to the
-        // next digit value (mod k) is its lower end's: channel `lo * n + d`.
-        let (mut digits, mut strides) = ([0u32; 32], [0u32; 32]);
-        let (mut rest, mut stride) = (id, 1u32);
-        for d in 0..n as usize {
-            (digits[d], strides[d]) = (rest % k, stride);
-            rest /= k;
-            // k^n fits the PE id space, so this never overflows.
-            stride *= k;
-        }
-        let channel = |lo: u32, d: u32| ChannelId(lo * n + d);
-        for d in (0..n).rev() {
-            let (g, s) = (digits[d as usize], strides[d as usize]);
-            if g == k - 1 {
-                link(id - (k - 1) * s, channel(id, d));
-            }
-            if g > 0 {
-                link(id - s, channel(id - s, d));
-            }
-        }
-        for d in 0..n {
-            let (g, s) = (digits[d as usize], strides[d as usize]);
-            if g < k - 1 {
-                link(id + s, channel(id, d));
-            }
-            if g == 0 {
-                link(id + (k - 1) * s, channel(id + (k - 1) * s, d));
-            }
-        }
-    }
-
-    /// The two ends of channel `c`, in id order.
-    pub(crate) fn members(&self, c: ChannelId) -> [PeId; 2] {
-        let (k, n) = (self.k, self.n);
-        let (lo, hi) = if k == 2 {
-            // The emitting PE is the last one with at most `c` links
-            // emitted before it (the count never decreases, so search bit
-            // by bit), and `c` is its link along its `nth` clear bit.
-            let c = c.0 as u64;
-            let (mut lo, mut before, mut above) = (0u32, 0u64, 0u64);
-            for b in (0..n).rev() {
-                let next = before + ((n as u64 - above) << b) - ((b as u64) << b >> 1);
-                let take = next <= c;
-                lo |= (take as u32) << b;
-                before = if take { next } else { before };
-                above += take as u64;
-            }
-            // `c` is `lo`'s link along its clear bit number `c - before`.
-            let mut clear = !lo & ((1u64 << n) - 1) as u32;
-            for _ in 0..c - before {
-                clear &= clear - 1;
-            }
-            (lo, lo | 1 << clear.trailing_zeros())
-        } else {
-            let (id, d) = (c.0 / n, c.0 % n);
-            let stride = k.pow(d);
-            let digit = id / stride % k;
-            let up = id - digit * stride + (digit + 1) % k * stride;
-            (id.min(up), id.max(up))
-        };
-        [PeId(lo), PeId(hi)]
-    }
-}
-
-/// A neighbour entry.
-#[inline]
-fn nb(pe: u32, channel: ChannelId) -> Neighbor {
-    Neighbor {
-        pe: PeId(pe),
-        channel,
-    }
-}
+use crate::graph::{PeId, Topology};
 
 /// Build a k-ary n-cube (`k^n` PEs).
 ///
@@ -247,20 +26,25 @@ pub fn kary_ncube(k: usize, n: u32) -> Topology {
         .checked_pow(n)
         .filter(|&s| u32::try_from(s).is_ok())
         .unwrap_or_else(|| panic!("k^n = {k}^{n} exceeds the PE id space"));
-    cube(format!("{k}-ary {n}-cube"), k as u32, n, size as usize)
-}
+    let size = size as usize;
 
-/// A cube topology; the hypercube constructor shares it.
-pub(crate) fn cube(name: String, k: u32, n: u32, size: usize) -> Topology {
-    let shape = Cube { k, n };
-    let topo = Topology::regular(name, size, Shape::Cube(shape), n * (k / 2));
-    // The channel-id bound checked above already caps the degree at 34
-    // (k = 3, n = 17); computed neighbour lists rely on it.
-    assert!(
-        shape.degree() <= MAX_REGULAR_DEGREE,
-        "cube degree exceeds {MAX_REGULAR_DEGREE}"
-    );
-    topo
+    // Channel c joins links[2c] and links[2c + 1]: PE by PE in id order,
+    // digit by digit from the least significant, the link to the PE whose
+    // digit is one higher (mod k). That covers every edge exactly once,
+    // except for k == 2, where +1 and -1 coincide: emit only from digit 0.
+    let mut links = Vec::new();
+    for id in 0..size {
+        let mut stride = 1;
+        for _ in 0..n {
+            let digit = (id / stride) % k;
+            if k > 2 || digit == 0 {
+                let up = id - digit * stride + (digit + 1) % k * stride;
+                links.extend([PeId(id as u32), PeId(up as u32)]);
+            }
+            stride *= k;
+        }
+    }
+    Topology::cube(format!("{k}-ary {n}-cube"), size, links, k as u32, n)
 }
 
 #[cfg(test)]

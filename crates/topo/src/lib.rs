@@ -9,13 +9,14 @@
 //!
 //! A topology is a set of *channels*; a channel is either a point-to-point
 //! link (two members) or a bus (more than two members). Two PEs are
-//! *neighbours* iff they share a channel. The regular families
-//! (grid/torus/hypercube/k-ary) compute their adjacency and shortest paths
-//! from their shape and store nothing per PE or per link. Every other graph
-//! keeps its adjacency in CSR form and answers shortest-path queries from a
-//! precomputed all-pairs table when small, and through a bidirectional BFS
-//! per query that stores no routes when large (edge-list files,
-//! `rand:NxD`) — so memory stays O(PEs + links) at every scale.
+//! *neighbours* iff they share a channel. Grids and tori compute their
+//! adjacency and shortest paths from their width and height and store
+//! nothing per PE or per link. Every other graph keeps its adjacency in CSR
+//! form. Hypercubes and k-ary cubes route by per-digit arithmetic; other
+//! graphs answer shortest-path queries from a precomputed all-pairs table
+//! when small, and through a bidirectional BFS per query that stores no
+//! routes when large (edge-list files, `rand:NxD`) — so memory stays
+//! O(PEs + links) at every scale.
 
 pub mod dlm;
 pub mod graph;

@@ -1,9 +1,9 @@
 //! Short adjacency lists that are either borrowed from a stored table or
 //! computed in place.
 //!
-//! Graphs stored in CSR form hand out slices of their arrays; the regular
-//! families compute a PE's neighbours (or a channel's members) from the
-//! shape and return them inline, so they need no table at all. [`List`]
+//! Graphs stored in CSR form hand out slices of their arrays; meshes
+//! compute a PE's neighbours (or a channel's members) from the width and
+//! height and return them inline, so they need no table at all. [`List`]
 //! covers both behind one value that dereferences to a slice: it supports
 //! `len`, indexing, `iter` and every other slice method, and iterates by
 //! value in a `for` loop.
@@ -12,13 +12,9 @@ use std::ops::Deref;
 
 use crate::graph::{Neighbor, PeId};
 
-/// Largest degree a regular family can have: the 3-ary 17-cube, the
-/// highest-degree cube whose channel ids still fit a `u32` (the binary
-/// hypercube tops out at degree 28, the mesh at 4).
-pub const MAX_REGULAR_DEGREE: usize = 34;
-
 /// A PE's neighbours in sorted PE-id order (see [`crate::Topology::neighbors`]).
-pub type Neighbors<'a> = List<'a, Neighbor, MAX_REGULAR_DEGREE>;
+/// Computed lists are a mesh PE's, so four slots suffice.
+pub type Neighbors<'a> = List<'a, Neighbor, 4>;
 
 /// A channel's members in sorted PE-id order (see
 /// [`crate::Topology::channel_members`]). Computed lists are links, so two

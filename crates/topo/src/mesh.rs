@@ -10,7 +10,7 @@
 //! paths all follow from the width and height, so a 1000×1000 torus costs
 //! no memory per PE or per link.
 
-use crate::graph::{dim_distance, ChannelId, Neighbor, PeId, Shape, Topology};
+use crate::graph::{dim_distance, ChannelId, Neighbor, PeId, Topology};
 
 /// A missing neighbour in [`Grid::around`]: larger than every PE id.
 const NONE: u32 = u32::MAX;
@@ -44,7 +44,9 @@ pub(crate) struct Grid {
 /// precomputed inverse (Lemire, Kaser & Kurz, "Faster remainder by direct
 /// computation", 2019): `inverse = u64::MAX / d + 1`, exact for every
 /// `u32` dividend and divisor. Divisor 1, whose inverse would be 2^64,
-/// divides directly.
+/// divides directly. Every mesh query starts with a division, and a
+/// hardware `div` made `grid_1k` about 10% slower (EXPERIMENTS.md,
+/// "Computed adjacency on regular machines").
 #[derive(Debug, Clone, Copy)]
 struct Divisor {
     d: u32,
@@ -129,10 +131,12 @@ impl Grid {
         (h - 1) * (right + w) + right + w * self.wrap_y as u64
     }
 
-    /// The up, left, right and down neighbours' ids of PE `id` at
-    /// `(x, y)` ([`NONE`] where the mesh has none).
+    /// The up, left, right and down neighbours of PE `id` at `(x, y)`,
+    /// with their channels: `(x, y)`'s own rightward and downward links,
+    /// and the upper and left neighbours' for the other two. A missing
+    /// neighbour's id is [`NONE`].
     #[inline]
-    fn around(&self, id: u32, x: u32, y: u32) -> [u32; 4] {
+    fn around(&self, id: u32, x: u32, y: u32) -> [Neighbor; 4] {
         let (w, h) = (self.width, self.height);
         let up = match y {
             0 if self.wrap_y => id + (h - 1) * w,
@@ -154,21 +158,16 @@ impl Grid {
             false if self.wrap_y => id - (h - 1) * w,
             false => NONE,
         };
-        [up, left, right, down]
-    }
-
-    /// The channel from `(x, y)` to its neighbour in direction `dir`
-    /// (0 up, 1 left, 2 right, 3 down): its own rightward and downward
-    /// links, and the upper and left neighbours' for the other two.
-    #[inline]
-    fn channel(&self, x: u32, y: u32, dir: usize) -> ChannelId {
-        let (w, h) = (self.width, self.height);
-        match dir {
-            0 => self.down(x, if y > 0 { y - 1 } else { h - 1 }),
-            1 => self.right(if x > 0 { x - 1 } else { w - 1 }, y),
-            2 => self.right(x, y),
-            _ => self.down(x, y),
-        }
+        let nb = |pe: u32, channel: ChannelId| Neighbor {
+            pe: PeId(pe),
+            channel,
+        };
+        [
+            nb(up, self.down(x, if y > 0 { y - 1 } else { h - 1 })),
+            nb(left, self.right(if x > 0 { x - 1 } else { w - 1 }, y)),
+            nb(right, self.right(x, y)),
+            nb(down, self.down(x, y)),
+        ]
     }
 
     /// The directions of `(x, y)`'s neighbours in id order. Without wrap
@@ -192,49 +191,14 @@ impl Grid {
         }
     }
 
-    /// Whether `(x, y)` lies on no wrapped border. Then its neighbours are
-    /// up, left, right, down in id order, each present unless the mesh
-    /// ends there, and the hot queries answer without the wrap-aware
-    /// machinery: every PE of the paper's grids, and every inner PE of a
-    /// torus, takes this path.
-    #[inline]
-    fn off_wrap(&self, x: u32, y: u32) -> bool {
-        !(self.wrap_x && (x == 0 || x + 1 == self.width))
-            && !(self.wrap_y && (y == 0 || y + 1 == self.height))
-    }
-
     /// Every neighbour of `pe` with its channel, in id order.
     #[inline]
     pub(crate) fn links(&self, pe: PeId, mut f: impl FnMut(Neighbor)) {
-        let (w, id, (x, y)) = (self.width, pe.0, self.coords(pe));
-        if self.off_wrap(x, y) {
-            let mut link = |pe: u32, channel: ChannelId| {
-                f(Neighbor {
-                    pe: PeId(pe),
-                    channel,
-                })
-            };
-            if y > 0 {
-                link(id - w, self.down(x, y - 1));
-            }
-            if x > 0 {
-                link(id - 1, self.right(x - 1, y));
-            }
-            if x + 1 < w {
-                link(id + 1, self.right(x, y));
-            }
-            if y + 1 < self.height {
-                link(id + w, self.down(x, y));
-            }
-            return;
-        }
-        let ids = self.around(id, x, y);
+        let (x, y) = self.coords(pe);
+        let around = self.around(pe.0, x, y);
         for dir in self.order(x, y) {
-            if ids[dir] != NONE {
-                f(Neighbor {
-                    pe: PeId(ids[dir]),
-                    channel: self.channel(x, y, dir),
-                });
+            if around[dir].pe.0 != NONE {
+                f(around[dir]);
             }
         }
     }
@@ -250,13 +214,23 @@ impl Grid {
     /// The first neighbour of `from`, in id order, one hop closer to `to`.
     #[inline]
     pub(crate) fn next_hop(&self, from: PeId, to: PeId) -> PeId {
-        let d = self.distance(from, to);
-        let (x, y) = self.coords(from);
-        let ids = self.around(from.0, x, y);
+        let (w, h, wrap) = (self.width, self.height, self.wrap);
+        let ((x, y), (tx, ty)) = (self.coords(from), self.coords(to));
+        let (dx, dy) = (dim_distance(x, tx, w, wrap), dim_distance(y, ty, h, wrap));
+        // A step moves one coordinate, so it is closer iff that dimension's
+        // distance shrinks. (Where the mesh ends, the wrapped coordinate
+        // stands for a neighbour that does not exist and is skipped.)
+        let closer = [
+            dim_distance(if y > 0 { y - 1 } else { h - 1 }, ty, h, wrap) < dy,
+            dim_distance(if x > 0 { x - 1 } else { w - 1 }, tx, w, wrap) < dx,
+            dim_distance(if x + 1 < w { x + 1 } else { 0 }, tx, w, wrap) < dx,
+            dim_distance(if y + 1 < h { y + 1 } else { 0 }, ty, h, wrap) < dy,
+        ];
+        let around = self.around(from.0, x, y);
         self.order(x, y)
             .into_iter()
-            .map(|dir| PeId(ids[dir]))
-            .find(|&nb| nb.0 != NONE && self.distance(nb, to) + 1 == d)
+            .find(|&dir| around[dir].pe.0 != NONE && closer[dir])
+            .map(|dir| around[dir].pe)
             .expect("connected graph has a descending neighbour")
     }
 
@@ -264,25 +238,24 @@ impl Grid {
     /// channel to it.
     #[inline]
     pub(crate) fn find(&self, pe: PeId, nbr: PeId) -> Option<(usize, ChannelId)> {
-        let (w, id, to, (x, y)) = (self.width, pe.0, nbr.0, self.coords(pe));
-        if self.off_wrap(x, y) {
-            let (up, left, right) = (y > 0, x > 0, x + 1 < w);
-            let below = |dirs: &[bool]| dirs.iter().filter(|&&d| d).count();
-            return if up && to == id - w {
-                Some((0, self.down(x, y - 1)))
-            } else if left && to == id - 1 {
-                Some((below(&[up]), self.right(x - 1, y)))
-            } else if right && to == id + 1 {
-                Some((below(&[up, left]), self.right(x, y)))
-            } else if y + 1 < self.height && to == id + w {
-                Some((below(&[up, left, right]), self.down(x, y)))
-            } else {
-                None
-            };
-        }
-        let ids = self.around(id, x, y);
-        let dir = ids.iter().position(|&id| id == to && id != NONE)?;
-        Some((position(&ids, nbr), self.channel(x, y, dir)))
+        let (x, y) = self.coords(pe);
+        let around = self.around(pe.0, x, y);
+        let link = around.iter().find(|n| n.pe == nbr && nbr.0 != NONE)?;
+        // The number of smaller neighbours, as in `receiver`.
+        let position = around.iter().filter(|n| n.pe < nbr).count();
+        Some((position, link.channel))
+    }
+
+    /// The other end of link `c` from `from`, with the position of `from`
+    /// among its neighbours: the number of smaller ones ([`NONE`] is
+    /// larger than every id).
+    #[inline]
+    pub(crate) fn receiver(&self, c: ChannelId, from: PeId) -> (PeId, usize) {
+        let [a, b] = self.members(c);
+        let to = if a == from { b } else { a };
+        let (x, y) = self.coords(to);
+        let around = self.around(to.0, x, y);
+        (to, around.iter().filter(|n| n.pe < from).count())
     }
 
     /// The two ends of channel `c`, in id order.
@@ -303,13 +276,6 @@ impl Grid {
         };
         [PeId(id.min(other)), PeId(id.max(other))]
     }
-}
-
-/// The position of `nbr` in id order among the neighbour `ids`: the
-/// number of smaller ones ([`NONE`] is larger than every id).
-#[inline]
-fn position(ids: &[u32; 4], nbr: PeId) -> usize {
-    ids.iter().filter(|&&id| id < nbr.0).count()
 }
 
 /// Diameter contribution of one dimension: `size - 1` on a path, `size / 2`
@@ -340,10 +306,10 @@ pub fn mesh2d(width: usize, height: usize, wraparound: bool) -> Topology {
     assert!(n > 1, "a 1x1 mesh has no channels");
     let kind = if wraparound { "torus" } else { "grid" };
     let diameter = dim_diameter(width, wraparound) + dim_diameter(height, wraparound);
-    Topology::regular(
+    Topology::grid(
         format!("{kind} {width}x{height}"),
         n,
-        Shape::Grid(Grid::new(width as u32, height as u32, wraparound)),
+        Grid::new(width as u32, height as u32, wraparound),
         diameter,
     )
 }

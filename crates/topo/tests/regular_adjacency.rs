@@ -1,8 +1,10 @@
-//! The regular families compute their adjacency from their shape. Each one
-//! must answer every adjacency query exactly as the stored CSR graph built
-//! from the same channel member sets does: the same neighbours in the same
-//! order over the same channels, the same channel members, neighbour
-//! positions, twin slots, receivers and broadcast fan-out.
+//! Meshes and tori compute their adjacency from their width and height.
+//! Each one must answer every adjacency query exactly as the stored CSR
+//! graph built from the same channel member sets does: the same neighbours
+//! in the same order over the same channels, the same channel members,
+//! neighbour positions, receivers and broadcast fan-out. Hypercubes and
+//! k-ary cubes are stored in CSR form; for them the check pins that their
+//! constructors' channel lists rebuild into the same graph.
 
 use oracle_topo::hypercube::hypercube;
 use oracle_topo::kary::kary_ncube;
@@ -27,20 +29,11 @@ fn assert_same_adjacency(computed: &Topology) {
         let c = ChannelId(c as u32);
         let members = computed.channel_members(c);
         assert_eq!(&*members, &*stored.channel_members(c), "{name}: {c}");
-        assert!(computed.is_link(c) && stored.is_link(c), "{name}: {c}");
+        assert_eq!(members.len(), 2, "{name}: {c} is a link");
         for &from in &*members {
             computed.receivers(c, from, &mut got);
             stored.receivers(c, from, &mut want);
             assert_eq!(got, want, "{name}: receivers of {c} from {from}");
-            for &at in &*members {
-                if at != from {
-                    assert_eq!(
-                        computed.twin(c, at, from),
-                        stored.twin(c, at, from),
-                        "{name}: twin on {c}"
-                    );
-                }
-            }
         }
     }
     for p in computed.pes() {

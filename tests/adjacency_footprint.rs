@@ -1,8 +1,8 @@
 //! Footprint guard for regular machines.
 //!
-//! Grids, tori, hypercubes and k-ary cubes compute their adjacency from
-//! their shape, so building one and assembling a machine on it must not
-//! allocate anything proportional to its links, let alone to PEs². What
+//! Grids and tori compute their adjacency from their width and height, so
+//! building one and assembling a machine on it must not allocate anything
+//! proportional to its links, let alone to PEs². What
 //! remains is the paged per-PE and per-channel state's page tables (one
 //! pointer per 8 slots) and a few fixed-size structures. This test sums
 //! the bytes requested from the allocator over `topology.build()` plus

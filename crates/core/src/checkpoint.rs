@@ -61,7 +61,11 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 /// v9 dropped the `count_responses_in_load` and `optimistic_accounting`
 /// bytes: the load metric always counts queued goals only, and a PE always
 /// bumps its view of a neighbour it forwards a goal to.
-pub const CHECKPOINT_VERSION: u32 = 9;
+///
+/// v10 embeds the v7 machine snapshot (a load update carries no payload;
+/// every flight carries its sender's load word). The config block is
+/// unchanged.
+pub const CHECKPOINT_VERSION: u32 = 10;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]
@@ -394,10 +398,16 @@ impl Checkpoint {
     /// Rebuild the machine mid-run: construct it from the stored
     /// configuration, then restore the snapshot *instead of* beginning the
     /// run. The returned machine continues exactly where the checkpoint was
-    /// taken.
+    /// taken. A snapshot the machine refuses is a corrupt file: it reports
+    /// as [`CheckpointError::Format`].
     pub fn resume(&self) -> Result<Machine, CheckpointError> {
         let mut machine = self.config.machine()?;
-        machine.restore_bytes(&self.machine_bytes)?;
+        machine
+            .restore_bytes(&self.machine_bytes)
+            .map_err(|e| match e {
+                SimError::InvalidConfig(msg) => CheckpointError::Format(msg),
+                e => CheckpointError::Format(e.to_string()),
+            })?;
         Ok(machine)
     }
 }
@@ -695,8 +705,7 @@ mod tests {
             "{err}"
         );
 
-        // A newer layout, and the previous one (whose config block still
-        // carries the `fail_pe` field), are both refused by version.
+        // A newer layout and the previous one are both refused by version.
         for version in [CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1] {
             let mut w = SnapWriter::new();
             w.u32(CHECKPOINT_MAGIC);
@@ -720,6 +729,27 @@ mod tests {
         assert!(
             matches!(err, CheckpointError::Format(ref m)
                 if m.contains("truncated") || m.contains("invalid snapshot field")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn corrupt_snapshot_resumes_to_a_format_error() {
+        let config = sample_config();
+        let mut machine = config.machine().unwrap();
+        machine.begin();
+        machine.advance_until(Some(300)).unwrap();
+        let snapshot_len = machine.snapshot_bytes().len();
+        let mut bytes = checkpoint_bytes(&config, &mut machine);
+        // The snapshot is the file's tail; its PE count follows the magic
+        // and version words. The file itself still decodes.
+        let at = bytes.len() - snapshot_len + 8;
+        bytes[at] ^= 0x01;
+        let Err(err) = Checkpoint::from_bytes(&bytes).unwrap().resume() else {
+            panic!("a corrupt snapshot resumed");
+        };
+        assert!(
+            matches!(err, CheckpointError::Format(ref m) if m.contains("17-PE")),
             "{err}"
         );
     }

@@ -127,8 +127,8 @@ mod tests {
         Flight {
             from: PeId(0),
             dest: FlightDest::Broadcast,
-            piggyback_load: None,
-            packet: Packet::LoadUpdate { load },
+            piggyback_load: load,
+            packet: Packet::LoadUpdate,
         }
     }
 
@@ -148,14 +148,11 @@ mod tests {
         ch.offer(flight(2), SimTime(0));
         ch.offer(flight(3), SimTime(0));
         let (done, next) = ch.complete(SimTime(5));
-        assert!(matches!(done.packet, Packet::LoadUpdate { load: 1 }));
-        assert!(matches!(
-            next.unwrap().packet,
-            Packet::LoadUpdate { load: 2 }
-        ));
+        assert_eq!(done.piggyback_load, 1);
+        assert_eq!(next.unwrap().piggyback_load, 2);
         assert!(ch.is_busy());
         let (done, next) = ch.complete(SimTime(10));
-        assert!(matches!(done.packet, Packet::LoadUpdate { load: 2 }));
+        assert_eq!(done.piggyback_load, 2);
         assert!(next.is_some());
         let (_, next) = ch.complete(SimTime(15));
         assert!(next.is_none());
@@ -187,7 +184,7 @@ mod tests {
         assert!(ch.promote(SimTime(1)).is_none(), "no promote while down");
         ch.down = false;
         let next = ch.promote(SimTime(2)).unwrap();
-        assert!(matches!(next.packet, Packet::LoadUpdate { load: 1 }));
+        assert_eq!(next.piggyback_load, 1);
         assert!(ch.is_busy());
     }
 
@@ -198,7 +195,7 @@ mod tests {
         ch.offer(flight(2), SimTime(0));
         ch.down = true;
         let (done, next) = ch.complete(SimTime(5));
-        assert!(matches!(done.packet, Packet::LoadUpdate { load: 1 }));
+        assert_eq!(done.piggyback_load, 1);
         assert!(next.is_none(), "backlog must wait for LinkUp");
         assert_eq!(ch.backlog.len(), 1);
         assert!(!ch.busy.is_busy());

@@ -19,6 +19,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use oracle_topo::DENSE_ROUTER_LIMIT;
+
 /// Fail-stop crash of one PE at a simulated instant. The PE stops
 /// executing, its queued and in-progress work is lost, and messages
 /// addressed to it are black-holed from then on.
@@ -160,6 +162,16 @@ impl FaultPlan {
             return Err(format!(
                 "message_loss must be in [0, 1), got {}",
                 self.message_loss
+            ));
+        }
+        // Crashes and link windows route over an all-pairs live-route table
+        // (`Core::rebuild_live_routes`), so they share the dense router's limit.
+        if num_pes > DENSE_ROUTER_LIMIT
+            && !(self.pe_crashes.is_empty() && self.link_windows.is_empty())
+        {
+            return Err(format!(
+                "crash and link faults need a machine of at most {DENSE_ROUTER_LIMIT} PEs \
+                 (their live-route table has PEs² entries), but this one has {num_pes}"
             ));
         }
         for (i, c) in self.pe_crashes.iter().enumerate() {
@@ -390,6 +402,25 @@ mod tests {
         assert!(!FaultPlan::default()
             .with_recovery(RecoveryParams::default())
             .is_empty());
+    }
+
+    #[test]
+    fn crash_and_link_terms_are_refused_past_the_dense_router_limit() {
+        let big = DENSE_ROUTER_LIMIT + 1;
+        for plan in [
+            FaultPlan::default().crash(0, 10),
+            FaultPlan::default().link_down(0, 5, 10),
+        ] {
+            assert!(plan.validate(DENSE_ROUTER_LIMIT, 4 * big).is_ok());
+            let err = plan.validate(big, 4 * big).unwrap_err();
+            assert!(err.contains("at most 2048 PEs"), "{err}");
+        }
+        // Loss, slowdowns and recovery never build the table.
+        let plan = FaultPlan::default()
+            .with_loss(0.01)
+            .slow(5, 0, 100, 2)
+            .with_recovery(RecoveryParams::default());
+        assert!(plan.validate(big, 4 * big).is_ok());
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub mod config;
 pub mod cost;
 pub mod error;
 pub mod faults;
+mod loadinfo;
 pub mod machine;
 pub mod message;
 pub mod metrics;

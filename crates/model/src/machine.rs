@@ -13,7 +13,7 @@ use oracle_des::{
 use oracle_topo::{ChannelId, PeId, Topology};
 
 use crate::channel::Channel;
-use crate::config::{LoadInfoMode, MachineConfig};
+use crate::config::MachineConfig;
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
@@ -280,7 +280,7 @@ fn hop_cost(costs: &CostModel, packet: &Packet) -> u64 {
     match packet {
         Packet::Goal(_) => costs.goal_hop_cost,
         Packet::Response { .. } => costs.response_hop_cost,
-        Packet::Control(_) | Packet::LoadUpdate { .. } => costs.control_hop_cost,
+        Packet::Control(_) | Packet::LoadUpdate => costs.control_hop_cost,
     }
 }
 
@@ -425,22 +425,6 @@ impl Core {
         self.pe(pe).queued_goals
     }
 
-    /// `pe`'s current view of neighbour `nbr`'s load. In `Instant` mode this
-    /// is the true load; in `Piggyback` mode it is the last load word
-    /// received from `nbr` (possibly stale).
-    pub fn known_load_of(&self, pe: PeId, nbr: PeId) -> u32 {
-        match self.config.load_info {
-            LoadInfoMode::Instant => self.load(nbr),
-            LoadInfoMode::Piggyback { .. } => {
-                let idx = self
-                    .topo
-                    .neighbor_position(pe, nbr)
-                    .expect("known_load_of: not a neighbour");
-                self.pe(pe).known_load(idx)
-            }
-        }
-    }
-
     /// True once `pe` has been killed by fault injection. Strategies use
     /// this to skip dead neighbours when they pick targets themselves.
     #[inline]
@@ -579,94 +563,6 @@ impl Core {
         self.live_routes = Some(lr);
     }
 
-    /// The least-loaded reachable neighbour of `pe` under its current
-    /// knowledge, ties broken uniformly at random (deterministically, from
-    /// the run's seed). Without randomized tie-breaking, the load plateaus
-    /// of an idle machine funnel every goal down the same lowest-id path —
-    /// a single saturated channel and a sequential execution. Optionally
-    /// exclude one neighbour (e.g. the PE a goal just came from). Returns
-    /// `None` when every candidate is excluded, dead, or cut off — the
-    /// caller should then keep the goal local.
-    pub fn least_loaded_neighbor(
-        &mut self,
-        pe: PeId,
-        exclude: Option<PeId>,
-    ) -> Option<(PeId, u32)> {
-        // The PE's RNG stream is copied out for the scan and written back
-        // after it, so the loop can read neighbours' slots while drawing
-        // ties (this is a per-placement-decision hot path).
-        let mut rng = self.pe_mut(pe).rng.clone();
-        let mut best: Option<(PeId, u32)> = None;
-        let mut ties = 0u64;
-        self.for_each_known_load(pe, |nbr, load| {
-            if Some(nbr) == exclude {
-                return;
-            }
-            match best {
-                Some((_, b)) if load > b => {}
-                Some((_, b)) if load == b => {
-                    // Reservoir-sample among the tied minima.
-                    ties += 1;
-                    if rng.below(ties + 1) == 0 {
-                        best = Some((nbr, load));
-                    }
-                }
-                _ => {
-                    ties = 0;
-                    best = Some((nbr, load));
-                }
-            }
-        });
-        self.pe_mut(pe).rng = rng;
-        best
-    }
-
-    /// Minimum load among `pe`'s reachable neighbours under its current
-    /// knowledge. `u32::MAX` when no neighbour is reachable (so a local
-    /// minimum test degenerates to "accept locally").
-    pub fn min_known_neighbor_load(&self, pe: PeId) -> u32 {
-        let mut min = u32::MAX;
-        self.for_each_known_load(pe, |_, load| min = min.min(load));
-        min
-    }
-
-    /// The most-loaded reachable neighbour of `pe` under its current
-    /// knowledge, or `None` when every neighbour is dead or cut off.
-    pub fn most_loaded_neighbor(&self, pe: PeId) -> Option<(PeId, u32)> {
-        let mut best: Option<(PeId, u32)> = None;
-        self.for_each_known_load(pe, |nbr, load| match best {
-            Some((_, b)) if b >= load => {}
-            _ => best = Some((nbr, load)),
-        });
-        best
-    }
-
-    /// Call `f` on each reachable neighbour of `pe`, in neighbour order,
-    /// with its load as `pe` knows it. Reachable: alive, over a channel
-    /// that is up, and not vetoed by the circuit breaker (open runs only),
-    /// which distrusts neighbourhoods it has not yet re-trusted after a
-    /// fault.
-    #[inline]
-    fn for_each_known_load(&self, pe: PeId, mut f: impl FnMut(PeId, u32)) {
-        let p = self.pe(pe);
-        let mut slot = 0;
-        self.topo.for_each_neighbor(pe, |n| {
-            let i = slot;
-            slot += 1;
-            if self.pe(n.pe).failed
-                || self.channel(n.channel).down
-                || self.breaker_blocked(pe, n.pe)
-            {
-                return;
-            }
-            let load = match self.config.load_info {
-                LoadInfoMode::Instant => self.load(n.pe),
-                LoadInfoMode::Piggyback { .. } => p.known_load(i),
-            };
-            f(n.pe, load);
-        });
-    }
-
     // ------------------------------------------------------------------
     // Strategy actions.
     // ------------------------------------------------------------------
@@ -717,11 +613,7 @@ impl Core {
             .topo
             .find_neighbor(from, to)
             .unwrap_or_else(|| panic!("{from} -> {to}: not neighbours"));
-        // Optimistically bump the sender's view of the receiver's load, so
-        // consecutive subgoals created between load updates do not all
-        // chase the same "least loaded" neighbour.
-        let slot = &mut self.pe_mut(from).known_load[idx];
-        *slot = slot.saturating_add(1);
+        self.note_goal_forwarded(from, idx);
         if self.plan.recovery.is_some() {
             // In flight again: a crash of the old host must not re-spawn it.
             if let Some(o) = self.faults.outstanding.get_mut(&goal.id) {
@@ -794,7 +686,7 @@ impl Core {
     /// circuit breaker? Always false on closed runs or with the breaker
     /// unconfigured.
     #[inline]
-    fn breaker_blocked(&self, pe: PeId, nbr: PeId) -> bool {
+    pub(crate) fn breaker_blocked(&self, pe: PeId, nbr: PeId) -> bool {
         match self.open.as_deref() {
             Some(o) if o.breaker_cooldown.is_some() && !o.breaker.is_empty() => {
                 o.breaker_blocked(self.events.now().units(), pe.0, nbr.0)
@@ -849,10 +741,6 @@ impl Core {
         self.schedule_event_after(delay, Event::Retry(goal));
     }
 
-    fn current_load_word(&self, pe: PeId) -> u32 {
-        self.load(pe)
-    }
-
     fn send_unicast(&mut self, from: PeId, to: PeId, packet: Packet) {
         let ch = self
             .topo
@@ -864,38 +752,21 @@ impl Core {
     /// Send `packet` from `from` to its neighbour `to` over `ch`, the
     /// channel between them.
     fn send_on(&mut self, ch: ChannelId, from: PeId, to: PeId, packet: Packet) {
-        let flight = Flight {
-            from,
-            dest: FlightDest::Unicast(to),
-            piggyback_load: self.piggyback_word(from),
-            packet,
-        };
+        let flight = self.flight(from, FlightDest::Unicast(to), packet);
         self.offer_to_channel(ch, flight);
     }
 
-    fn broadcast_packet(&mut self, from: PeId, packet: Packet) {
+    pub(crate) fn broadcast_packet(&mut self, from: PeId, packet: Packet) {
         // One transmission per distinct incident channel.
         let mut fanout = std::mem::take(&mut self.fanout);
         fanout.clear();
         self.topo
             .for_each_incident_channel(from, |ch| fanout.push(ch));
+        let flight = self.flight(from, FlightDest::Broadcast, packet);
         for &ch in &fanout {
-            let flight = Flight {
-                from,
-                dest: FlightDest::Broadcast,
-                piggyback_load: self.piggyback_word(from),
-                packet,
-            };
             self.offer_to_channel(ch, flight);
         }
         self.fanout = fanout;
-    }
-
-    fn piggyback_word(&self, from: PeId) -> Option<u32> {
-        match self.config.load_info {
-            LoadInfoMode::Piggyback { .. } => Some(self.current_load_word(from)),
-            LoadInfoMode::Instant => None,
-        }
     }
 
     /// Hand `flight` to the channel: it starts transferring now if the
@@ -919,14 +790,8 @@ impl Core {
                     p.bump_tag(m.tag);
                 }
             }
-            Packet::LoadUpdate { .. } => self.traffic.load_updates += 1,
+            Packet::LoadUpdate => self.traffic.load_updates += 1,
         }
-    }
-
-    /// Record a neighbour's load word in `at`'s table, at `slot` (the
-    /// neighbour's position in `at`'s neighbour list).
-    fn update_known_load(&mut self, at: PeId, slot: usize, load: u32) {
-        self.pe_mut(at).known_load[slot] = load;
     }
 
     /// Create a fresh goal message for `spec`, child of `parent`.
@@ -1113,6 +978,16 @@ impl Core {
                 o.resident = None; // the computed value is gone with the response
                 self.schedule_event_after(0, Event::AckTimeout(child));
             }
+        }
+    }
+
+    /// `packet` was swallowed by a fault at `pe`: account the goal or the
+    /// response it carried.
+    fn note_packet_lost(&mut self, packet: &Packet, pe: PeId) {
+        match *packet {
+            Packet::Goal(g) => self.note_goal_lost(g.id, pe),
+            Packet::Response { child, .. } => self.note_response_lost(child),
+            Packet::Control(_) | Packet::LoadUpdate => {}
         }
     }
 
@@ -1343,15 +1218,7 @@ impl Machine {
         let root_pe = PeId(self.core.config.root_pe);
         self.strategy.init(&mut self.core);
 
-        // Arm the periodic load broadcasts, staggered by PE id — only for
-        // strategies that actually read neighbour loads.
-        if let Some(period) = self.broadcast_period() {
-            for pe in 0..self.core.num_pes() as u32 {
-                let offset = pe as u64 % period;
-                self.core
-                    .schedule_event_at(SimTime(offset), Event::LoadBcast(PeId(pe)));
-            }
-        }
+        self.arm_load_broadcasts();
         self.core.next_check = self.progress_window();
 
         // Arm the fault plan: crashes, link windows, slowdown windows.
@@ -1390,34 +1257,6 @@ impl Machine {
         self.core.track_goal(&root_goal, 0, 0);
         self.strategy
             .on_goal_created(&mut self.core, root_pe, root_goal);
-    }
-
-    /// The periodic load-broadcast period, when this run arms broadcasts:
-    /// piggy-backed load info with a non-zero period, under a strategy
-    /// that reads neighbour loads.
-    fn broadcast_period(&self) -> Option<u64> {
-        match self.core.config.load_info {
-            LoadInfoMode::Piggyback { period }
-                if period > 0 && self.strategy.needs_load_broadcast() =>
-            {
-                Some(period)
-            }
-            _ => None,
-        }
-    }
-
-    /// The progress watchdog's window in events. One load-broadcast round
-    /// is a `load_bcast` event per PE plus a transfer per incident channel
-    /// — five million events on a 10^6-PE torus, before any goal can run.
-    /// With broadcasts armed the window therefore grows by two rounds, so
-    /// no round can fill it by itself and only a machine that makes no
-    /// progress while broadcasting trips it.
-    fn progress_window(&self) -> u64 {
-        let base = self.core.config.progress_window;
-        match self.broadcast_period() {
-            Some(_) => base + 2 * (self.core.num_pes() + self.core.topo.num_incidences()) as u64,
-            None => base,
-        }
     }
 
     /// Drive the event loop. With `pause_at: None`, runs until the root
@@ -2029,18 +1868,6 @@ impl Machine {
         }
     }
 
-    fn handle_load_bcast(&mut self, pe: PeId) {
-        if self.core.pe(pe).failed {
-            return;
-        }
-        let LoadInfoMode::Piggyback { period } = self.core.config.load_info else {
-            return;
-        };
-        let load = self.core.current_load_word(pe);
-        self.core.broadcast_packet(pe, Packet::LoadUpdate { load });
-        self.core.schedule_event_after(period, Event::LoadBcast(pe));
-    }
-
     fn handle_pe_done(&mut self, pe: PeId) {
         let core = &mut self.core;
         let now = core.events.now();
@@ -2220,84 +2047,36 @@ impl Machine {
                     channel: ch.0,
                 });
             }
-            match &flight.packet {
-                Packet::Goal(g) => {
-                    let id = g.id;
-                    self.core.note_goal_lost(id, flight.from);
-                }
-                Packet::Response { child, .. } => {
-                    let child = *child;
-                    self.core.note_response_lost(child);
-                }
-                _ => {}
-            }
+            self.core.note_packet_lost(&flight.packet, flight.from);
             return;
         }
 
-        // On a bus, every member sees every transmission: all of them snoop
-        // the piggy-backed load word even when the packet itself is
-        // addressed to one PE. (On a 2-member link this is identical to
-        // updating just the receiver.)
         let mut receivers = std::mem::take(&mut self.core.receivers);
         self.core.topo.receivers(ch, flight.from, &mut receivers);
-        if let Some(load) = flight.piggyback_load {
-            for &(m, slot) in &receivers {
-                self.core.update_known_load(m, slot, load);
-            }
-        }
-
+        self.core.snoop_load_word(&flight, &receivers);
         match flight.dest {
-            // The snoop above has just recorded the piggy-backed word at
-            // the one receiver, so nothing is left for `deliver` to record.
-            FlightDest::Unicast(to) => {
-                let (_, slot) = *receivers
-                    .iter()
-                    .find(|r| r.0 == to)
-                    .expect("the receiver is a member of the channel");
-                self.deliver(to, flight.from, slot, None, flight.packet);
-            }
+            FlightDest::Unicast(to) => self.deliver(to, flight.from, flight.packet),
             FlightDest::Broadcast => {
-                for &(to, slot) in &receivers {
-                    self.deliver(to, flight.from, slot, flight.piggyback_load, flight.packet);
+                for &(to, _) in &receivers {
+                    self.deliver(to, flight.from, flight.packet);
                 }
             }
         }
         self.core.receivers = receivers;
     }
 
-    /// A packet reached PE `to` from its neighbour `from`, which sits at
-    /// `slot` in `to`'s neighbour list.
-    fn deliver(
-        &mut self,
-        to: PeId,
-        from: PeId,
-        slot: usize,
-        piggyback: Option<u32>,
-        packet: Packet,
-    ) {
+    /// A packet reached PE `to` from its neighbour `from`.
+    fn deliver(&mut self, to: PeId, from: PeId, packet: Packet) {
         if self.core.pe(to).failed {
             // The dead PE's mailbox is a black hole — but the recovery
             // layer gets to notice what fell in.
-            match &packet {
-                Packet::Goal(g) => {
-                    let id = g.id;
-                    self.core.note_goal_lost(id, to);
-                }
-                Packet::Response { child, .. } => {
-                    let child = *child;
-                    self.core.note_response_lost(child);
-                }
-                _ => {}
-            }
+            self.core.note_packet_lost(&packet, to);
             return;
         }
-        // A load update's own word overrides any piggy-backed one.
-        if let Packet::LoadUpdate { load } = &packet {
-            self.core.update_known_load(to, slot, *load);
-            return; // Updating the load table is free bookkeeping.
-        }
-        if let Some(load) = piggyback {
-            self.core.update_known_load(to, slot, load);
+        // The snoop has recorded a load update's word; that table update is
+        // free bookkeeping.
+        if matches!(packet, Packet::LoadUpdate) {
+            return;
         }
         if self.core.config.coprocessor {
             self.process_delivery(to, from, packet);
@@ -2346,7 +2125,7 @@ impl Machine {
             Packet::Control(msg) => {
                 self.strategy.on_control(&mut self.core, pe, from, msg);
             }
-            Packet::LoadUpdate { .. } => unreachable!("load updates handled at delivery"),
+            Packet::LoadUpdate => unreachable!("load updates handled at delivery"),
         }
     }
 
@@ -2792,22 +2571,21 @@ mod tests {
         fn name(&self) -> &'static str {
             "drop-all"
         }
+        fn needs_load_broadcast(&self) -> bool {
+            false // no broadcast events to keep the clock alive
+        }
         fn on_goal_created(&mut self, _: &mut Core, _: PeId, _: GoalMsg) {}
         fn on_goal_message(&mut self, _: &mut Core, _: PeId, _: GoalMsg) {}
     }
 
     #[test]
     fn dropped_goals_stall_cleanly() {
-        let cfg = MachineConfig {
-            load_info: LoadInfoMode::Instant, // no broadcast events
-            ..MachineConfig::default()
-        };
         let machine = Machine::new(
             ring(4),
             Box::new(Fib(5)),
             Box::new(DropAll),
             CostModel::unit(),
-            cfg,
+            MachineConfig::default(),
         )
         .unwrap();
         assert!(matches!(machine.run(), Err(SimError::Stalled { .. })));

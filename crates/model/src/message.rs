@@ -62,19 +62,17 @@ pub enum Packet {
     },
     /// A strategy control message for a specific neighbour.
     Control(ControlMsg),
-    /// The "very short message" carrying the sender's load word to all
-    /// members of the channel.
-    LoadUpdate {
-        /// Sender's load at send time.
-        load: u32,
-    },
+    /// The "very short message" to all members of the channel. It has no
+    /// payload: the sender's load word rides on the flight like on any
+    /// other packet ([`Flight::piggyback_load`]).
+    LoadUpdate,
 }
 
 impl Packet {
     /// True for the short control-plane packets (load words, proximity
     /// updates), false for goal and response messages.
     pub fn is_control_plane(&self) -> bool {
-        matches!(self, Packet::Control(_) | Packet::LoadUpdate { .. })
+        matches!(self, Packet::Control(_) | Packet::LoadUpdate)
     }
 }
 
@@ -96,7 +94,7 @@ pub struct Flight {
     pub dest: FlightDest,
     /// Sender's load at send time, piggy-backed "with regular messages,
     /// whenever possible".
-    pub piggyback_load: Option<u32>,
+    pub piggyback_load: u32,
     /// The message itself.
     pub packet: Packet,
 }
@@ -108,7 +106,7 @@ mod tests {
     #[test]
     fn control_plane_classification() {
         assert!(Packet::Control(ControlMsg { tag: 1, value: 2 }).is_control_plane());
-        assert!(Packet::LoadUpdate { load: 0 }.is_control_plane());
+        assert!(Packet::LoadUpdate.is_control_plane());
         assert!(!Packet::Response {
             to: (PeId(0), GoalId(0)),
             child: GoalId(1),

@@ -343,7 +343,7 @@ mod tests {
         pe.enqueue(WorkItem::Goal(goal(1)));
         pe.sys_queue.push_back(WorkItem::Handle {
             from: PeId(1),
-            packet: crate::message::Packet::LoadUpdate { load: 0 },
+            packet: crate::message::Packet::LoadUpdate,
         });
         assert!(matches!(
             pe.dequeue(QueueDiscipline::Fifo),
@@ -454,7 +454,7 @@ mod tests {
         assert!(pe.is_idle());
         pe.executing = Some(Executing::Handle {
             from: PeId(1),
-            packet: crate::message::Packet::LoadUpdate { load: 0 },
+            packet: crate::message::Packet::LoadUpdate,
         });
         assert!(!pe.is_idle());
     }

@@ -72,7 +72,11 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D53_4E50;
 /// channel slot its event-key sequence; the environment's two sequences
 /// are encoded on their own. Per-PE cost factors are construction-time
 /// state and are no longer encoded.
-pub const SNAPSHOT_VERSION: u32 = 6;
+///
+/// v7 dropped the load update's payload and the presence byte of a flight's
+/// load word: every flight carries its sender's word, and a load update is
+/// its packet tag alone.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a restore failed: the blob itself was undecodable, or it decoded
 /// fine but does not belong to this machine.
@@ -183,10 +187,7 @@ fn put_packet(w: &mut SnapWriter, p: &Packet) {
             w.u8(c.tag);
             w.i64(c.value);
         }
-        Packet::LoadUpdate { load } => {
-            w.u8(3);
-            w.u32(*load);
-        }
+        Packet::LoadUpdate => w.u8(3),
     }
 }
 
@@ -202,7 +203,7 @@ fn get_packet(r: &mut SnapReader) -> Result<Packet, SnapError> {
             tag: r.u8()?,
             value: r.i64()?,
         }),
-        3 => Packet::LoadUpdate { load: r.u32()? },
+        3 => Packet::LoadUpdate,
         t => {
             return Err(SnapError::Invalid {
                 what: "packet tag",
@@ -221,7 +222,7 @@ fn put_flight(w: &mut SnapWriter, f: &Flight) {
         }
         FlightDest::Broadcast => w.u8(1),
     }
-    put_opt_u32(w, f.piggyback_load);
+    w.u32(f.piggyback_load);
     put_packet(w, &f.packet);
 }
 
@@ -240,7 +241,7 @@ fn get_flight(r: &mut SnapReader) -> Result<Flight, SnapError> {
     Ok(Flight {
         from,
         dest,
-        piggyback_load: get_opt_u32(r)?,
+        piggyback_load: r.u32()?,
         packet: get_packet(r)?,
     })
 }

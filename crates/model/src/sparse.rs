@@ -424,8 +424,8 @@ mod tests {
             crate::message::Flight {
                 from: oracle_topo::PeId(0),
                 dest: crate::message::FlightDest::Broadcast,
-                piggyback_load: None,
-                packet: crate::message::Packet::LoadUpdate { load: 3 },
+                piggyback_load: 3,
+                packet: crate::message::Packet::LoadUpdate,
             },
             SimTime(0),
         );

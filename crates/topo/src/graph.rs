@@ -1,7 +1,7 @@
 //! The concrete topology type: channel sets, adjacency, and routing.
 //!
 //! A topology has one of two shapes. The 2-D mesh and torus
-//! ([`crate::mesh::Grid`]) store nothing per PE or per link: neighbours,
+//! (`mesh::Grid`) store nothing per PE or per link: neighbours,
 //! channel ids, channel members, neighbour positions and shortest paths are
 //! all computed from the width and height, and they agree exactly with what
 //! the CSR build below would store for the same channel list (pinned by
@@ -85,7 +85,8 @@ impl std::error::Error for SpecError {}
 /// Arbitrary graphs at or below this many PEs precompute the dense
 /// all-pairs table; larger ones route through the lazy bidirectional-BFS
 /// router. The regular families (grid/torus/hypercube/k-ary) never build a
-/// table.
+/// table. A fault plan with crashes or link windows is refused above it: its
+/// live-route table is all-pairs too.
 pub const DENSE_ROUTER_LIMIT: usize = 2048;
 
 /// How a CSR graph answers shortest-path queries.

@@ -27,6 +27,8 @@ pub mod mesh;
 pub mod misc;
 pub mod spec;
 
-pub use graph::{random_regular, ChannelId, Neighbor, PeId, SpecError, Topology};
+pub use graph::{
+    random_regular, ChannelId, Neighbor, PeId, SpecError, Topology, DENSE_ROUTER_LIMIT,
+};
 pub use list::{Members, Neighbors};
 pub use spec::TopologySpec;

@@ -1,16 +1,16 @@
 //! Scale benchmark: build time, run time, events/sec and peak RSS versus
 //! PE count.
 //!
-//! Where `throughput.rs` measures the hot loop on paper-sized machines,
-//! this grid measures the *memory model*: a torus and a random-graph cell
-//! at 10³, 10⁴, 10⁵, and 10⁶ PEs, each run `cwn` over a fixed task tree.
-//! The committed `BENCH_scale.json` at the repo root records the
-//! trajectory; the acceptance line is the 10⁶-PE torus completing under
-//! 2 GB of peak RSS (CI holds it to 256 MiB: per-PE and per-channel state
-//! is paged, so memory follows the PEs a run touches). Each cell splits its wall time into `build_secs`
-//! (topology, workload, strategy and `Machine::new`) and `run_secs` (the
-//! event loop and the report), so construction cost at 10⁶ PEs no longer
-//! hides inside the events/s figure.
+//! Where perfbench times four fixed workloads, this grid measures the
+//! *memory model*: a torus and a random-graph cell at 10³, 10⁴, 10⁵, and
+//! 10⁶ PEs, each run `cwn` over a fixed task tree. The committed
+//! `BENCH_scale.json` at the repo root records the trajectory; the
+//! acceptance line is the 10⁶-PE torus completing under 2 GB of peak RSS
+//! (CI holds it to 64 MiB: per-PE and per-channel state is paged, so
+//! memory follows the PEs a run touches). Each cell splits its wall time
+//! into `build_secs` (topology, workload, strategy and `Machine::new`) and
+//! `run_secs` (the event loop and the report), so construction cost at 10⁶
+//! PEs no longer hides inside the events/s figure.
 //!
 //! `VmHWM` is a per-process monotonic high-water mark, so cells must not
 //! share a process: the `scale` binary re-executes itself once per cell
@@ -23,7 +23,28 @@ use std::time::Instant;
 use oracle::model::{LoadInfoMode, MachineConfig};
 use oracle::prelude::*;
 
-pub use crate::throughput::peak_rss_bytes;
+/// Peak resident set size of this process in bytes (Linux `VmHWM`, falling
+/// back to the instantaneous `VmRSS` on kernels that omit the high-water
+/// mark), or 0 where /proc is unavailable.
+pub fn peak_rss_bytes() -> u64 {
+    let status = match std::fs::read_to_string("/proc/self/status") {
+        Ok(s) => s,
+        Err(_) => return 0,
+    };
+    let field = |prefix: &str| {
+        status.lines().find_map(|line| {
+            let kb: u64 = line
+                .strip_prefix(prefix)?
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse()
+                .ok()?;
+            Some(kb * 1024)
+        })
+    };
+    field("VmHWM:").or_else(|| field("VmRSS:")).unwrap_or(0)
+}
 
 /// Peak-RSS budget for every cell (the acceptance bound for the 10⁶-PE
 /// torus; the smaller cells sit far under it).

@@ -17,7 +17,6 @@ fn bin(exe: &str, args: &[&str]) -> Output {
 fn malformed_flag_lines_are_config_errors_naming_the_flag() {
     let scale = env!("CARGO_BIN_EXE_scale");
     let regen = env!("CARGO_BIN_EXE_regen_all");
-    let throughput = env!("CARGO_BIN_EXE_throughput");
     for (exe, args, flag) in [
         (scale, &["--bogus"][..], "--bogus"),
         (scale, &["--cell"], "--cell"),
@@ -25,8 +24,6 @@ fn malformed_flag_lines_are_config_errors_naming_the_flag() {
         (regen, &["--bogus"], "--bogus"),
         (regen, &["--seed", "x"], "--seed"),
         (regen, &["--quick", "--quick"], "--quick"),
-        (throughput, &["--bogus"], "--bogus"),
-        (throughput, &["--reps"], "--reps"),
     ] {
         let out = bin(exe, args);
         let err = String::from_utf8_lossy(&out.stderr);

@@ -65,7 +65,10 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 /// v10 embeds the v7 machine snapshot (a load update carries no payload;
 /// every flight carries its sender's load word). The config block is
 /// unchanged.
-pub const CHECKPOINT_VERSION: u32 = 10;
+///
+/// v11 dropped the root-PE field: a closed run's root goal and `@root`
+/// open traffic always start on PE 0. The machine snapshot is unchanged.
+pub const CHECKPOINT_VERSION: u32 = 11;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]
@@ -132,7 +135,6 @@ fn put_config(w: &mut SnapWriter, config: &RunConfig) {
 
     let m = &config.machine;
     w.u64(m.seed);
-    w.u32(m.root_pe);
     w.u64(m.sampling_interval);
     match m.load_info {
         LoadInfoMode::Piggyback { period } => {
@@ -233,7 +235,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
     };
 
     let seed = r.u64()?;
-    let root_pe = r.u32()?;
     let sampling_interval = r.u64()?;
     let load_info = match r.u8()? {
         0 => LoadInfoMode::Piggyback { period: r.u64()? },
@@ -320,7 +321,6 @@ fn get_config(r: &mut SnapReader) -> Result<RunConfig, CheckpointError> {
         costs,
         machine: MachineConfig {
             seed,
-            root_pe,
             sampling_interval,
             load_info,
             future_commitment_weight,

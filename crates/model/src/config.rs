@@ -37,8 +37,6 @@ pub enum QueueDiscipline {
 pub struct MachineConfig {
     /// Seed for all randomness in the run.
     pub seed: u64,
-    /// PE on which the root goal is injected at time zero.
-    pub root_pe: u32,
     /// Width of the utilization sampling interval (the paper's load-monitor
     /// output interval), in time units.
     pub sampling_interval: u64,
@@ -122,7 +120,6 @@ impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
             seed: 1,
-            root_pe: 0,
             sampling_interval: 100,
             load_info: LoadInfoMode::Piggyback { period: 40 },
             future_commitment_weight: 0,

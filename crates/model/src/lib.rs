@@ -51,5 +51,5 @@ pub use open::{
     ParseOverloadError, RetryPolicy, ADMISSION_GRAMMAR, ARRIVAL_GRAMMAR, RETRY_GRAMMAR,
 };
 pub use program::{Continuation, Expansion, Program, TaskList, TaskSpec};
-pub use strategy::{Strategy, StrategyState};
+pub use strategy::Strategy;
 pub use trace::{Trace, TraceEvent, TraceMode};

@@ -58,6 +58,10 @@ pub(crate) enum Event {
     Retry(GoalId),
 }
 
+/// The PE on which a closed run's root goal is injected at time zero, and
+/// where `@root` open traffic enters.
+pub(crate) const ROOT_PE: PeId = PeId(0);
+
 /// Profiler registry names, indexed by [`Event::kind`]. Keep the two in
 /// sync.
 const EVENT_KIND_NAMES: [&str; 12] = [
@@ -809,7 +813,7 @@ impl Core {
         *seq += 1;
         self.goals_created += 1;
         if self.trace.enabled() {
-            let pe = parent.map_or(PeId(self.config.root_pe), |(pe, _)| pe);
+            let pe = parent.map_or(ROOT_PE, |(pe, _)| pe);
             self.trace.record(TraceEvent::GoalCreated {
                 t: self.events.now().units(),
                 goal: id,
@@ -1091,13 +1095,6 @@ impl Machine {
             .fault_plan
             .validate(topo.num_pes(), topo.num_channels())
             .map_err(SimError::InvalidConfig)?;
-        if (config.root_pe as usize) >= topo.num_pes() {
-            return Err(SimError::InvalidConfig(format!(
-                "root PE {} out of range (topology has {} PEs)",
-                config.root_pe,
-                topo.num_pes()
-            )));
-        }
         let sampling = config.sampling_interval;
         let mut rng = Rng::seed_from_u64(config.seed);
         // Cost factors are drawn eagerly, in PE order, so the construction
@@ -1127,7 +1124,7 @@ impl Machine {
         // front, so a bad spec fails here rather than mid-run.
         let open = match &config.open {
             Some(o) => Some(Box::new(
-                OpenState::build(o, config.seed, topo.num_pes(), config.root_pe)
+                OpenState::build(o, config.seed, topo.num_pes())
                     .map_err(SimError::InvalidConfig)?,
             )),
             None => None,
@@ -1215,7 +1212,6 @@ impl Machine {
     /// checkpoint, where the snapshot already contains everything `begin`
     /// sets up.
     pub fn begin(&mut self) {
-        let root_pe = PeId(self.core.config.root_pe);
         self.strategy.init(&mut self.core);
 
         self.arm_load_broadcasts();
@@ -1256,7 +1252,7 @@ impl Machine {
         let root_goal = self.core.make_goal(root_spec, None);
         self.core.track_goal(&root_goal, 0, 0);
         self.strategy
-            .on_goal_created(&mut self.core, root_pe, root_goal);
+            .on_goal_created(&mut self.core, ROOT_PE, root_goal);
     }
 
     /// Drive the event loop. With `pause_at: None`, runs until the root
@@ -1763,9 +1759,8 @@ impl Machine {
             None => {
                 // The root goal re-enters at the root PE, or at the lowest
                 // surviving PE if the root died.
-                let root = PeId(self.core.config.root_pe);
-                if !self.core.pe(root).failed {
-                    root
+                if !self.core.pe(ROOT_PE).failed {
+                    ROOT_PE
                 } else {
                     let Some(i) = (0..self.core.num_pes()).find(|&i| !self.core.pes.get(i).failed)
                     else {
@@ -2543,24 +2538,6 @@ mod tests {
         assert_eq!(r.result, 1);
         assert_eq!(r.goals_created, 1);
         assert_eq!(r.completion_time, 1);
-    }
-
-    #[test]
-    fn invalid_root_pe_is_rejected() {
-        let cfg = MachineConfig {
-            root_pe: 99,
-            ..MachineConfig::default()
-        };
-        let err = Machine::new(
-            ring(4),
-            Box::new(Fib(3)),
-            Box::new(KeepLocal),
-            CostModel::unit(),
-            cfg,
-        )
-        .err()
-        .unwrap();
-        assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 
     /// A strategy that drops goals (violating the conservation contract)

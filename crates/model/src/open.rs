@@ -34,6 +34,7 @@ use std::str::FromStr;
 
 use oracle_des::{FastHashMap, LogHistogram, OnlineStats, Rng};
 
+use crate::machine::ROOT_PE;
 use crate::message::GoalId;
 
 /// XOR'd into the run seed for the arrival stream, so open traffic never
@@ -85,7 +86,7 @@ pub enum ArrivalProcess {
 pub enum EdgeSet {
     /// Round-robin over every PE (the default).
     All,
-    /// Everything enters at the configured root PE.
+    /// Everything enters at the root PE (PE 0).
     Root,
     /// Round-robin over an explicit PE list.
     List(Vec<u32>),
@@ -705,12 +706,11 @@ impl OpenState {
         open: &OpenTraffic,
         seed: u64,
         num_pes: usize,
-        root_pe: u32,
     ) -> Result<OpenState, String> {
         open.validate()?;
         let edges = match &open.arrivals.edges {
             EdgeSet::All => (0..num_pes as u32).collect(),
-            EdgeSet::Root => vec![root_pe],
+            EdgeSet::Root => vec![ROOT_PE.0],
             EdgeSet::List(pes) => {
                 for &pe in pes {
                     if pe as usize >= num_pes {
@@ -1086,8 +1086,8 @@ mod tests {
     fn poisson_interarrivals_are_deterministic_and_plausible() {
         let spec: ArrivalSpec = "poisson:10".parse().unwrap();
         let open = OpenTraffic::new(spec, 1_000_000);
-        let mut a = OpenState::build(&open, 42, 4, 0).unwrap();
-        let mut b = OpenState::build(&open, 42, 4, 0).unwrap();
+        let mut a = OpenState::build(&open, 42, 4).unwrap();
+        let mut b = OpenState::build(&open, 42, 4).unwrap();
         let mut t = 0;
         let mut n = 0u64;
         while let Some(next) = a.next_arrival(t) {
@@ -1105,7 +1105,7 @@ mod tests {
         // hi=20/k during [0,1000), lo=0 during [1000,2000), repeating.
         let spec: ArrivalSpec = "burst:20x0x1000x1000".parse().unwrap();
         let open = OpenTraffic::new(spec, 100_000);
-        let mut st = OpenState::build(&open, 7, 4, 0).unwrap();
+        let mut st = OpenState::build(&open, 7, 4).unwrap();
         let mut t = 0;
         let mut in_off = 0u64;
         let mut total = 0u64;
@@ -1132,7 +1132,7 @@ mod tests {
         std::fs::write(&path, "oracle-arrivals-v1\n5\n9 1\n14\n").unwrap();
         let spec: ArrivalSpec = format!("trace:{}", path.display()).parse().unwrap();
         let open = OpenTraffic::new(spec, 12); // duration cuts off the 14
-        let mut st = OpenState::build(&open, 1, 2, 0).unwrap();
+        let mut st = OpenState::build(&open, 1, 2).unwrap();
         assert_eq!(st.next_arrival(0), Some(5));
         assert_eq!(st.trace_pe_override(), None);
         assert_eq!(st.next_arrival(5), Some(9));
@@ -1219,7 +1219,7 @@ mod tests {
         open.retry = Some("3x200".parse().unwrap());
         open.admission = Some(admission.parse().unwrap());
         open.breaker = Some(500);
-        OpenState::build(&open, 9, 4, 0).unwrap()
+        OpenState::build(&open, 9, 4).unwrap()
     }
 
     #[test]
@@ -1289,7 +1289,7 @@ mod tests {
             warmup: 100,
             ..OpenTraffic::new(spec, 1000)
         };
-        let mut st = OpenState::build(&open, 1, 2, 0).unwrap();
+        let mut st = OpenState::build(&open, 1, 2).unwrap();
         st.note_qlen(50, 1); // len 1 from t=50, but warmup clips [50,100)
         st.note_qlen(300, 1); // len 1 over [100,300) => 200 units at 1
         st.note_qlen(400, -1); // len 2 over [300,400) => 100 units at 2

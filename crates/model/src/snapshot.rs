@@ -37,7 +37,6 @@ use crate::message::{ControlMsg, Flight, FlightDest, GoalId, GoalMsg, Packet};
 use crate::open::{Inflight, OpenState, ProcessState};
 use crate::pe::{Executing, Pe, Waiting, WorkItem};
 use crate::program::{Expansion, TaskList, TaskSpec};
-use crate::strategy::StrategyState;
 use crate::SimError;
 
 /// Magic prefix of a machine snapshot blob (`"MSNP"`).
@@ -147,7 +146,8 @@ fn get_parent(r: &mut SnapReader) -> Result<Option<(PeId, GoalId)>, SnapError> {
 
 /// Encode a [`GoalMsg`] into a snapshot payload. Public so strategies that
 /// park goals (e.g. threshold probing) can serialize them inside their
-/// [`StrategyState`] bytes with the same codec the machine uses.
+/// [`crate::Strategy::snapshot_state`] bytes with the same codec the
+/// machine uses.
 pub fn put_goal(w: &mut SnapWriter, g: &GoalMsg) {
     w.u64(g.id.0);
     put_spec(w, &g.spec);
@@ -1028,9 +1028,8 @@ impl Machine {
             w.u64(*key);
             put_event(&mut w, ev);
         }
-        let state = self.strategy.snapshot_state();
-        w.str(&state.name);
-        w.bytes(&state.bytes);
+        w.str(self.strategy.name());
+        w.bytes(&self.strategy.snapshot_state());
         self.core.events = CalendarQueue::from_snapshot(now, processed, pending);
         w.into_bytes()
     }
@@ -1179,17 +1178,21 @@ impl Machine {
             events.push((at, key, get_event(&mut r)?));
         }
         self.core.events = CalendarQueue::from_snapshot(now, processed, events);
-        let state = StrategyState {
-            name: r.str()?.to_string(),
-            bytes: r.bytes()?.to_vec(),
-        };
+        let strategy = r.str()?;
+        let payload = r.bytes()?;
         r.finish()?;
         // Live routing tables are derived state: recompute them from the
         // restored health (a no-op back to `None` at full health), exactly
         // as the fault handlers maintained them along the original run.
         self.core.rebuild_live_routes();
+        if strategy != self.strategy.name() {
+            return Err(RestoreFail::Mismatch(format!(
+                "strategy snapshot was taken from `{strategy}` but is being restored into `{}`",
+                self.strategy.name()
+            )));
+        }
         self.strategy
-            .restore_state(&state, &self.core)
+            .restore_state(payload, &self.core)
             .map_err(RestoreFail::Mismatch)
     }
 }

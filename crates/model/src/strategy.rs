@@ -17,22 +17,6 @@ use oracle_topo::PeId;
 use crate::machine::Core;
 use crate::message::{ControlMsg, GoalMsg};
 
-/// A serializable snapshot of a strategy's mutable state, produced by
-/// [`Strategy::snapshot_state`] and consumed by [`Strategy::restore_state`].
-///
-/// The payload is opaque to the machine: each scheme encodes its private
-/// state (outstanding-bid bitmaps, proximity fields, held goals, …) with the
-/// [`oracle_des::snapshot`] codec. The `name` tag guards against feeding a
-/// snapshot taken from one scheme into another. Stateless strategies use the
-/// empty payload.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StrategyState {
-    /// [`Strategy::name`] of the scheme the snapshot was taken from.
-    pub name: String,
-    /// The scheme's private state, encoded with the des snapshot codec.
-    pub bytes: Vec<u8>,
-}
-
 /// A dynamic, distributed load-distribution scheme.
 pub trait Strategy: Send {
     /// Short name used in reports, e.g. `"cwn"`.
@@ -84,35 +68,28 @@ pub trait Strategy: Send {
     /// PEs never do). Strategies may reset their view of the neighbour.
     fn on_neighbor_up(&mut self, _core: &mut Core, _pe: PeId, _up: PeId) {}
 
-    /// Capture the strategy's mutable state for a checkpoint. The default
-    /// (an empty payload) is correct for stateless schemes; any scheme with
-    /// per-PE state **must** override this together with
+    /// Capture the strategy's mutable state for a checkpoint, encoded with
+    /// the [`oracle_des::snapshot`] codec. The payload is opaque to the
+    /// machine, which stores it after [`Strategy::name`] and refuses to
+    /// restore it into a scheme of another name. The default (an empty
+    /// payload) is correct for stateless schemes; any scheme with per-PE
+    /// state **must** override this together with
     /// [`Strategy::restore_state`] or resumed runs will diverge.
-    fn snapshot_state(&self) -> StrategyState {
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: Vec::new(),
-        }
+    fn snapshot_state(&self) -> Vec<u8> {
+        Vec::new()
     }
 
-    /// Restore state captured by [`Strategy::snapshot_state`]. Called on a
-    /// freshly constructed strategy *instead of* [`Strategy::init`] — any
-    /// timers or RNG draws `init` would perform already live in the
-    /// snapshotted event queue and RNG state. `core` is provided read-only
-    /// for sizing per-PE vectors.
-    fn restore_state(&mut self, state: &StrategyState, _core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
-        if !state.bytes.is_empty() {
+    /// Restore a payload captured by [`Strategy::snapshot_state`] on a
+    /// scheme of the same name. Called on a freshly constructed strategy
+    /// *instead of* [`Strategy::init`] — any timers or RNG draws `init`
+    /// would perform already live in the snapshotted event queue and RNG
+    /// state. `core` is provided read-only for sizing per-PE vectors.
+    fn restore_state(&mut self, bytes: &[u8], _core: &Core) -> Result<(), String> {
+        if !bytes.is_empty() {
             return Err(format!(
                 "strategy `{}` has no state to restore but the snapshot carries {} bytes",
                 self.name(),
-                state.bytes.len()
+                bytes.len()
             ));
         }
         Ok(())

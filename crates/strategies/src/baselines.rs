@@ -8,7 +8,7 @@
 //!   cyclic order: deterministic load-oblivious diffusion.
 
 use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{Core, GoalMsg, Strategy, StrategyState};
+use oracle_model::{Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
 
 /// Keep every goal on its creating PE (no load distribution).
@@ -122,28 +122,18 @@ impl Strategy for RoundRobin {
         core.accept_goal(pe, goal);
     }
 
-    fn snapshot_state(&self) -> StrategyState {
+    fn snapshot_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.usize(self.next.len());
         for &n in &self.next {
             w.u32(n);
         }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+        w.into_bytes()
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
+    fn restore_state(&mut self, bytes: &[u8], core: &Core) -> Result<(), String> {
         let bad = |e| format!("corrupt `round-robin` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
+        let mut r = SnapReader::new(bytes);
         let n = r.usize().map_err(bad)?;
         if n != core.num_pes() {
             return Err(format!(

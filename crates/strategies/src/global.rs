@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{Core, GoalId, GoalMsg, Strategy, StrategyState};
+use oracle_model::{Core, GoalId, GoalMsg, Strategy};
 use oracle_topo::PeId;
 
 /// Send every goal to a uniformly random PE (global communication).
@@ -65,7 +65,7 @@ impl Strategy for GlobalRandom {
         }
     }
 
-    fn snapshot_state(&self) -> StrategyState {
+    fn snapshot_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         // Sorted key order: HashMap iteration order is not deterministic,
         // snapshot bytes must be.
@@ -76,22 +76,12 @@ impl Strategy for GlobalRandom {
             w.u64(id.0);
             w.u32(self.in_flight[&id].0);
         }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+        w.into_bytes()
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
+    fn restore_state(&mut self, bytes: &[u8], core: &Core) -> Result<(), String> {
         let bad = |e| format!("corrupt `global-random` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
+        let mut r = SnapReader::new(bytes);
         // Each entry is a goal id and a destination PE.
         let n = r.count("in-flight goal count", 12).map_err(bad)?;
         let mut in_flight = HashMap::with_capacity(n);

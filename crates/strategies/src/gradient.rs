@@ -22,7 +22,7 @@
 //! off for the literal-unconditional ablation).
 
 use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
+use oracle_model::{ControlMsg, Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
 
 /// Control-message tag for proximity updates.
@@ -239,7 +239,7 @@ impl Strategy for GradientModel {
         }
     }
 
-    fn snapshot_state(&self) -> StrategyState {
+    fn snapshot_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.usize(self.state.len());
         for st in &self.state {
@@ -249,22 +249,12 @@ impl Strategy for GradientModel {
                 w.u32(p);
             }
         }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+        w.into_bytes()
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
+    fn restore_state(&mut self, bytes: &[u8], core: &Core) -> Result<(), String> {
         let bad = |e| format!("corrupt `gradient` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
+        let mut r = SnapReader::new(bytes);
         let n = r.usize().map_err(bad)?;
         if n != core.num_pes() {
             return Err(format!(

@@ -180,28 +180,33 @@ mod resume_tests {
 
     #[test]
     fn snapshot_refuses_wrong_strategy_or_garbage() {
-        let steal = WorkStealing::new(25);
-        let state = steal.snapshot_state();
-        let mut gm = GradientModel::new(gradient::GradientParams::paper_grid());
-        let machine = Machine::new(
-            mesh2d(4, 4, false),
-            Box::new(Fib(10)),
-            Box::new(Cwn::with(6, 2)),
-            CostModel::paper_default(),
-            MachineConfig::default(),
-        )
-        .expect("machine config");
-        let core = machine.core();
-        let err = gm.restore_state(&state, core).unwrap_err();
+        let machine = |strategy: Box<dyn Strategy>| {
+            Machine::new(
+                mesh2d(4, 4, false),
+                Box::new(Fib(10)),
+                strategy,
+                CostModel::paper_default(),
+                MachineConfig::default(),
+            )
+            .expect("machine config")
+        };
+        let mut stealing = machine(Box::new(WorkStealing::new(25)));
+        stealing.begin();
+        let blob = stealing.snapshot_bytes();
+        let mut gm = machine(Box::new(GradientModel::new(
+            gradient::GradientParams::paper_grid(),
+        )));
+        let err = gm.restore_bytes(&blob).unwrap_err().to_string();
         assert!(
             err.contains("work-stealing") && err.contains("gradient"),
             "{err}"
         );
 
-        let mut truncated = state.clone();
-        truncated.bytes.truncate(3);
-        let mut steal2 = WorkStealing::new(25);
-        let err = steal2.restore_state(&truncated, core).unwrap_err();
+        let mut truncated = WorkStealing::new(25).snapshot_state();
+        truncated.truncate(3);
+        let err = WorkStealing::new(25)
+            .restore_state(&truncated, gm.core())
+            .unwrap_err();
         assert!(err.contains("corrupt"), "{err}");
     }
 }

@@ -12,7 +12,7 @@
 //! `retry_delay` units and tries again while still idle.
 
 use oracle_des::snapshot::{SnapReader, SnapWriter};
-use oracle_model::{ControlMsg, Core, GoalMsg, Strategy, StrategyState};
+use oracle_model::{ControlMsg, Core, GoalMsg, Strategy};
 use oracle_topo::PeId;
 
 /// Control tag: "give me work".
@@ -151,7 +151,7 @@ impl Strategy for WorkStealing {
         self.try_steal(core, pe);
     }
 
-    fn snapshot_state(&self) -> StrategyState {
+    fn snapshot_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.usize(self.outstanding.len());
         for &b in &self.outstanding {
@@ -160,22 +160,12 @@ impl Strategy for WorkStealing {
         for &d in &self.denies {
             w.u32(d);
         }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+        w.into_bytes()
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
+    fn restore_state(&mut self, bytes: &[u8], core: &Core) -> Result<(), String> {
         let bad = |e| format!("corrupt `work-stealing` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
+        let mut r = SnapReader::new(bytes);
         let n = r.usize().map_err(bad)?;
         if n != core.num_pes() {
             return Err(format!(

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use oracle_des::snapshot::{SnapReader, SnapWriter};
 use oracle_model::snapshot::{get_goal, put_goal};
-use oracle_model::{ControlMsg, Core, GoalId, GoalMsg, Strategy, StrategyState};
+use oracle_model::{ControlMsg, Core, GoalId, GoalMsg, Strategy};
 use oracle_topo::PeId;
 
 /// Control tag: "is your load below the threshold?" (value = goal id).
@@ -166,7 +166,7 @@ impl Strategy for ThresholdProbe {
         }
     }
 
-    fn snapshot_state(&self) -> StrategyState {
+    fn snapshot_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         // Sorted key order: HashMap iteration order is not deterministic,
         // snapshot bytes must be.
@@ -180,22 +180,12 @@ impl Strategy for ThresholdProbe {
             w.u32(p.home.0);
             w.u32(p.probes_left);
         }
-        StrategyState {
-            name: self.name().to_string(),
-            bytes: w.into_bytes(),
-        }
+        w.into_bytes()
     }
 
-    fn restore_state(&mut self, state: &StrategyState, core: &Core) -> Result<(), String> {
-        if state.name != self.name() {
-            return Err(format!(
-                "strategy snapshot was taken from `{}` but is being restored into `{}`",
-                state.name,
-                self.name()
-            ));
-        }
+    fn restore_state(&mut self, bytes: &[u8], core: &Core) -> Result<(), String> {
         let bad = |e| format!("corrupt `threshold-probe` snapshot payload: {e}");
-        let mut r = SnapReader::new(&state.bytes);
+        let mut r = SnapReader::new(bytes);
         // Each entry is at least a goal id, a home PE and a probe count.
         let n = r.count("pending-goal count", 16).map_err(bad)?;
         let mut pending = HashMap::with_capacity(n);

@@ -158,14 +158,6 @@ fn event_limit_is_enforced() {
 
 #[test]
 fn invalid_configurations_are_rejected_up_front() {
-    // Root PE out of range.
-    let cfg = MachineConfig {
-        root_pe: 1000,
-        ..MachineConfig::default()
-    };
-    let err = SimulationBuilder::new().machine(cfg).run().unwrap_err();
-    assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
-
     // Zero-cost operations.
     let mut costs = CostModel::paper_default();
     costs.split_cost = 0;
@@ -254,10 +246,14 @@ fn killing_an_idle_pe_is_harmless() {
 #[test]
 fn error_messages_are_informative() {
     let cfg = MachineConfig {
-        root_pe: 1000,
+        fault_plan: FaultPlan::none().crash(1000, 10),
         ..MachineConfig::default()
     };
-    let err = SimulationBuilder::new().machine(cfg).run().unwrap_err();
+    let err = SimulationBuilder::new()
+        .topology(TopologySpec::grid(4))
+        .machine(cfg)
+        .run()
+        .unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("1000"),

@@ -32,11 +32,15 @@ fn check(name: &str, mut config: oracle::builder::RunConfig) {
     check_report(name, config);
 }
 
-fn check_report(name: &str, mut config: oracle::builder::RunConfig) {
+fn check_report(name: &str, config: oracle::builder::RunConfig) {
+    check_audited(name, config, 50);
+}
+
+fn check_audited(name: &str, mut config: oracle::builder::RunConfig, audit_every: u64) {
     // The invariant auditor is pure observation: running every golden with
     // it enabled both proves these configurations audit clean and pins the
     // guarantee that auditing never perturbs simulated results.
-    config.machine.audit_every = 50;
+    config.machine.audit_every = audit_every;
     let report = config.run().expect(name);
     let rendered = format!("{report:#?}\n");
     let path = golden_dir().join(format!("{name}.txt"));
@@ -176,5 +180,62 @@ fn golden_cwn_torus300_fib3_top_pes_fill() {
             .workload(WorkloadSpec::fib(3))
             .machine(machine)
             .config(),
+    );
+}
+
+#[test]
+fn golden_cwn_grid32_fib20_load_words() {
+    // The `grid_1k` benchmark cell: 1,024 PEs broadcasting load words every
+    // 40 units, most of them to neighbours that already hold the word.
+    check_report(
+        "cwn_grid32_fib20",
+        SimulationBuilder::new()
+            .topology("grid:32".parse().unwrap())
+            .strategy("cwn:9x1".parse().unwrap())
+            .workload(WorkloadSpec::fib(20))
+            .coprocessor(true)
+            .seed(1)
+            .config(),
+    );
+}
+
+#[test]
+fn golden_cwn_grid10_fib15_load_period_3() {
+    // A broadcast every 3 units: many load words find their channel still
+    // busy with the previous round or with goal traffic. Audited after
+    // every event.
+    let mut machine = oracle_model::MachineConfig::default().with_seed(1);
+    machine.load_info = oracle_model::LoadInfoMode::Piggyback { period: 3 };
+    check_audited(
+        "cwn_grid10_fib15_period3",
+        SimulationBuilder::new()
+            .topology(TopologySpec::grid(10))
+            .strategy("cwn:9x1".parse().unwrap())
+            .workload(WorkloadSpec::fib(15))
+            .machine(machine)
+            .config(),
+        1,
+    );
+}
+
+#[test]
+fn golden_cwn_dlm10_fib15_softroute_faults() {
+    // Buses (every member snoops every word), no co-processor, a crashed
+    // receiver and a link window that drops under words on the wire; no
+    // message loss. Audited after every event.
+    let mut machine = oracle_model::MachineConfig::default().with_seed(1);
+    machine.coprocessor = false;
+    machine.fault_plan = "crash:7@400+link:3@200..900+recover:500x6"
+        .parse()
+        .unwrap();
+    check_audited(
+        "cwn_dlm10_fib15_softroute_faults",
+        SimulationBuilder::new()
+            .topology(TopologySpec::dlm(10))
+            .strategy("cwn:5x1".parse().unwrap())
+            .workload(WorkloadSpec::fib(15))
+            .machine(machine)
+            .config(),
+        1,
     );
 }

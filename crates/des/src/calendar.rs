@@ -307,27 +307,39 @@ impl<E> CalendarQueue<E> {
     fn advance_to_next_instant(&mut self) {
         if self.wheel_len == 0 {
             // Everything pending is in overflow: jump the window to the
-            // earliest deferred timestamp and decant what now fits. The
-            // due heap orders each instant by key, so the decant order is
-            // not load-bearing.
+            // earliest deferred timestamp.
             let at = match self.overflow.peek() {
                 Some(Reverse(d)) => d.at,
                 None => unreachable!("len > 0 with empty wheel, due heap and overflow"),
             };
-            self.window_start = at;
-            let end = at + WHEEL_SLOTS as u64;
-            while let Some(Reverse(d)) = self.overflow.peek() {
-                if d.at >= end {
-                    break;
-                }
-                let Reverse(d) = self.overflow.pop().expect("peeked");
-                self.wheel_push(d.at, d.key, d.payload);
-            }
+            self.jump_window(at);
         }
-        // Walk the clock forward to the next occupied slot. Every wheel
-        // event is after `now` and within the window, so this finds the
-        // earliest pending instant: overflow events are all at or beyond
-        // the window's end.
+        let t = self.next_wheel_instant();
+        self.load_due((t & MASK) as usize);
+        self.now = SimTime(t);
+    }
+
+    /// With the wheel empty, move the window to start at `start` and decant
+    /// the overflow events that now fit. The due heap orders each instant
+    /// by key, so the decant order is not load-bearing.
+    fn jump_window(&mut self, start: u64) {
+        self.window_start = start;
+        let end = start + WHEEL_SLOTS as u64;
+        while let Some(Reverse(d)) = self.overflow.peek() {
+            if d.at >= end {
+                break;
+            }
+            let Reverse(d) = self.overflow.pop().expect("peeked");
+            self.wheel_push(d.at, d.key, d.payload);
+        }
+    }
+
+    /// The earliest occupied wheel slot's instant (the wheel must not be
+    /// empty). Every wheel event is after `now` and within the window, so
+    /// this is the earliest pending instant outside the due heap: overflow
+    /// events are all at or beyond the window's end.
+    #[inline]
+    fn next_wheel_instant(&self) -> u64 {
         let mut t = self.now.units().max(self.window_start);
         while self.head[(t & MASK) as usize] == NIL {
             t += 1;
@@ -336,8 +348,63 @@ impl<E> CalendarQueue<E> {
                 "wheel_len > 0 but no occupied slot in the window"
             );
         }
-        self.load_due((t & MASK) as usize);
-        self.now = SimTime(t);
+        t
+    }
+
+    /// Time and ordering key of the next event, without popping it. Walks
+    /// to the next occupied slot and scans its list when nothing is due at
+    /// `now`, so it suits occasional use, not every event.
+    pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
+        if let Some(Reverse((key, _))) = self.due.peek() {
+            return Some((self.now, *key));
+        }
+        if self.wheel_len == 0 {
+            return self
+                .overflow
+                .peek()
+                .map(|Reverse(d)| (SimTime(d.at), d.key));
+        }
+        let t = self.next_wheel_instant();
+        let mut cur = self.head[(t & MASK) as usize];
+        let mut key = u64::MAX;
+        while cur != NIL {
+            let node = &self.pool[cur as usize];
+            key = key.min(node.key);
+            cur = node.next;
+        }
+        Some((SimTime(t), key))
+    }
+
+    /// Count one event that was handled without ever being queued, at or
+    /// before the current instant: the clock stays where it is.
+    pub fn count_unqueued(&mut self) {
+        self.processed += 1;
+    }
+
+    /// Count one event that was handled without ever being queued, at `at`:
+    /// the clock moves to `at` and the processed count grows by one. `at`
+    /// must not be later than the next pending event.
+    pub fn advance_unqueued(&mut self, at: SimTime) {
+        let t = at.units();
+        assert!(at >= self.now, "unqueued event at {at} before {}", self.now);
+        if t > self.now.units() {
+            debug_assert!(
+                self.due.is_empty(),
+                "events due at {} precede {at}",
+                self.now
+            );
+            // Load any events pending at exactly `t`: the due heap holds
+            // the events at `now`.
+            if self.wheel_len == 0 && t >= self.window_start + WHEEL_SLOTS as u64 {
+                self.jump_window(t);
+            }
+            let s = (t & MASK) as usize;
+            if t < self.window_start + WHEEL_SLOTS as u64 && self.head[s] != NIL {
+                self.load_due(s);
+            }
+        }
+        self.now = at;
+        self.processed += 1;
     }
 
     /// Rebuild a queue from checkpoint parts: the clock, the processed
@@ -625,6 +692,67 @@ mod tests {
                     a.as_ref().map(|(t, e)| (*t, *e)),
                     b.as_ref().map(|(t, e)| (*t, *e))
                 ),
+            }
+        }
+    }
+
+    #[test]
+    fn peeks_and_unqueued_events_match_heap() {
+        // The machine's silent-word loop: peek the next event, sometimes
+        // count an unqueued event at or before it (often at its very
+        // instant), and schedule from the new clock, across the wheel
+        // window and into the overflow.
+        let mut rng = Rng::seed_from_u64(7);
+        let mut cal = CalendarQueue::new();
+        let mut heap = EventQueue::new();
+        let mut key = 0u64;
+        let mut schedule = |d: u64, c: &mut CalendarQueue<u64>, h: &mut EventQueue<u64>| {
+            key += 1;
+            let k = (rng.below(1 << 20) << 32) | key;
+            assert_eq!(c.now(), h.now());
+            c.schedule_keyed_at(c.now() + d, k, key);
+            h.schedule_keyed_at(h.now() + d, k, key);
+        };
+        let mut delays = Rng::seed_from_u64(8);
+        for _ in 0..40 {
+            schedule(delays.below(3_000), &mut cal, &mut heap);
+        }
+        for step in 0..20_000u64 {
+            let next = heap.peek_keyed();
+            assert_eq!(cal.peek_keyed(), next, "peek diverged at step {step}");
+            match delays.below(4) {
+                0 => {
+                    // An unqueued event somewhere in [now, next], often at
+                    // the next event's own instant.
+                    let now = cal.now().units();
+                    let hi = next.map_or(now + 5_000, |(t, _)| t.units());
+                    let at = match delays.below(2) {
+                        0 => hi,
+                        _ => now + delays.below(hi - now + 1),
+                    };
+                    cal.advance_unqueued(SimTime(at));
+                    heap.advance_unqueued(SimTime(at));
+                }
+                _ => {
+                    if cal.pop_keyed() != heap.pop_keyed() {
+                        panic!("pop diverged at step {step}");
+                    }
+                }
+            }
+            assert_eq!(cal.now(), heap.now());
+            assert_eq!(cal.events_processed(), heap.events_processed());
+            let d = match delays.below(6) {
+                0 => 0,
+                1 | 2 => 2_000 + delays.below(50_000),
+                _ => delays.below(40),
+            };
+            schedule(d, &mut cal, &mut heap);
+        }
+        loop {
+            let want = heap.pop_keyed();
+            assert_eq!(cal.pop_keyed(), want);
+            if want.is_none() {
+                break;
             }
         }
     }

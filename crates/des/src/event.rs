@@ -170,6 +170,20 @@ impl<E> EventQueue<E> {
         Some((s.at, s.key, s.payload))
     }
 
+    /// Time and ordering key of the next event, without popping it.
+    pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|Reverse(s)| (s.at, s.key))
+    }
+
+    /// Count one event that was handled without ever being queued, at `at`:
+    /// the clock moves to `at` and the processed count grows by one. `at`
+    /// must not be later than the next pending event.
+    pub fn advance_unqueued(&mut self, at: SimTime) {
+        assert!(at >= self.now, "unqueued event at {at} before {}", self.now);
+        self.now = at;
+        self.processed += 1;
+    }
+
     /// Rebuild a queue from checkpoint parts: the clock, the processed
     /// count, and every pending event in pop order with its recorded
     /// ordering key. Keys are preserved exactly, so the restored queue pops

@@ -154,6 +154,7 @@ impl Profiler {
                 .map(|(t, &c)| (t as u8, c))
                 .collect(),
             state: Vec::new(),
+            load_words: LoadWords::default(),
         }
     }
 }
@@ -196,6 +197,24 @@ pub struct ProfileReport {
     /// How much of each paged state store the run materialized, in the
     /// order the model lists its stores.
     pub state: Vec<StoreFootprint>,
+    /// The fate of the run's load-word transfers (filled in by the model).
+    pub load_words: LoadWords,
+}
+
+/// Load-word transfers by fate. Deterministic: a function of the run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoadWords {
+    /// Load words put on a channel.
+    pub sent: u64,
+    /// Of those, words every receiver already held: they occupied their
+    /// channel without a queued completion event.
+    pub silent: u64,
+    /// Silent words that an offer, a link transition or a snapshot turned
+    /// back into queued transfers.
+    pub woken: u64,
+    /// Silent words that completed without a queue pop. Each is counted
+    /// as a `channel_done` event.
+    pub retired: u64,
 }
 
 /// Materialized pages and slots of one paged state store, out of the
@@ -250,6 +269,11 @@ impl ProfileReport {
             }
         }
         self.control_by_tag.sort_by_key(|&(t, _)| t);
+        let (mine, theirs) = (&mut self.load_words, &other.load_words);
+        mine.sent += theirs.sent;
+        mine.silent += theirs.silent;
+        mine.woken += theirs.woken;
+        mine.retired += theirs.retired;
         for os in &other.state {
             match self.state.iter_mut().find(|s| s.name == os.name) {
                 Some(s) => {
@@ -290,7 +314,7 @@ impl ProfileReport {
             self.total_events(),
             self.total_wall_nanos() as f64 / 1e6
         );
-        let pops = self.total_events();
+        let pops = self.total_events() - self.load_words.retired;
         let _ = writeln!(
             out,
             "{:<16} {:>12} {:>12.3} {:>10.0}",
@@ -306,6 +330,12 @@ impl ProfileReport {
             self.route_calls,
             self.route_wall_nanos as f64 / 1e6,
             self.route_wall_nanos as f64 / self.route_calls.max(1) as f64
+        );
+        let words = &self.load_words;
+        let _ = writeln!(
+            out,
+            "{:<16} sent {}  silent {}  woken {}",
+            "load words", words.sent, words.silent, words.woken
         );
         if !self.state.is_empty() {
             let _ = write!(out, "{:<16}", "state");
@@ -424,6 +454,32 @@ mod tests {
         assert!(text.contains("route"));
         assert!(text.contains("high-water mark"));
         assert!(!text.contains("state"), "no state line without stores");
+    }
+
+    #[test]
+    fn load_word_line_renders_merges_and_leaves_retired_words_out_of_pops() {
+        let mut p = Profiler::with_kinds(&["channel_done"]);
+        for _ in 0..5 {
+            p.count_only(KindId(0));
+        }
+        let mut r = p.report();
+        r.load_words = LoadWords {
+            sent: 6,
+            silent: 4,
+            woken: 1,
+            retired: 3,
+        };
+        let mut merged = r.clone();
+        merged.merge(&r);
+        assert_eq!(merged.load_words.sent, 12);
+        assert_eq!(merged.load_words.retired, 6);
+        let text = r.render();
+        assert!(
+            text.contains("load words       sent 6  silent 4  woken 1"),
+            "{text}"
+        );
+        let pops = text.lines().find(|l| l.starts_with("queue pop")).unwrap();
+        assert_eq!(pops.split_whitespace().nth(2), Some("2"), "{pops}");
     }
 
     #[test]

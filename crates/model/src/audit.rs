@@ -22,7 +22,11 @@
 //!   configured `future_commitment_weight`.
 //! - `channel-accounting` — a channel's busy-time tracker claims busy
 //!   exactly when a transfer is in flight, and a non-empty backlog implies
-//!   the channel is either occupied or held down by a fault window.
+//!   the channel is either occupied or held down by a fault window. A
+//!   silent load word (`crate::loadinfo`) is a load update on an up
+//!   channel, and every one has exactly one listed retirement, still after
+//!   the last handled event; a successor queued ahead of time has a
+//!   backlog to promote.
 //! - `task-conservation` — every goal ever created is accounted for:
 //!   started executing, queued on a PE, inside a message-handling work
 //!   item, on the wire (in flight or backlogged), privately held by the
@@ -137,6 +141,7 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
     // up, empty backlog), which passes every check below and adds nothing
     // to the wire count.
     let mut wire_goals_total: u64 = 0;
+    let mut silent_words = 0;
     for (idx, ch) in core.channels.iter() {
         if ch.busy.is_busy() != ch.in_flight.is_some() {
             return fail(
@@ -157,12 +162,54 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
                 ),
             );
         }
+        if ch.silent
+            && (ch.down
+                || !matches!(
+                    ch.in_flight.as_ref().map(|f| &f.packet),
+                    Some(Packet::LoadUpdate)
+                ))
+        {
+            return fail(
+                "channel-accounting",
+                format!(
+                    "channel={idx} holds a silent word that is no load update on an up channel"
+                ),
+            );
+        }
+        if ch.successor_queued && ch.backlog.is_empty() {
+            return fail(
+                "channel-accounting",
+                format!("channel={idx} has a queued successor but an empty backlog"),
+            );
+        }
+        silent_words += ch.silent as usize;
         if let Some(f) = &ch.in_flight {
             wire_goals_total += packet_goals(&f.packet);
         }
         for f in &ch.backlog {
             wire_goals_total += packet_goals(&f.packet);
         }
+    }
+
+    let last = (now, core.event_key);
+    let mut listed = 0;
+    for &(done_at, key) in core.silent.listed() {
+        if core.silent_channel(key).is_none() {
+            continue;
+        }
+        listed += 1;
+        if (done_at, key) <= last {
+            return fail(
+                "channel-accounting",
+                format!("silent word key={key:#x} completed at {done_at} but has not retired"),
+            );
+        }
+    }
+    if listed != silent_words {
+        return fail(
+            "channel-accounting",
+            format!("{silent_words} channels hold silent words but {listed} are listed"),
+        );
     }
 
     let held = strategy.goals_held();

@@ -30,6 +30,13 @@ pub struct Channel {
     /// Sequence of the next event this channel schedules (the low half of
     /// its events' ordering keys).
     pub key_seq: u32,
+    /// True while the in-flight transfer is a silent load word
+    /// (`crate::loadinfo`): its completion has a reserved sequence but no
+    /// queued event.
+    pub silent: bool,
+    /// The backlog head's completion is already queued, under the last
+    /// sequence this channel handed out: promoting it queues nothing.
+    pub successor_queued: bool,
 }
 
 impl Channel {
@@ -43,6 +50,8 @@ impl Channel {
             max_backlog: 0,
             down: false,
             key_seq: 0,
+            silent: false,
+            successor_queued: false,
         }
     }
 
@@ -95,6 +104,44 @@ impl Channel {
                 (done, None)
             }
         }
+    }
+
+    /// Put the load word `word` on this idle, up channel without queueing
+    /// its completion, and return the sequence reserved for the
+    /// completion's key.
+    pub fn occupy_silently(&mut self, word: Flight, now: SimTime) -> u32 {
+        debug_assert!(self.in_flight.is_none() && !self.down && self.backlog.is_empty());
+        self.in_flight = Some(word);
+        self.busy.set_busy(now);
+        self.silent = true;
+        self.key_seq += 1;
+        self.key_seq - 1
+    }
+
+    /// When the silent word in flight started, and the sequence it
+    /// reserved: the one before its successor's, if that is queued.
+    pub fn silent_word(&self) -> (SimTime, u32) {
+        debug_assert!(self.silent);
+        let (started, _) = self.busy.raw_parts();
+        (
+            started.expect("a silent word keeps its channel busy"),
+            self.key_seq - 1 - self.successor_queued as u32,
+        )
+    }
+
+    /// True while a silent word that reserved sequence `seq` is in flight.
+    #[inline]
+    pub fn holds_silent(&self, seq: u32) -> bool {
+        self.silent && self.key_seq.wrapping_sub(1 + self.successor_queued as u32) == seq
+    }
+
+    /// The silent word completes at `now`: [`Channel::complete`], with
+    /// the promoted successor's completion already queued.
+    pub fn retire_silent(&mut self, now: SimTime) -> Flight {
+        debug_assert!(self.silent && !self.down);
+        self.silent = false;
+        self.successor_queued = false;
+        self.complete(now).0
     }
 
     /// Promote the next backlog entry to in-flight (used when a link comes
@@ -186,6 +233,43 @@ mod tests {
         let next = ch.promote(SimTime(2)).unwrap();
         assert_eq!(next.piggyback_load, 1);
         assert!(ch.is_busy());
+    }
+
+    #[test]
+    fn a_retired_silent_word_counts_as_a_completed_transfer() {
+        let (mut silent, mut sent) = (Channel::new(), Channel::new());
+        silent.key_seq = 4;
+        sent.key_seq = 4;
+        assert_eq!(silent.occupy_silently(flight(2), SimTime(10)), 4);
+        assert!(silent.is_busy() && silent.silent);
+        assert!(
+            !silent.offer(flight(3), SimTime(10)),
+            "a silent word occupies the channel"
+        );
+        silent.backlog.clear();
+        sent.offer(flight(2), SimTime(10));
+        sent.key_seq += 1;
+        assert_eq!(silent.retire_silent(SimTime(11)).piggyback_load, 2);
+        sent.complete(SimTime(11));
+        for ch in [&silent, &sent] {
+            assert!(!ch.is_busy() && !ch.silent);
+            assert_eq!(ch.transfers, 1);
+            assert_eq!(ch.key_seq, 5);
+            assert_eq!(ch.busy.busy_time(SimTime(20)), 1);
+        }
+    }
+
+    #[test]
+    fn a_woken_silent_word_stays_in_flight_under_its_reserved_sequence() {
+        let mut ch = Channel::new();
+        ch.key_seq = 7;
+        ch.occupy_silently(flight(1), SimTime(30));
+        assert_eq!(ch.silent_word(), (SimTime(30), 7));
+        ch.silent = false;
+        assert!(ch.is_busy());
+        let (done, next) = ch.complete(SimTime(31));
+        assert_eq!(done.piggyback_load, 1);
+        assert!(next.is_none());
     }
 
     #[test]

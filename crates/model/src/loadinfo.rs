@@ -7,13 +7,125 @@
 //! channel: on a bus, members the packet is not addressed to too. The
 //! tables are written under every [`LoadInfoMode`]; under
 //! [`LoadInfoMode::Instant`] the reads ignore them.
+//!
+//! **Silent words.** A broadcast load word is *silent* when its channel is
+//! idle, up and has an empty backlog, and every receiver's slot for the
+//! sender already holds the word, on a run whose words may be silent at
+//! all: no message loss, a positive control hop cost, and no buses. Its
+//! transfer would change nothing but the channel's busy window and three
+//! counters, so it occupies the channel for `control_hop_cost` and
+//! reserves the channel's next event key, but queues no completion event.
+//! It retires as an event that was never queued: the channel's transfer
+//! count and busy time, `load_updates` and the event count grow exactly as
+//! its completion would have grown them.
+//!
+//! - *Offers behind it.* A flight offered while the word is on the wire
+//!   joins the backlog. The first one's completion is queued at once,
+//!   under the next key of the channel: the word's completion would have
+//!   promoted it and queued exactly that. The word itself stays silent.
+//! - *Wake.* The word's completion is queued under its reserved key, and
+//!   it becomes the ordinary transfer it would have been, when that
+//!   completion must act at its own instant: a goal from the receiver
+//!   (whose optimistic bump of the sender's slot the word must overwrite),
+//!   a flight whose successor cannot be queued early (zero hop cost, or a
+//!   link window that may take the channel down first), the link going
+//!   down, and a snapshot, which records queued events only. A down
+//!   channel takes no silent word, so a link coming up never finds one.
+//! - *Retire.* Words retire lazily: in bulk before each queued event later
+//!   than them, or when a touch finds them already complete. Near anything
+//!   that observes the event count or the clock between events (the
+//!   auditor, the progress watchdog, the event limit, a checkpoint pause,
+//!   the end of an open run) the run loop retires them one by one in
+//!   `(time, key)` order instead, so those fire at the same event and
+//!   instant as with every word queued.
+//!
+//! Without buses every pair of PEs exchanges traffic over one channel, so
+//! nothing but the receiver's bump, which wakes the word, writes the
+//! receiver's slot for the sender while the word is on the wire. On a bus
+//! machine two PEs can share two buses (the DLM's overlapping lattices),
+//! and a flight from the sender or a bump over the other bus can change
+//! the slot before the word's completion would have rewritten it, so
+//! words there are never silent.
 
 use oracle_des::SimTime;
-use oracle_topo::PeId;
+use oracle_topo::{ChannelId, PeId, Topology};
 
 use crate::config::LoadInfoMode;
-use crate::machine::{Core, Event, Machine};
+use crate::cost::CostModel;
+use crate::faults::FaultPlan;
+use crate::machine::{hop_cost, Core, Event, Machine};
 use crate::message::{Flight, FlightDest, Packet};
+
+/// The silent load words on the wire, in broadcast order, and the
+/// load-word counters of `--profile`.
+#[derive(Default)]
+pub(crate) struct SilentWords {
+    /// `(done_at, key)`: the completion instant and reserved ordering key
+    /// of each silent word. Every word takes `control_hop_cost`, so
+    /// broadcast order is completion-time order. `words[..head]` are gone;
+    /// `words[head..sorted]`, when not empty, are the words of the front
+    /// instant sorted by key. A listed word whose channel no longer claims
+    /// its key was woken or has retired, and is skipped.
+    words: Vec<(u64, u64)>,
+    head: usize,
+    sorted: usize,
+    /// Words of this run may be silent (see the module docs).
+    allowed: bool,
+    /// Some listed word may complete before the last handled event without
+    /// having retired yet (it shares that event's instant).
+    unsettled: bool,
+    pub(crate) counts: oracle_des::LoadWords,
+}
+
+impl SilentWords {
+    /// No words yet, on a run that loses no messages, has a positive
+    /// control hop cost and no buses.
+    pub(crate) fn new(topo: &Topology, costs: &CostModel, plan: &FaultPlan) -> Self {
+        SilentWords {
+            allowed: plan.message_loss == 0.0 && costs.control_hop_cost > 0 && !topo.has_buses(),
+            ..SilentWords::default()
+        }
+    }
+
+    fn front(&self) -> Option<(u64, u64)> {
+        self.words.get(self.head).copied()
+    }
+
+    fn pop_front(&mut self) -> Option<(u64, u64)> {
+        let word = self.front()?;
+        self.head += 1;
+        if self.head == self.words.len() {
+            self.words.clear();
+            self.head = 0;
+            self.sorted = 0;
+        } else if self.head >= 4096 && 2 * self.head >= self.words.len() {
+            self.words.drain(..self.head);
+            self.sorted = self.sorted.saturating_sub(self.head);
+            self.head = 0;
+        }
+        Some(word)
+    }
+
+    /// Sort the front instant's words by key. Call only once no more words
+    /// can join that instant: every event before it has been handled.
+    fn sort_front_instant(&mut self) {
+        if self.sorted > self.head {
+            return;
+        }
+        let Some((at, _)) = self.front() else {
+            return;
+        };
+        let run = &mut self.words[self.head..];
+        let len = run.partition_point(|&(t, _)| t == at);
+        run[..len].sort_unstable();
+        self.sorted = self.head + len;
+    }
+
+    /// The listed words, woken and retired ones included.
+    pub(crate) fn listed(&self) -> &[(u64, u64)] {
+        &self.words[self.head..]
+    }
+}
 
 impl Core {
     /// `packet` as a flight from `from`, carrying `from`'s load word.
@@ -34,6 +146,224 @@ impl Core {
     pub(crate) fn snoop_load_word(&mut self, flight: &Flight, receivers: &[(PeId, usize)]) {
         for &(m, slot) in receivers {
             self.pe_mut(m).known_load[slot] = flight.piggyback_load;
+        }
+    }
+
+    /// Put the load word `flight` on `ch` as a silent word if it is one
+    /// (see the module docs); returns whether it did. The one predicate
+    /// every broadcast load word goes through.
+    #[inline]
+    pub(crate) fn send_silently(&mut self, ch: ChannelId, flight: &Flight) -> bool {
+        self.silent.counts.sent += 1;
+        if !self.silent.allowed {
+            return false;
+        }
+        let c = self.channel(ch);
+        if c.in_flight.is_some() || c.down || !c.backlog.is_empty() {
+            return false;
+        }
+        let mut receivers = std::mem::take(&mut self.receivers);
+        self.topo.receivers(ch, flight.from, &mut receivers);
+        let held = receivers
+            .iter()
+            .all(|&(m, slot)| self.pe(m).known_load(slot) == flight.piggyback_load);
+        self.receivers = receivers;
+        if !held {
+            return false;
+        }
+        let now = self.events.now();
+        let seq = self.channel_mut(ch).occupy_silently(*flight, now);
+        let key = self.channel_key(ch, seq);
+        let done_at = now.units() + self.costs.control_hop_cost;
+        self.silent.words.push((done_at, key));
+        self.silent.counts.silent += 1;
+        true
+    }
+
+    /// `(done_at, key)` of the silent word on `ch`.
+    fn silent_word_on(&self, ch: ChannelId) -> (u64, u64) {
+        let (started, seq) = self.channel(ch).silent_word();
+        (
+            started.units() + self.costs.control_hop_cost,
+            self.channel_key(ch, seq),
+        )
+    }
+
+    /// The channel whose silent word reserved `key`, or `None` once that
+    /// word was woken or has retired.
+    pub(crate) fn silent_channel(&self, key: u64) -> Option<ChannelId> {
+        let ch = ChannelId(((key >> 32) - 1 - self.num_pes() as u64) as u32);
+        self.channel(ch).holds_silent(key as u32).then_some(ch)
+    }
+
+    /// Retire the listed word `(done_at, key)` unless it was woken or has
+    /// retired already; returns whether it did. The caller counts the
+    /// event.
+    #[inline]
+    fn retire_listed(&mut self, done_at: u64, key: u64) -> bool {
+        let ch = ChannelId(((key >> 32) - 1 - self.num_pes() as u64) as u32);
+        let c = self.channel_mut(ch);
+        if !c.holds_silent(key as u32) {
+            return false;
+        }
+        c.retire_silent(SimTime(done_at));
+        self.account_retired(ch);
+        true
+    }
+
+    /// Offer `flight` to `ch`, which holds a silent word (see the module
+    /// docs).
+    #[inline(never)]
+    pub(crate) fn offer_behind_silent_word(&mut self, ch: ChannelId, flight: Flight) {
+        if self.retire_if_complete(ch) {
+            self.offer_to_channel(ch, flight);
+            return;
+        }
+        let (done_at, _) = self.silent_word_on(ch);
+        let now = self.events.now();
+        let c = self.channel_mut(ch);
+        let first = c.backlog.is_empty();
+        let sender = c
+            .in_flight
+            .as_ref()
+            .expect("a silent word is in flight")
+            .from;
+        c.offer(flight, now);
+        let cost = hop_cost(&self.costs, &flight.packet);
+        let bumped = matches!(flight.packet, Packet::Goal(_)) && flight.from != sender;
+        let link_may_drop = self
+            .plan
+            .link_windows
+            .iter()
+            .any(|w| w.channel == ch.0 && (now.units()..=done_at).contains(&w.down_at));
+        if bumped || (first && (cost == 0 || link_may_drop)) {
+            self.wake_silent_word(ch);
+        } else if first {
+            self.schedule_event_at(SimTime(done_at + cost), Event::ChannelDone(ch));
+            self.channel_mut(ch).successor_queued = true;
+        }
+    }
+
+    /// `ch` holds a silent word and is about to change: retire it if it
+    /// completed before the event being handled, else wake it.
+    pub(crate) fn touch_silent_word(&mut self, ch: ChannelId) {
+        if !self.retire_if_complete(ch) {
+            self.wake_silent_word(ch);
+        }
+    }
+
+    /// Queue the completion of the silent word on `ch` under the key it
+    /// reserved: it becomes an ordinary transfer.
+    fn wake_silent_word(&mut self, ch: ChannelId) {
+        let (done_at, key) = self.silent_word_on(ch);
+        self.channel_mut(ch).silent = false;
+        self.events
+            .schedule_keyed_at(SimTime(done_at), key, Event::ChannelDone(ch));
+        self.silent.counts.woken += 1;
+    }
+
+    /// Retire the silent word on `ch` if it completed before the event
+    /// being handled; returns whether it did.
+    fn retire_if_complete(&mut self, ch: ChannelId) -> bool {
+        let (done_at, key) = self.silent_word_on(ch);
+        if (done_at, key) > (self.events.now().units(), self.event_key) {
+            return false;
+        }
+        self.channel_mut(ch).retire_silent(SimTime(done_at));
+        self.account_retired(ch);
+        self.events.count_unqueued();
+        true
+    }
+
+    /// Retire every silent word that completes before instant `t`.
+    #[inline]
+    pub(crate) fn retire_silent_words_before(&mut self, t: u64) {
+        while let Some((done_at, key)) = self.silent.front() {
+            if done_at >= t {
+                break;
+            }
+            self.silent.pop_front();
+            if self.retire_listed(done_at, key) {
+                self.events.count_unqueued();
+            }
+        }
+        self.silent.unsettled = self.silent.front().is_some_and(|(at, _)| at == t);
+    }
+
+    /// Retire every silent word that completes before the last handled
+    /// event, so the machine's state is exactly the state after it.
+    pub(crate) fn settle_silent_words(&mut self) {
+        if !std::mem::take(&mut self.silent.unsettled) {
+            return;
+        }
+        let last = (self.events.now().units(), self.event_key);
+        for i in self.silent.head..self.silent.words.len() {
+            let (done_at, key) = self.silent.words[i];
+            if done_at > last.0 {
+                break;
+            }
+            if (done_at, key) < last && self.retire_listed(done_at, key) {
+                self.events.count_unqueued();
+            }
+        }
+        while let Some((_, key)) = self.silent.front() {
+            if self.silent_channel(key).is_some() {
+                break;
+            }
+            self.silent.pop_front();
+        }
+    }
+
+    /// Settle, then wake every silent word (before a snapshot).
+    pub(crate) fn wake_silent_words(&mut self) {
+        self.settle_silent_words();
+        while let Some((_, key)) = self.silent.pop_front() {
+            if let Some(ch) = self.silent_channel(key) {
+                self.wake_silent_word(ch);
+            }
+        }
+    }
+
+    /// True when the next event in `(time, key)` order is a listed silent
+    /// word rather than a queued event. Words must be settled.
+    pub(crate) fn silent_word_is_next(&mut self) -> bool {
+        let Some((done_at, _)) = self.silent.front() else {
+            return false;
+        };
+        let next = self.events.peek_keyed();
+        if next.is_some_and(|(at, _)| at.units() < done_at) {
+            return false;
+        }
+        // Every event before `done_at` has been handled, so no word can
+        // still join that instant.
+        self.silent.sort_front_instant();
+        let word = self.silent.front().expect("checked above");
+        next.is_none_or(|(at, key)| word < (at.units(), key))
+    }
+
+    /// Take the next listed silent word off the list and, unless it was
+    /// woken or has retired, retire it as the event being handled: the
+    /// clock moves to its instant. Returns that instant, or `None` for a
+    /// word that is no event.
+    pub(crate) fn retire_next_silent_word(&mut self) -> Option<SimTime> {
+        let (done_at, key) = self.silent.pop_front().expect("a silent word is next");
+        if !self.retire_listed(done_at, key) {
+            return None;
+        }
+        let at = SimTime(done_at);
+        self.events.advance_unqueued(at);
+        self.event_key = key;
+        Some(at)
+    }
+
+    /// The silent word on `ch` has retired: count its transfer as its
+    /// completion would.
+    #[inline]
+    fn account_retired(&mut self, ch: ChannelId) {
+        self.traffic.load_updates += 1;
+        self.silent.counts.retired += 1;
+        if let Some(p) = self.profiler.as_mut() {
+            p.count_only(Event::ChannelDone(ch).kind());
         }
     }
 
@@ -187,6 +517,32 @@ impl Machine {
         self.core.schedule_event_after(period, Event::LoadBcast(pe));
     }
 
+    /// True when the listed silent words must retire one by one in
+    /// `(time, key)` order: when nothing is queued, when the next queued
+    /// event together with every listed word could reach the auditor, the
+    /// watchdog or the event limit, or when a listed word completes at or
+    /// after the pause instant or an open run's horizon.
+    #[inline]
+    pub(crate) fn silent_words_in_order(&self, pause_at: Option<u64>) -> bool {
+        let core = &self.core;
+        let Some(&(last, _)) = core.silent.words.last() else {
+            return false;
+        };
+        if core.events.is_empty() {
+            return true;
+        }
+        let barrier = core
+            .next_audit
+            .min(core.next_check)
+            .min(core.config.max_events);
+        let listed = core.silent.listed().len() as u64;
+        if core.events.events_processed() + listed + 1 >= barrier {
+            return true;
+        }
+        let horizon = core.open.as_deref().map_or(u64::MAX, |o| o.duration);
+        last >= pause_at.unwrap_or(u64::MAX).min(horizon)
+    }
+
     /// The progress watchdog's window in events. One load-broadcast round
     /// is a `load_bcast` event per PE plus a transfer per incident channel
     /// — five million events on a 10^6-PE torus, before any goal can run.
@@ -204,6 +560,8 @@ impl Machine {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use oracle_topo::dlm::double_lattice_mesh;
     use oracle_topo::misc::ring;
     use oracle_topo::{PeId, Topology};
@@ -211,10 +569,11 @@ mod tests {
     use crate::config::{LoadInfoMode, MachineConfig};
     use crate::cost::CostModel;
     use crate::machine::Machine;
-    use crate::message::{ControlMsg, GoalId, GoalMsg};
+    use crate::message::{ControlMsg, GoalId, GoalMsg, Packet};
     use crate::pe::WorkItem;
     use crate::program::{Expansion, Program, TaskSpec};
     use crate::strategy::Strategy;
+    use crate::SimError;
 
     /// A one-goal program; the tests never inject it.
     struct Leaf;
@@ -245,19 +604,68 @@ mod tests {
         fn on_goal_message(&mut self, _: &mut crate::Core, _: PeId, _: GoalMsg) {}
     }
 
+    /// What the [`Mailbox`] saw: `("goal", time, pe, goal id)` per
+    /// arrival, and `("view", time, pe, load)` per timer, with `load` the
+    /// PE's view of its goal's target right after forwarding it.
+    type Log = Arc<Mutex<Vec<(&'static str, u64, u32, u64)>>>;
+
+    /// Records arriving goals and drops them; a timer with tag `n` forwards
+    /// a fresh goal to PE `n`.
+    struct Mailbox(Log);
+
+    impl Strategy for Mailbox {
+        fn name(&self) -> &'static str {
+            "mailbox"
+        }
+        fn on_goal_created(&mut self, _: &mut crate::Core, _: PeId, _: GoalMsg) {}
+        fn on_goal_message(&mut self, core: &mut crate::Core, pe: PeId, goal: GoalMsg) {
+            let t = core.now().units();
+            self.0.lock().unwrap().push(("goal", t, pe.0, goal.id.0));
+        }
+        fn on_timer(&mut self, core: &mut crate::Core, pe: PeId, tag: u64) {
+            let to = PeId(tag as u32);
+            core.forward_goal(pe, to, goal(100 + tag));
+            let t = core.now().units();
+            let view = core.known_load_of(pe, to) as u64;
+            self.0.lock().unwrap().push(("view", t, pe.0, view));
+        }
+    }
+
+    fn goal(id: u64) -> GoalMsg {
+        GoalMsg {
+            id: GoalId(id),
+            spec: TaskSpec::new(0, 0),
+            parent: None,
+            hops: 0,
+            direct: false,
+            created_at: 0,
+        }
+    }
+
     fn machine(topo: Topology, load_info: LoadInfoMode) -> Machine {
         let config = MachineConfig {
             load_info,
             ..MachineConfig::default()
         };
-        Machine::new(
-            topo,
-            Box::new(Leaf),
-            Box::new(Idle),
-            CostModel::unit(),
-            config,
-        )
-        .unwrap()
+        machine_with(topo, config, Box::new(Idle))
+    }
+
+    fn machine_with(topo: Topology, config: MachineConfig, strategy: Box<dyn Strategy>) -> Machine {
+        Machine::new(topo, Box::new(Leaf), strategy, CostModel::unit(), config).unwrap()
+    }
+
+    /// A ring of four under [`Mailbox`], broadcasting on demand only, with
+    /// the fault plan `plan` armed.
+    fn mailbox_ring(plan: &str) -> (Machine, Log) {
+        let log = Log::default();
+        let config = MachineConfig {
+            load_info: LoadInfoMode::Piggyback { period: 0 },
+            fault_plan: plan.parse().unwrap(),
+            ..MachineConfig::default()
+        };
+        let mut m = machine_with(ring(4), config, Box::new(Mailbox(log.clone())));
+        m.begin();
+        (m, log)
     }
 
     /// Queue `n` goals on `pe` without starting them, so its load is `n`.
@@ -319,6 +727,219 @@ mod tests {
                 assert_eq!(m.core.known_load_of(pe, nb.pe), load);
             }
         }
+    }
+
+    /// At t = 0 PE 0 broadcasts its load word (0) and forwards a goal to
+    /// PE 1; at t = 1 a timer on PE 1 forwards a goal back to PE 0, ahead
+    /// of the word's completion at t = 1 (PE events precede channel events
+    /// of the same instant). Unless `sent`, every table already holds the
+    /// word, so the word on the link to PE 1 is silent.
+    fn goals_behind_a_load_word(sent: bool) -> (Machine, Log) {
+        let (mut m, log) = word_on_the_link(sent, "none");
+        m.core.forward_goal(PeId(0), PeId(1), goal(1));
+        let link = m.core.topo.channel_between(PeId(0), PeId(1)).unwrap();
+        let c = m.core.channel(link);
+        assert_eq!(c.silent, !sent, "the word stays silent");
+        assert_eq!(c.backlog.len(), 1, "the goal queues behind the word");
+        (m, log)
+    }
+
+    /// PE 0 broadcasts its load word at t = 0, and a timer on PE 1 forwards
+    /// a goal to PE 0 at t = 1.
+    fn word_on_the_link(sent: bool, plan: &str) -> (Machine, Log) {
+        let (mut m, log) = mailbox_ring(plan);
+        if sent {
+            // PE 1 holds another word for PE 0: the word must be sent.
+            m.core.pe_mut(PeId(1)).known_load.fill(9);
+        }
+        m.core.broadcast_packet(PeId(0), Packet::LoadUpdate);
+        let link = m.core.topo.channel_between(PeId(0), PeId(1)).unwrap();
+        assert_eq!(m.core.channel(link).silent, !sent);
+        m.core.set_timer(PeId(1), 1, 0);
+        (m, log)
+    }
+
+    /// The goal arrivals in `log`: `(time, pe, goal id)`.
+    fn goals(log: &Log) -> Vec<(u64, u32, u64)> {
+        let log = log.lock().unwrap();
+        log.iter()
+            .filter(|e| e.0 == "goal")
+            .map(|&(_, t, pe, id)| (t, pe, id))
+            .collect()
+    }
+
+    #[test]
+    fn goals_queue_behind_a_silent_word_as_behind_a_sent_one() {
+        let (mut silent, silent_log) = goals_behind_a_load_word(false);
+        let (mut sent, sent_log) = goals_behind_a_load_word(true);
+        silent.advance_until(None).unwrap();
+        sent.advance_until(None).unwrap();
+        // The word completes at 1; the first goal follows it (1..2), the
+        // second waits for the first (2..3).
+        assert_eq!(goals(&silent_log), [(2, 1, 1), (3, 0, 100)]);
+        assert_eq!(goals(&sent_log), goals(&silent_log));
+        assert_eq!(silent.core.traffic, sent.core.traffic);
+        assert_eq!(silent.events_processed(), sent.events_processed());
+        let words = silent.core.silent.counts;
+        assert_eq!((words.sent, words.silent), (2, 2));
+        // The goal from PE 1 bumped its view of PE 0: that word woke.
+        assert_eq!(words.woken, 1);
+        assert_eq!(words.retired, 1);
+        for (a, b) in silent.core.channels.iter().zip(sent.core.channels.iter()) {
+            assert_eq!(a.1.transfers, b.1.transfers);
+            assert_eq!(
+                a.1.busy.busy_time(silent.core.now()),
+                b.1.busy.busy_time(sent.core.now())
+            );
+        }
+    }
+
+    #[test]
+    fn an_optimistic_bump_inside_the_window_is_overwritten_at_completion() {
+        // No goal from PE 0 this time: only the word writes PE 1's view of
+        // PE 0.
+        let (mut m, log) = word_on_the_link(false, "none");
+        m.advance_until(None).unwrap();
+        assert_eq!(goals(&log), [(2, 0, 100)]);
+        // The timer at t = 1 saw its own bump of PE 0 (0 -> 1); the word's
+        // completion later that instant wrote PE 0's word back.
+        let views: Vec<_> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|e| e.0 == "view")
+            .copied()
+            .collect();
+        assert_eq!(views, [("view", 1, 1, 1)]);
+        assert_eq!(m.core.known_load_of(PeId(1), PeId(0)), 0);
+    }
+
+    #[test]
+    fn a_link_window_wakes_the_word_and_holds_the_goals_behind_it() {
+        // The link to PE 1 is down over [1, 5): the word completes while it
+        // is down, so nothing behind it may start before 5.
+        let plan = |m: &Machine| m.core.topo.channel_between(PeId(0), PeId(1)).unwrap().0;
+        let probe = mailbox_ring("none").0;
+        let spec = format!("link:{}@1..5", plan(&probe));
+        let run = |sent: bool| {
+            let (mut m, log) = word_on_the_link(sent, &spec);
+            m.core.forward_goal(PeId(0), PeId(1), goal(1));
+            m.advance_until(None).unwrap();
+            (m, log)
+        };
+        let (silent, silent_log) = run(false);
+        let (sent, sent_log) = run(true);
+        assert_eq!(goals(&silent_log), [(6, 1, 1), (7, 0, 100)]);
+        assert_eq!(goals(&sent_log), goals(&silent_log));
+        assert_eq!(silent.core.traffic, sent.core.traffic);
+        assert_eq!(silent.events_processed(), sent.events_processed());
+        let words = silent.core.silent.counts;
+        assert_eq!((words.silent, words.woken), (2, 1));
+    }
+
+    /// A machine whose strategy drops the root goal, broadcasting every
+    /// `period`: nearly every word goes to neighbours that hold it.
+    fn idle_broadcaster(config: impl FnOnce(&mut MachineConfig)) -> Machine {
+        let mut cfg = MachineConfig {
+            load_info: LoadInfoMode::Piggyback { period: 7 },
+            progress_window: 300,
+            ..MachineConfig::default()
+        };
+        config(&mut cfg);
+        let mut m = machine_with(
+            oracle_topo::mesh::mesh2d(4, 4, false),
+            cfg,
+            Box::new(Broadcaster),
+        );
+        m.begin();
+        m
+    }
+
+    /// [`Idle`], but reading neighbour loads, so broadcasts are armed.
+    struct Broadcaster;
+
+    impl Strategy for Broadcaster {
+        fn name(&self) -> &'static str {
+            "broadcaster"
+        }
+        fn needs_load_broadcast(&self) -> bool {
+            true
+        }
+        fn on_goal_created(&mut self, _: &mut crate::Core, _: PeId, _: GoalMsg) {}
+        fn on_goal_message(&mut self, _: &mut crate::Core, _: PeId, _: GoalMsg) {}
+    }
+
+    /// The same run with every word queued: a plan that may lose messages
+    /// (with a probability that never fires) makes no word silent.
+    fn queued_words(cfg: &mut MachineConfig) {
+        cfg.fault_plan.message_loss = 1e-15;
+    }
+
+    #[test]
+    fn a_machine_of_silent_words_stalls_when_every_word_queued_would() {
+        let mut silent = idle_broadcaster(|_| {});
+        let mut queued = idle_broadcaster(queued_words);
+        let err = silent.advance_until(None).unwrap_err();
+        assert!(matches!(err, SimError::Stalled { .. }), "{err:?}");
+        assert_eq!(err, queued.advance_until(None).unwrap_err());
+        assert_eq!(silent.events_processed(), queued.events_processed());
+        let words = silent.core.silent.counts;
+        assert!(words.retired * 10 > words.sent * 6, "{words:?}");
+        assert_eq!(queued.core.silent.counts.silent, 0);
+    }
+
+    #[test]
+    fn an_event_limit_falls_on_the_same_event_and_instant() {
+        for limit in [97, 500, 1_001] {
+            let cap = |cfg: &mut MachineConfig| {
+                cfg.max_events = limit;
+                cfg.progress_window = 1_000_000;
+            };
+            let mut silent = idle_broadcaster(cap);
+            let mut queued = idle_broadcaster(|cfg| {
+                cap(cfg);
+                queued_words(cfg);
+            });
+            let err = silent.advance_until(None).unwrap_err();
+            assert!(
+                matches!(err, SimError::EventLimit { events, .. } if events == limit),
+                "{err:?}"
+            );
+            assert_eq!(err, queued.advance_until(None).unwrap_err());
+        }
+    }
+
+    #[test]
+    fn a_snapshot_behind_a_silent_word_resumes_identically() {
+        let (mut straight, straight_log) = goals_behind_a_load_word(false);
+        let (mut paused, _) = goals_behind_a_load_word(false);
+        let bytes = paused.snapshot_bytes();
+        let link = paused.core.topo.channel_between(PeId(0), PeId(1)).unwrap();
+        let c = paused.core.channel(link);
+        assert!(
+            !c.silent && !c.successor_queued,
+            "the snapshot woke the word"
+        );
+        // Restored instead of begun.
+        let resumed_log = Log::default();
+        let config = MachineConfig {
+            load_info: LoadInfoMode::Piggyback { period: 0 },
+            ..MachineConfig::default()
+        };
+        let mut resumed = machine_with(ring(4), config, Box::new(Mailbox(resumed_log.clone())));
+        resumed.restore_bytes(&bytes).unwrap();
+        assert_eq!(resumed.snapshot_bytes(), bytes);
+        straight.advance_until(None).unwrap();
+        paused.advance_until(None).unwrap();
+        resumed.advance_until(None).unwrap();
+        let reports = [&straight, &paused, &resumed]
+            .map(|m| (m.core.traffic, m.events_processed(), m.core.now()));
+        assert_eq!(reports[0], reports[1]);
+        assert_eq!(reports[0], reports[2]);
+        assert_eq!(
+            straight_log.lock().unwrap().as_slice(),
+            resumed_log.lock().unwrap().as_slice()
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::config::MachineConfig;
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
+use crate::loadinfo::SilentWords;
 use crate::message::{ControlMsg, Flight, FlightDest, GoalId, GoalMsg, Packet};
 use crate::metrics::{FaultMetrics, OpenMetrics, OpenOutcome, Report, TopPe, TrafficCounters};
 use crate::open::{AdmissionPolicy, Inflight, OpenState};
@@ -81,7 +82,7 @@ const EVENT_KIND_NAMES: [&str; 12] = [
 
 impl Event {
     /// Index of this event's kind in [`EVENT_KIND_NAMES`].
-    fn kind(&self) -> KindId {
+    pub(crate) fn kind(&self) -> KindId {
         KindId(match self {
             Event::PeDone(_) => 0,
             Event::ChannelDone(_) => 1,
@@ -181,6 +182,12 @@ pub struct Core {
     /// Per-channel state, paged like `pes`.
     pub(crate) channels: Slab<Channel>,
     pub(crate) events: CalendarQueue<Event>,
+    /// Silent load words on the wire: completions that hold a reserved key
+    /// but no queued event (`crate::loadinfo`).
+    pub(crate) silent: SilentWords,
+    /// Ordering key of the event being handled (or last handled): a touch
+    /// of a channel holding a silent word compares the word against it.
+    pub(crate) event_key: u64,
     /// Scratch for a completed transfer: each receiver with the slot of
     /// the sender in its neighbour-load table (`Topology::receivers`).
     pub(crate) receivers: Vec<(PeId, usize)>,
@@ -280,7 +287,7 @@ pub(crate) fn fresh_pe(topo: &Topology, config: &MachineConfig, id: usize) -> Pe
 
 /// Channel time to transfer `packet` one hop.
 #[inline]
-fn hop_cost(costs: &CostModel, packet: &Packet) -> u64 {
+pub(crate) fn hop_cost(costs: &CostModel, packet: &Packet) -> u64 {
     match packet {
         Packet::Goal(_) => costs.goal_hop_cost,
         Packet::Response { .. } => costs.response_hop_cost,
@@ -388,15 +395,27 @@ impl Core {
             | Event::FailPe(pe)
             | Event::SlowStart(pe, _)
             | Event::SlowEnd(pe) => (1 + pe.0 as u64, &mut self.pe_mut(pe).key_seq),
-            Event::ChannelDone(ch) | Event::LinkDown(ch) | Event::LinkUp(ch) => (
-                1 + self.pes.len() as u64 + ch.0 as u64,
-                &mut self.channel_mut(ch).key_seq,
-            ),
+            Event::ChannelDone(ch) | Event::LinkDown(ch) | Event::LinkUp(ch) => {
+                (self.channel_actor(ch), &mut self.channel_mut(ch).key_seq)
+            }
             Event::AckTimeout(_) | Event::Arrival | Event::Retry(_) => (0, &mut self.env_key_seq),
         };
         let key = (actor << 32) | *seq as u64;
         *seq += 1;
         self.events.schedule_keyed_at(at, key, ev);
+    }
+
+    /// The ordering-key actor of channel `ch`: after the environment and
+    /// every PE.
+    #[inline]
+    fn channel_actor(&self, ch: ChannelId) -> u64 {
+        1 + self.pes.len() as u64 + ch.0 as u64
+    }
+
+    /// The ordering key of channel `ch`'s event with sequence `seq`.
+    #[inline]
+    pub(crate) fn channel_key(&self, ch: ChannelId, seq: u32) -> u64 {
+        (self.channel_actor(ch) << 32) | seq as u64
     }
 
     /// Schedule `ev` to fire `delay` units from now (keyed; see
@@ -766,19 +785,26 @@ impl Core {
         fanout.clear();
         self.topo
             .for_each_incident_channel(from, |ch| fanout.push(ch));
+        let load_word = matches!(packet, Packet::LoadUpdate);
         let flight = self.flight(from, FlightDest::Broadcast, packet);
         for &ch in &fanout {
-            self.offer_to_channel(ch, flight);
+            if !(load_word && self.send_silently(ch, &flight)) {
+                self.offer_to_channel(ch, flight);
+            }
         }
         self.fanout = fanout;
     }
 
     /// Hand `flight` to the channel: it starts transferring now if the
-    /// channel is idle, otherwise it joins the channel's FIFO backlog.
+    /// channel is idle, otherwise it joins the channel's FIFO backlog (a
+    /// silent word ahead of it wakes).
     pub(crate) fn offer_to_channel(&mut self, ch: ChannelId, flight: Flight) {
         let cost = hop_cost(&self.costs, &flight.packet);
         let now = self.events.now();
-        if self.channel_mut(ch).offer(flight, now) {
+        let c = self.channel_mut(ch);
+        if c.silent {
+            self.offer_behind_silent_word(ch, flight);
+        } else if c.offer(flight, now) {
             self.schedule_event_after(cost, Event::ChannelDone(ch));
         }
     }
@@ -1138,6 +1164,8 @@ impl Machine {
                 pes,
                 channels,
                 events: CalendarQueue::new(),
+                silent: SilentWords::new(&topo, &costs, &plan),
+                event_key: 0,
                 receivers: Vec::new(),
                 fanout: Vec::new(),
                 goals_created: 0,
@@ -1264,31 +1292,31 @@ impl Machine {
     /// event boundary the paused machine's state is exactly the state an
     /// uninterrupted run passes through.
     pub fn advance_until(&mut self, pause_at: Option<u64>) -> Result<bool, SimError> {
+        let outcome = self.run_events(pause_at);
+        self.core.settle_silent_words();
+        outcome
+    }
+
+    /// [`Machine::advance_until`], leaving silent load words that complete
+    /// before the last handled event possibly unretired.
+    fn run_events(&mut self, pause_at: Option<u64>) -> Result<bool, SimError> {
         loop {
-            let at = if self.core.profiler.is_some() {
-                // Profiled path: clock reads around the pop and around the
-                // handler, plus the queue-depth high-water mark. The
-                // unprofiled path pays exactly this one branch.
-                let pop_started = std::time::Instant::now();
-                let Some((at, ev)) = self.core.events.pop() else {
-                    break;
-                };
-                let kind = ev.kind();
-                let depth = self.core.events.len();
-                let t0 = std::time::Instant::now();
-                self.handle_event(ev);
-                if let Some(p) = self.core.profiler.as_mut() {
-                    p.note_queue_depth(depth);
-                    p.record_queue(pop_started, t0);
-                    p.record(kind, t0);
+            let in_order = self.silent_words_in_order(pause_at);
+            let next = if in_order {
+                self.core.settle_silent_words();
+                if self.core.silent_word_is_next() {
+                    match self.core.retire_next_silent_word() {
+                        Some(at) => Some(at),
+                        None => continue,
+                    }
+                } else {
+                    self.handle_next_event(true)
                 }
-                at
             } else {
-                let Some((at, ev)) = self.core.events.pop() else {
-                    break;
-                };
-                self.handle_event(ev);
-                at
+                self.handle_next_event(false)
+            };
+            let Some(at) = next else {
+                break;
             };
             if self.core.completed() {
                 return Ok(true);
@@ -1343,6 +1371,40 @@ impl Machine {
             }
         }
         Ok(true)
+    }
+
+    /// Pop and handle the next queued event, and return its instant;
+    /// `None` when nothing is queued. Unless silent words retire in order,
+    /// those that complete before the event retire first.
+    fn handle_next_event(&mut self, in_order: bool) -> Option<SimTime> {
+        if self.core.profiler.is_none() {
+            let (at, key, ev) = self.core.events.pop_keyed()?;
+            self.core.event_key = key;
+            if !in_order {
+                self.core.retire_silent_words_before(at.units());
+            }
+            self.handle_event(ev);
+            return Some(at);
+        }
+        // Profiled path: clock reads around the pop and around the handler,
+        // plus the queue-depth high-water mark. The unprofiled path pays
+        // exactly one branch.
+        let pop_started = std::time::Instant::now();
+        let (at, key, ev) = self.core.events.pop_keyed()?;
+        self.core.event_key = key;
+        if !in_order {
+            self.core.retire_silent_words_before(at.units());
+        }
+        let kind = ev.kind();
+        let depth = self.core.events.len();
+        let t0 = std::time::Instant::now();
+        self.handle_event(ev);
+        if let Some(p) = self.core.profiler.as_mut() {
+            p.note_queue_depth(depth);
+            p.record_queue(pop_started, t0);
+            p.record(kind, t0);
+        }
+        Some(at)
     }
 
     /// Consume the machine after [`Machine::advance_until`] returned
@@ -1802,6 +1864,9 @@ impl Machine {
         if self.core.channel(ch).down {
             return;
         }
+        if self.core.channel(ch).silent {
+            self.core.touch_silent_word(ch);
+        }
         self.core.channel_mut(ch).down = true;
         self.core.rebuild_live_routes();
         if self.core.trace.enabled() {
@@ -2023,8 +2088,16 @@ impl Machine {
     fn handle_channel_done(&mut self, ch: ChannelId) {
         let now = self.core.events.now();
         let costs = self.core.costs; // Copy: needed while the channel is borrowed.
-        let (flight, next) = self.core.channel_mut(ch).complete(now);
-        if let Some(cost) = next.map(|n| hop_cost(&costs, &n.packet)) {
+        let c = self.core.channel_mut(ch);
+        debug_assert!(!c.silent, "a silent word retires before its successor");
+        // A flight offered behind this transfer while it was a silent
+        // word has its completion queued already.
+        let queued = std::mem::take(&mut c.successor_queued);
+        let (flight, next) = c.complete(now);
+        if let Some(cost) = next
+            .filter(|_| !queued)
+            .map(|n| hop_cost(&costs, &n.packet))
+        {
             self.core.schedule_event_after(cost, Event::ChannelDone(ch));
         }
         self.core.count_traffic(&flight.packet);
@@ -2403,6 +2476,7 @@ impl Machine {
             profile: core.profiler.as_ref().map(|p| {
                 let mut profile = p.report();
                 profile.state = vec![core.pes.footprint("pe"), core.channels.footprint("channel")];
+                profile.load_words = core.silent.counts;
                 profile
             }),
             open: open_metrics,

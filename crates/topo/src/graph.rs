@@ -841,6 +841,15 @@ impl Topology {
         }
     }
 
+    /// True when some channel is a bus (more than two members). Only then
+    /// can two PEs share more than one channel that carries traffic:
+    /// without buses, broadcasts and unicasts between a pair both use the
+    /// lowest channel joining it.
+    #[inline]
+    pub fn has_buses(&self) -> bool {
+        matches!(&self.shape, Shape::Graph(g) if !g.incident_off.is_empty())
+    }
+
     /// The number of incident channels summed over every PE (see
     /// [`Topology::for_each_incident_channel`]): the transfers of one
     /// broadcast round from every PE.
@@ -1473,6 +1482,16 @@ mod tests {
         let edges = "pes 5\n0 1\n3 4\n1 2\n4 0\n2 3\n0 2\n";
         let t = Topology::from_edge_list("edges", std::io::Cursor::new(edges)).unwrap();
         assert_matches_sort_oracle(&t);
+    }
+
+    #[test]
+    fn only_bus_machines_report_buses() {
+        use crate::{dlm, hypercube, mesh, misc};
+        assert!(!mesh::mesh2d(6, 6, true).has_buses());
+        assert!(!hypercube::hypercube(4).has_buses());
+        assert!(!misc::ring(5).has_buses());
+        assert!(dlm::double_lattice_mesh(5, 10, 10).has_buses());
+        assert!(misc::single_bus(4).has_buses());
     }
 
     /// The twin index against its definition (neighbour positions), and

@@ -361,12 +361,23 @@ const DEFAULT_EXPORT_TRACE_CAP: usize = 1_000_000;
 /// capacity search's measurement instrument, not a failure).
 fn open_outcome_failure(report: &Report) -> Result<(), Failure> {
     match report.open.as_ref().map(|o| &o.outcome) {
-        Some(OpenOutcome::Overloaded { shed, arrivals }) => Err(Failure {
+        Some(&OpenOutcome::Overloaded {
+            shed,
+            dead_edge,
+            arrivals,
+        }) => Err(Failure {
             kind: "overloaded",
             code: 4,
-            message: format!(
-                "admission control shed the majority of arrivals ({shed} of {arrivals})"
-            ),
+            message: match dead_edge {
+                0 => format!("admission control shed the majority of arrivals ({shed} of {arrivals})"),
+                d if d == shed => format!(
+                    "every edge PE had crashed: the majority of arrivals were shed ({shed} of {arrivals})"
+                ),
+                d => format!(
+                    "the majority of arrivals were shed ({shed} of {arrivals}): {d} because every edge \
+                     PE had crashed, the rest by admission control"
+                ),
+            },
         }),
         Some(OpenOutcome::DeadlineExhausted { abandoned }) => Err(Failure {
             kind: "deadline-exhausted",
@@ -577,9 +588,14 @@ fn print_report(report: &Report, flags: &Args) {
                     println!("saturated_at,{at}");
                     println!("saturated_inflight,{inflight}");
                 }
-                OpenOutcome::Overloaded { shed, arrivals } => {
+                OpenOutcome::Overloaded {
+                    shed,
+                    dead_edge,
+                    arrivals,
+                } => {
                     println!("open_outcome,overloaded");
                     println!("overloaded_shed,{shed}");
+                    println!("overloaded_dead_edge,{dead_edge}");
                     println!("overloaded_arrivals,{arrivals}");
                 }
                 OpenOutcome::DeadlineExhausted { abandoned } => {
@@ -655,9 +671,21 @@ fn print_report(report: &Report, flags: &Args) {
                 OpenOutcome::Saturated { at, inflight } => {
                     format!("SATURATED at t={at} ({inflight} requests in flight)")
                 }
-                OpenOutcome::Overloaded { shed, arrivals } => {
+                OpenOutcome::Overloaded {
+                    shed,
+                    dead_edge: 0,
+                    arrivals,
+                } => {
                     format!("OVERLOADED ({shed} of {arrivals} arrivals shed at the door)")
                 }
+                OpenOutcome::Overloaded {
+                    shed,
+                    dead_edge,
+                    arrivals,
+                } => format!(
+                    "OVERLOADED ({shed} of {arrivals} arrivals shed at the door, \
+                     {dead_edge} for want of a live edge PE)"
+                ),
                 OpenOutcome::DeadlineExhausted { abandoned } => {
                     format!("DEADLINE EXHAUSTED ({abandoned} requests blew their budget)")
                 }
@@ -1203,6 +1231,32 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!((err.kind, err.code), ("overloaded", 4), "{}", err.message);
+        assert!(err.message.contains("admission control"), "{}", err.message);
+
+        // Without admission control, arrivals shed because their only edge
+        // PE crashed count the same way, and the message names the cause.
+        let err = cmd_run(&flags(&[
+            "--topology",
+            "grid:4",
+            "--strategy",
+            "cwn:4x1",
+            "--workload",
+            "fib:8",
+            "--arrivals",
+            "poisson:4@root",
+            "--duration",
+            "4000",
+            "--faults",
+            "crash:0@1",
+            "--csv",
+        ]))
+        .unwrap_err();
+        assert_eq!((err.kind, err.code), ("overloaded", 4), "{}", err.message);
+        assert!(
+            err.message.contains("every edge PE had crashed") && err.message.contains("17 of 17"),
+            "{}",
+            err.message
+        );
 
         // A deadline below the fastest possible sojourn is unservable:
         // exit 5, class "deadline-exhausted".

@@ -1572,6 +1572,7 @@ impl Machine {
             let open = self.core.open.as_deref_mut().expect("open mode");
             open.arrivals_total += 1;
             open.shed_total += 1;
+            open.shed_dead_edge += 1;
             return;
         };
         // Edge admission control: an arrival that fails the configured
@@ -2366,16 +2367,15 @@ impl Machine {
             open.flush_qlen(end);
             // Outcome classification, most- to least-severe: the trip
             // wire beats everything (the run physically ended there);
-            // then majority-shed overload; then an unservable deadline;
-            // then a clean completion.
+            // then majority-shed overload, whether admission control or
+            // crashed edge PEs shed; then an unservable deadline; then a
+            // clean completion.
             let outcome = match open.saturated {
                 Some((at, inflight)) => OpenOutcome::Saturated { at, inflight },
-                None if open.admission.is_some()
-                    && open.arrivals_total > 0
-                    && open.shed_total * 2 > open.arrivals_total =>
-                {
+                None if open.arrivals_total > 0 && open.shed_total * 2 > open.arrivals_total => {
                     OpenOutcome::Overloaded {
                         shed: open.shed_total,
+                        dead_edge: open.shed_dead_edge,
                         arrivals: open.arrivals_total,
                     }
                 }

@@ -50,6 +50,7 @@
 use oracle_des::SimTime;
 use oracle_topo::{ChannelId, PeId, Topology};
 
+use crate::channel::Channel;
 use crate::config::LoadInfoMode;
 use crate::cost::CostModel;
 use crate::faults::FaultPlan;
@@ -158,21 +159,26 @@ impl Core {
         if !self.silent.allowed {
             return false;
         }
-        let c = self.channel(ch);
+        let now = self.events.now();
+        let Core {
+            channels,
+            pes,
+            topo,
+            receivers,
+            ..
+        } = self;
+        let c = channels.get_mut_or(ch.idx(), |_| Channel::new());
         if c.in_flight.is_some() || c.down || !c.backlog.is_empty() {
             return false;
         }
-        let mut receivers = std::mem::take(&mut self.receivers);
-        self.topo.receivers(ch, flight.from, &mut receivers);
+        topo.receivers(ch, flight.from, receivers);
         let held = receivers
             .iter()
-            .all(|&(m, slot)| self.pe(m).known_load(slot) == flight.piggyback_load);
-        self.receivers = receivers;
+            .all(|&(m, slot)| pes.get(m.idx()).known_load(slot) == flight.piggyback_load);
         if !held {
             return false;
         }
-        let now = self.events.now();
-        let seq = self.channel_mut(ch).occupy_silently(*flight, now);
+        let seq = c.occupy_silently(*flight, now);
         let key = self.channel_key(ch, seq);
         let done_at = now.units() + self.costs.control_hop_cost;
         self.silent.words.push((done_at, key));
@@ -519,28 +525,20 @@ impl Machine {
 
     /// True when the listed silent words must retire one by one in
     /// `(time, key)` order: when nothing is queued, when the next queued
-    /// event together with every listed word could reach the auditor, the
-    /// watchdog or the event limit, or when a listed word completes at or
-    /// after the pause instant or an open run's horizon.
+    /// event together with every listed word could reach `event_limit`
+    /// (the next audit, watchdog check or event limit), or when a listed
+    /// word completes at or after `time_limit` (the pause instant or an
+    /// open run's horizon).
     #[inline]
-    pub(crate) fn silent_words_in_order(&self, pause_at: Option<u64>) -> bool {
+    pub(crate) fn silent_words_in_order(&self, event_limit: u64, time_limit: u64) -> bool {
         let core = &self.core;
         let Some(&(last, _)) = core.silent.words.last() else {
             return false;
         };
-        if core.events.is_empty() {
-            return true;
-        }
-        let barrier = core
-            .next_audit
-            .min(core.next_check)
-            .min(core.config.max_events);
         let listed = core.silent.listed().len() as u64;
-        if core.events.events_processed() + listed + 1 >= barrier {
-            return true;
-        }
-        let horizon = core.open.as_deref().map_or(u64::MAX, |o| o.duration);
-        last >= pause_at.unwrap_or(u64::MAX).min(horizon)
+        core.events.is_empty()
+            || core.events.events_processed() + listed + 1 >= event_limit
+            || last >= time_limit
     }
 
     /// The progress watchdog's window in events. One load-broadcast round

@@ -1300,8 +1300,15 @@ impl Machine {
     /// [`Machine::advance_until`], leaving silent load words that complete
     /// before the last handled event possibly unretired.
     fn run_events(&mut self, pause_at: Option<u64>) -> Result<bool, SimError> {
+        let horizon = self.core.open.as_deref().map_or(u64::MAX, |o| o.duration);
+        let time_limit = pause_at.unwrap_or(u64::MAX).min(horizon);
         loop {
-            let in_order = self.silent_words_in_order(pause_at);
+            let event_limit = self
+                .core
+                .next_audit
+                .min(self.core.next_check)
+                .min(self.core.config.max_events);
+            let in_order = self.silent_words_in_order(event_limit, time_limit);
             let next = if in_order {
                 self.core.settle_silent_words();
                 if self.core.silent_word_is_next() {

@@ -47,6 +47,8 @@
 //! the slot before the word's completion would have rewritten it, so
 //! words there are never silent.
 
+use std::collections::VecDeque;
+
 use oracle_des::SimTime;
 use oracle_topo::{ChannelId, PeId, Topology};
 
@@ -63,12 +65,11 @@ use crate::message::{Flight, FlightDest, Packet};
 pub(crate) struct SilentWords {
     /// `(done_at, key)`: the completion instant and reserved ordering key
     /// of each silent word. Every word takes `control_hop_cost`, so
-    /// broadcast order is completion-time order. `words[..head]` are gone;
-    /// `words[head..sorted]`, when not empty, are the words of the front
-    /// instant sorted by key. A listed word whose channel no longer claims
-    /// its key was woken or has retired, and is skipped.
-    words: Vec<(u64, u64)>,
-    head: usize,
+    /// broadcast order is completion-time order. The first `sorted` words,
+    /// when any, are the words of the front instant sorted by key. A listed
+    /// word whose channel no longer claims its key was woken or has
+    /// retired, and is skipped.
+    words: VecDeque<(u64, u64)>,
     sorted: usize,
     /// Words of this run may be silent (see the module docs).
     allowed: bool,
@@ -88,43 +89,39 @@ impl SilentWords {
         }
     }
 
+    /// True when no word is listed.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
     fn front(&self) -> Option<(u64, u64)> {
-        self.words.get(self.head).copied()
+        self.words.front().copied()
     }
 
     fn pop_front(&mut self) -> Option<(u64, u64)> {
-        let word = self.front()?;
-        self.head += 1;
-        if self.head == self.words.len() {
-            self.words.clear();
-            self.head = 0;
-            self.sorted = 0;
-        } else if self.head >= 4096 && 2 * self.head >= self.words.len() {
-            self.words.drain(..self.head);
-            self.sorted = self.sorted.saturating_sub(self.head);
-            self.head = 0;
-        }
-        Some(word)
+        self.sorted = self.sorted.saturating_sub(1);
+        self.words.pop_front()
     }
 
     /// Sort the front instant's words by key. Call only once no more words
     /// can join that instant: every event before it has been handled.
     fn sort_front_instant(&mut self) {
-        if self.sorted > self.head {
-            return;
-        }
         let Some((at, _)) = self.front() else {
             return;
         };
-        let run = &mut self.words[self.head..];
+        if self.sorted > 0 {
+            return;
+        }
+        let run = self.words.make_contiguous();
         let len = run.partition_point(|&(t, _)| t == at);
         run[..len].sort_unstable();
-        self.sorted = self.head + len;
+        self.sorted = len;
     }
 
     /// The listed words, woken and retired ones included.
-    pub(crate) fn listed(&self) -> &[(u64, u64)] {
-        &self.words[self.head..]
+    pub(crate) fn listed(&self) -> &VecDeque<(u64, u64)> {
+        &self.words
     }
 }
 
@@ -181,7 +178,7 @@ impl Core {
         let seq = c.occupy_silently(*flight, now);
         let key = self.channel_key(ch, seq);
         let done_at = now.units() + self.costs.control_hop_cost;
-        self.silent.words.push((done_at, key));
+        self.silent.words.push_back((done_at, key));
         self.silent.counts.silent += 1;
         true
     }
@@ -303,7 +300,7 @@ impl Core {
             return;
         }
         let last = (self.events.now().units(), self.event_key);
-        for i in self.silent.head..self.silent.words.len() {
+        for i in 0..self.silent.words.len() {
             let (done_at, key) = self.silent.words[i];
             if done_at > last.0 {
                 break;
@@ -525,17 +522,21 @@ impl Machine {
 
     /// True when the listed silent words must retire one by one in
     /// `(time, key)` order: when nothing is queued, when the next queued
-    /// event together with every listed word could reach `event_limit`
-    /// (the next audit, watchdog check or event limit), or when a listed
-    /// word completes at or after `time_limit` (the pause instant or an
-    /// open run's horizon).
+    /// event together with every listed word could reach the next audit,
+    /// watchdog check or the event limit, or when a listed word completes
+    /// at or after `time_limit` (the pause instant or an open run's
+    /// horizon).
     #[inline]
-    pub(crate) fn silent_words_in_order(&self, event_limit: u64, time_limit: u64) -> bool {
+    pub(crate) fn silent_words_in_order(&self, time_limit: u64) -> bool {
         let core = &self.core;
-        let Some(&(last, _)) = core.silent.words.last() else {
+        let Some(&(last, _)) = core.silent.words.back() else {
             return false;
         };
-        let listed = core.silent.listed().len() as u64;
+        let event_limit = core
+            .next_audit
+            .min(core.next_check)
+            .min(core.config.max_events);
+        let listed = core.silent.words.len() as u64;
         core.events.is_empty()
             || core.events.events_processed() + listed + 1 >= event_limit
             || last >= time_limit

@@ -1303,13 +1303,11 @@ impl Machine {
         let horizon = self.core.open.as_deref().map_or(u64::MAX, |o| o.duration);
         let time_limit = pause_at.unwrap_or(u64::MAX).min(horizon);
         loop {
-            let event_limit = self
-                .core
-                .next_audit
-                .min(self.core.next_check)
-                .min(self.core.config.max_events);
-            let in_order = self.silent_words_in_order(event_limit, time_limit);
-            let next = if in_order {
+            let next = if self.core.silent.is_empty() {
+                self.handle_next_event(false)
+            } else if !self.silent_words_in_order(time_limit) {
+                self.handle_next_event(true)
+            } else {
                 self.core.settle_silent_words();
                 if self.core.silent_word_is_next() {
                     match self.core.retire_next_silent_word() {
@@ -1317,10 +1315,8 @@ impl Machine {
                         None => continue,
                     }
                 } else {
-                    self.handle_next_event(true)
+                    self.handle_next_event(false)
                 }
-            } else {
-                self.handle_next_event(false)
             };
             let Some(at) = next else {
                 break;
@@ -1381,13 +1377,13 @@ impl Machine {
     }
 
     /// Pop and handle the next queued event, and return its instant;
-    /// `None` when nothing is queued. Unless silent words retire in order,
-    /// those that complete before the event retire first.
-    fn handle_next_event(&mut self, in_order: bool) -> Option<SimTime> {
+    /// `None` when nothing is queued. With `retire_before`, the silent
+    /// words that complete before the event retire first.
+    fn handle_next_event(&mut self, retire_before: bool) -> Option<SimTime> {
         if self.core.profiler.is_none() {
             let (at, key, ev) = self.core.events.pop_keyed()?;
             self.core.event_key = key;
-            if !in_order {
+            if retire_before {
                 self.core.retire_silent_words_before(at.units());
             }
             self.handle_event(ev);
@@ -1399,7 +1395,7 @@ impl Machine {
         let pop_started = std::time::Instant::now();
         let (at, key, ev) = self.core.events.pop_keyed()?;
         self.core.event_key = key;
-        if !in_order {
+        if retire_before {
             self.core.retire_silent_words_before(at.units());
         }
         let kind = ev.kind();

@@ -192,10 +192,16 @@ impl Core {
         )
     }
 
+    /// The channel whose event key `key` is (the inverse of
+    /// [`Core::channel_key`]).
+    fn key_channel(&self, key: u64) -> ChannelId {
+        ChannelId(((key >> 32) - 1 - self.num_pes() as u64) as u32)
+    }
+
     /// The channel whose silent word reserved `key`, or `None` once that
     /// word was woken or has retired.
     pub(crate) fn silent_channel(&self, key: u64) -> Option<ChannelId> {
-        let ch = ChannelId(((key >> 32) - 1 - self.num_pes() as u64) as u32);
+        let ch = self.key_channel(key);
         self.channel(ch).holds_silent(key as u32).then_some(ch)
     }
 
@@ -204,7 +210,7 @@ impl Core {
     /// event.
     #[inline]
     fn retire_listed(&mut self, done_at: u64, key: u64) -> bool {
-        let ch = ChannelId(((key >> 32) - 1 - self.num_pes() as u64) as u32);
+        let ch = self.key_channel(key);
         let c = self.channel_mut(ch);
         if !c.holds_silent(key as u32) {
             return false;
@@ -272,8 +278,7 @@ impl Core {
         if (done_at, key) > (self.events.now().units(), self.event_key) {
             return false;
         }
-        self.channel_mut(ch).retire_silent(SimTime(done_at));
-        self.account_retired(ch);
+        self.retire_listed(done_at, key);
         self.events.count_unqueued();
         true
     }

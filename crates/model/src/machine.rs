@@ -796,8 +796,8 @@ impl Core {
     }
 
     /// Hand `flight` to the channel: it starts transferring now if the
-    /// channel is idle, otherwise it joins the channel's FIFO backlog (a
-    /// silent word ahead of it wakes).
+    /// channel is idle, otherwise it joins the channel's FIFO backlog
+    /// (behind a silent word, see [`Core::offer_behind_silent_word`]).
     pub(crate) fn offer_to_channel(&mut self, ch: ChannelId, flight: Flight) {
         let cost = hop_cost(&self.costs, &flight.packet);
         let now = self.events.now();

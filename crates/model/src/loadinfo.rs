@@ -322,13 +322,37 @@ impl Core {
         }
     }
 
-    /// Settle, then wake every silent word (before a snapshot).
+    /// Settle, then wake every silent word. A snapshot records queued
+    /// events only, so before one every silent word becomes the queued
+    /// transfer it stands for; [`Core::unqueue_successors`] finishes the
+    /// job.
     pub(crate) fn wake_silent_words(&mut self) {
         self.settle_silent_words();
         while let Some((_, key)) = self.silent.pop_front() {
             if let Some(ch) = self.silent_channel(key) {
                 self.wake_silent_word(ch);
             }
+        }
+    }
+
+    /// Take the early-queued completion of every successor out of
+    /// `pending` (the drained event queue) and give its sequence back: the
+    /// woken word's completion queues it as it would have, so the state is
+    /// exactly the one every word queued passes through.
+    pub(crate) fn unqueue_successors(&mut self, pending: &mut Vec<(SimTime, u64, Event)>) {
+        let successors: Vec<ChannelId> = self
+            .channels
+            .iter()
+            .filter(|(_, c)| c.successor_queued)
+            .map(|(idx, _)| ChannelId(idx as u32))
+            .collect();
+        for ch in successors {
+            let c = self.channel_mut(ch);
+            c.successor_queued = false;
+            c.key_seq -= 1;
+            let seq = c.key_seq;
+            let key = self.channel_key(ch, seq);
+            pending.retain(|&(_, k, ev)| (k, ev) != (key, Event::ChannelDone(ch)));
         }
     }
 

@@ -943,28 +943,11 @@ impl Machine {
     /// pop order and rebuilds it, and silent load words are woken first;
     /// the machine's observable state is unchanged.
     pub fn snapshot_bytes(&mut self) -> Vec<u8> {
-        // A snapshot records queued events only: silent words become the
-        // queued transfers they stand for, and a successor queued behind
-        // one gives its completion and sequence back, for the woken word's
-        // completion to queue as it would have.
         self.core.wake_silent_words();
         let now = self.core.events.now();
         let processed = self.core.events.events_processed();
         let mut pending: Vec<_> = std::iter::from_fn(|| self.core.events.pop_keyed()).collect();
-        let successors: Vec<ChannelId> = self
-            .core
-            .channels
-            .iter()
-            .filter(|(_, c)| c.successor_queued)
-            .map(|(idx, _)| ChannelId(idx as u32))
-            .collect();
-        for ch in successors {
-            let c = self.core.channel_mut(ch);
-            c.successor_queued = false;
-            c.key_seq -= 1;
-            let key = self.core.channel_key(ch, self.core.channel(ch).key_seq);
-            pending.retain(|&(_, k, ev)| (k, ev) != (key, Event::ChannelDone(ch)));
-        }
+        self.core.unqueue_successors(&mut pending);
         let mut w = SnapWriter::with_capacity(4096);
         w.u32(SNAPSHOT_MAGIC);
         w.u32(SNAPSHOT_VERSION);

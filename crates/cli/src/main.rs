@@ -359,24 +359,23 @@ const DEFAULT_EXPORT_TRACE_CAP: usize = 1_000_000;
 /// `Overloaded` and `DeadlineExhausted` earn their own exit codes so CI can
 /// branch on them, while `Saturated` stays a success (the trip wire is the
 /// capacity search's measurement instrument, not a failure).
-fn open_outcome_failure(report: &Report) -> Result<(), Failure> {
+fn open_outcome_failure(report: &Report, config: &RunConfig) -> Result<(), Failure> {
     match report.open.as_ref().map(|o| &o.outcome) {
-        Some(&OpenOutcome::Overloaded {
-            shed,
-            dead_edge,
-            arrivals,
-        }) => Err(Failure {
+        Some(OpenOutcome::Overloaded { shed, arrivals }) => Err(Failure {
             kind: "overloaded",
             code: 4,
-            message: match dead_edge {
-                0 => format!("admission control shed the majority of arrivals ({shed} of {arrivals})"),
-                d if d == shed => format!(
+            // Without admission control only a dead edge sheds.
+            message: if config
+                .machine
+                .open
+                .as_ref()
+                .is_some_and(|o| o.admission.is_some())
+            {
+                format!("admission control shed the majority of arrivals ({shed} of {arrivals})")
+            } else {
+                format!(
                     "every edge PE had crashed: the majority of arrivals were shed ({shed} of {arrivals})"
-                ),
-                d => format!(
-                    "the majority of arrivals were shed ({shed} of {arrivals}): {d} because every edge \
-                     PE had crashed, the rest by admission control"
-                ),
+                )
             },
         }),
         Some(OpenOutcome::DeadlineExhausted { abandoned }) => Err(Failure {
@@ -423,7 +422,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
             config.workload, config.topology, config.strategy
         );
         print_report(&report, &flags);
-        return open_outcome_failure(&report);
+        return open_outcome_failure(&report, &config);
     }
 
     // An unreadable `--faults @FILE` is an I/O failure, not bad input.
@@ -456,7 +455,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
             println!("checkpoint: {}", path.display());
         }
         print_report(&out.report, &flags);
-        return open_outcome_failure(&out.report);
+        return open_outcome_failure(&out.report, &config);
     }
 
     let (report, trace) = config.run_traced().map_err(sim_failure)?;
@@ -519,7 +518,7 @@ fn cmd_run(args: &[String]) -> Result<(), Failure> {
         println!("\nevent trace ({which} {} events):", trace.len());
         print!("{}", trace.render());
     }
-    open_outcome_failure(&report)
+    open_outcome_failure(&report, &config)
 }
 
 /// `trace-check FILE [--format jsonl|chrome]` — structural validation of an
@@ -588,14 +587,9 @@ fn print_report(report: &Report, flags: &Args) {
                     println!("saturated_at,{at}");
                     println!("saturated_inflight,{inflight}");
                 }
-                OpenOutcome::Overloaded {
-                    shed,
-                    dead_edge,
-                    arrivals,
-                } => {
+                OpenOutcome::Overloaded { shed, arrivals } => {
                     println!("open_outcome,overloaded");
                     println!("overloaded_shed,{shed}");
-                    println!("overloaded_dead_edge,{dead_edge}");
                     println!("overloaded_arrivals,{arrivals}");
                 }
                 OpenOutcome::DeadlineExhausted { abandoned } => {
@@ -671,21 +665,9 @@ fn print_report(report: &Report, flags: &Args) {
                 OpenOutcome::Saturated { at, inflight } => {
                     format!("SATURATED at t={at} ({inflight} requests in flight)")
                 }
-                OpenOutcome::Overloaded {
-                    shed,
-                    dead_edge: 0,
-                    arrivals,
-                } => {
+                OpenOutcome::Overloaded { shed, arrivals } => {
                     format!("OVERLOADED ({shed} of {arrivals} arrivals shed at the door)")
                 }
-                OpenOutcome::Overloaded {
-                    shed,
-                    dead_edge,
-                    arrivals,
-                } => format!(
-                    "OVERLOADED ({shed} of {arrivals} arrivals shed at the door, \
-                     {dead_edge} for want of a live edge PE)"
-                ),
                 OpenOutcome::DeadlineExhausted { abandoned } => {
                     format!("DEADLINE EXHAUSTED ({abandoned} requests blew their budget)")
                 }

@@ -68,10 +68,7 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4F43_4B50;
 ///
 /// v11 dropped the root-PE field: a closed run's root goal and `@root`
 /// open traffic always start on PE 0. The machine snapshot is unchanged.
-///
-/// v12 embeds the v8 machine snapshot (open runs count arrivals shed for
-/// want of a live edge PE). The config block is unchanged.
-pub const CHECKPOINT_VERSION: u32 = 12;
+pub const CHECKPOINT_VERSION: u32 = 11;
 
 /// Everything that can go wrong writing, reading, or resuming a checkpoint.
 #[derive(Debug)]

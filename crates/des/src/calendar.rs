@@ -375,12 +375,6 @@ impl<E> CalendarQueue<E> {
         Some((SimTime(t), key))
     }
 
-    /// Count one event that was handled without ever being queued, at or
-    /// before the current instant: the clock stays where it is.
-    pub fn count_unqueued(&mut self) {
-        self.processed += 1;
-    }
-
     /// Count one event that was handled without ever being queued, at `at`:
     /// the clock moves to `at` and the processed count grows by one. `at`
     /// must not be later than the next pending event.

@@ -34,7 +34,7 @@ pub use calendar::CalendarQueue;
 pub use event::EventQueue;
 pub use hash::{FastHashMap, FastHashSet, FastHasher};
 pub use inline::InlineVec;
-pub use profile::{KindId, KindProfile, LoadWords, ProfileReport, Profiler, StoreFootprint};
+pub use profile::{KindId, KindProfile, ProfileReport, Profiler, StoreFootprint};
 pub use rng::Rng;
 pub use snapshot::{SnapError, SnapReader, SnapWriter};
 pub use stats::{BusyTracker, Histogram, IntervalSeries, LogHistogram, OnlineStats};

@@ -36,6 +36,7 @@ pub struct Profiler {
     names: Vec<&'static str>,
     stats: Vec<KindStats>,
     queue_nanos: u64,
+    queue_pops: u64,
     route_calls: u64,
     route_nanos: u64,
     queue_depth_hwm: usize,
@@ -49,6 +50,7 @@ impl Profiler {
             names: Vec::new(),
             stats: Vec::new(),
             queue_nanos: 0,
+            queue_pops: 0,
             route_calls: 0,
             route_nanos: 0,
             queue_depth_hwm: 0,
@@ -63,6 +65,7 @@ impl Profiler {
             names: names.to_vec(),
             stats: vec![KindStats::default(); names.len()],
             queue_nanos: 0,
+            queue_pops: 0,
             route_calls: 0,
             route_nanos: 0,
             queue_depth_hwm: 0,
@@ -89,10 +92,11 @@ impl Profiler {
         s.wall_nanos += started.elapsed().as_nanos() as u64;
     }
 
-    /// Charge the wall time of one event-queue pop, from `started` to
-    /// `finished`.
+    /// Count one event-queue pop and charge its wall time, from `started`
+    /// to `finished`.
     #[inline]
     pub fn record_queue(&mut self, started: Instant, finished: Instant) {
+        self.queue_pops += 1;
         self.queue_nanos += (finished - started).as_nanos() as u64;
     }
 
@@ -143,6 +147,7 @@ impl Profiler {
                 })
                 .collect(),
             queue_wall_nanos: self.queue_nanos,
+            queue_pops: self.queue_pops,
             route_calls: self.route_calls,
             route_wall_nanos: self.route_nanos,
             queue_depth_hwm: self.queue_depth_hwm,
@@ -154,7 +159,7 @@ impl Profiler {
                 .map(|(t, &c)| (t as u8, c))
                 .collect(),
             state: Vec::new(),
-            load_words: LoadWords::default(),
+            lines: Vec::new(),
         }
     }
 }
@@ -185,6 +190,9 @@ pub struct ProfileReport {
     /// Total wall-clock time spent popping the event queue, in
     /// nanoseconds (not part of any kind's time).
     pub queue_wall_nanos: u64,
+    /// Event-queue pops: fewer than the events when the model handles some
+    /// events that were never queued.
+    pub queue_pops: u64,
     /// Next-hop routing decisions taken while handling events.
     pub route_calls: u64,
     /// Total wall-clock time of those decisions, in nanoseconds (already
@@ -197,24 +205,9 @@ pub struct ProfileReport {
     /// How much of each paged state store the run materialized, in the
     /// order the model lists its stores.
     pub state: Vec<StoreFootprint>,
-    /// The fate of the run's load-word transfers (filled in by the model).
-    pub load_words: LoadWords,
-}
-
-/// Load-word transfers by fate. Deterministic: a function of the run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoadWords {
-    /// Load words put on a channel.
-    pub sent: u64,
-    /// Of those, words every receiver already held: they occupied their
-    /// channel without a queued completion event.
-    pub silent: u64,
-    /// Silent words that an offer, a link transition or a snapshot turned
-    /// back into queued transfers.
-    pub woken: u64,
-    /// Silent words that completed without a queue pop. Each is counted
-    /// as a `channel_done` event.
-    pub retired: u64,
+    /// Deterministic counters the model adds, one `(label, [(name,
+    /// count)])` line each, rendered after `route`.
+    pub lines: Vec<(&'static str, Vec<(&'static str, u64)>)>,
 }
 
 /// Materialized pages and slots of one paged state store, out of the
@@ -259,6 +252,7 @@ impl ProfileReport {
             }
         }
         self.queue_wall_nanos += other.queue_wall_nanos;
+        self.queue_pops += other.queue_pops;
         self.route_calls += other.route_calls;
         self.route_wall_nanos += other.route_wall_nanos;
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
@@ -269,11 +263,16 @@ impl ProfileReport {
             }
         }
         self.control_by_tag.sort_by_key(|&(t, _)| t);
-        let (mine, theirs) = (&mut self.load_words, &other.load_words);
-        mine.sent += theirs.sent;
-        mine.silent += theirs.silent;
-        mine.woken += theirs.woken;
-        mine.retired += theirs.retired;
+        for (label, values) in &other.lines {
+            match self.lines.iter_mut().find(|(l, _)| l == label) {
+                Some((_, mine)) => {
+                    for (m, (_, v)) in mine.iter_mut().zip(values) {
+                        m.1 += v;
+                    }
+                }
+                None => self.lines.push((label, values.clone())),
+            }
+        }
         for os in &other.state {
             match self.state.iter_mut().find(|s| s.name == os.name) {
                 Some(s) => {
@@ -314,14 +313,13 @@ impl ProfileReport {
             self.total_events(),
             self.total_wall_nanos() as f64 / 1e6
         );
-        let pops = self.total_events() - self.load_words.retired;
         let _ = writeln!(
             out,
             "{:<16} {:>12} {:>12.3} {:>10.0}",
             "queue pop",
-            pops,
+            self.queue_pops,
             self.queue_wall_nanos as f64 / 1e6,
-            self.queue_wall_nanos as f64 / pops.max(1) as f64
+            self.queue_wall_nanos as f64 / self.queue_pops.max(1) as f64
         );
         let _ = writeln!(
             out,
@@ -331,12 +329,13 @@ impl ProfileReport {
             self.route_wall_nanos as f64 / 1e6,
             self.route_wall_nanos as f64 / self.route_calls.max(1) as f64
         );
-        let words = &self.load_words;
-        let _ = writeln!(
-            out,
-            "{:<16} sent {}  silent {}  woken {}",
-            "load words", words.sent, words.silent, words.woken
-        );
+        for (label, values) in &self.lines {
+            let _ = write!(out, "{label:<16}");
+            for (i, (name, v)) in values.iter().enumerate() {
+                let _ = write!(out, "{}{name} {v}", if i > 0 { "  " } else { " " });
+            }
+            let _ = writeln!(out);
+        }
         if !self.state.is_empty() {
             let _ = write!(out, "{:<16}", "state");
             for (i, st) in self.state.iter().enumerate() {
@@ -457,22 +456,24 @@ mod tests {
     }
 
     #[test]
-    fn load_word_line_renders_merges_and_leaves_retired_words_out_of_pops() {
+    fn count_lines_render_and_merge_and_pops_count_only_pops() {
         let mut p = Profiler::with_kinds(&["channel_done"]);
+        let t = Instant::now();
+        for _ in 0..2 {
+            p.record_queue(t, t);
+        }
         for _ in 0..5 {
             p.count_only(KindId(0));
         }
         let mut r = p.report();
-        r.load_words = LoadWords {
-            sent: 6,
-            silent: 4,
-            woken: 1,
-            retired: 3,
-        };
+        r.lines = vec![("load words", vec![("sent", 6), ("silent", 4), ("woken", 1)])];
         let mut merged = r.clone();
         merged.merge(&r);
-        assert_eq!(merged.load_words.sent, 12);
-        assert_eq!(merged.load_words.retired, 6);
+        assert_eq!(merged.queue_pops, 4);
+        assert_eq!(
+            merged.lines[0].1,
+            [("sent", 12), ("silent", 8), ("woken", 2)]
+        );
         let text = r.render();
         assert!(
             text.contains("load words       sent 6  silent 4  woken 1"),

@@ -31,13 +31,13 @@
 //!   link window that may take the channel down first), the link going
 //!   down, and a snapshot, which records queued events only. A down
 //!   channel takes no silent word, so a link coming up never finds one.
-//! - *Retire.* Words retire lazily: in bulk before each queued event later
-//!   than them, or when a touch finds them already complete. Near anything
-//!   that observes the event count or the clock between events (the
-//!   auditor, the progress watchdog, the event limit, a checkpoint pause,
-//!   the end of an open run) the run loop retires them one by one in
-//!   `(time, key)` order instead, so those fire at the same event and
-//!   instant as with every word queued.
+//! - *Retire.* Words retire one by one in `(time, key)` order: while any
+//!   is listed, the run loop peeks the queue before each pop, and a word
+//!   that comes first retires as its own event, with the clock at its
+//!   instant. The auditor, the progress watchdog, the event limit, a
+//!   checkpoint pause and the end of an open run therefore see the same
+//!   events at the same instants as with every word queued, and a touch
+//!   never finds a word that should have completed already.
 //!
 //! Without buses every pair of PEs exchanges traffic over one channel, so
 //! nothing but the receiver's bump, which wakes the word, writes the
@@ -67,16 +67,41 @@ pub(crate) struct SilentWords {
     /// of each silent word. Every word takes `control_hop_cost`, so
     /// broadcast order is completion-time order. The first `sorted` words,
     /// when any, are the words of the front instant sorted by key. A listed
-    /// word whose channel no longer claims its key was woken or has
-    /// retired, and is skipped.
+    /// word whose channel no longer claims its key was woken, and is
+    /// skipped.
     words: VecDeque<(u64, u64)>,
     sorted: usize,
     /// Words of this run may be silent (see the module docs).
     allowed: bool,
-    /// Some listed word may complete before the last handled event without
-    /// having retired yet (it shares that event's instant).
-    unsettled: bool,
-    pub(crate) counts: oracle_des::LoadWords,
+    pub(crate) counts: LoadWordCounts,
+}
+
+/// Broadcast load words by fate, for `--profile`. Deterministic: a
+/// function of the run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LoadWordCounts {
+    /// Load words put on a channel.
+    pub(crate) sent: u64,
+    /// Of those, words every receiver already held: they occupied their
+    /// channel without a queued completion event.
+    pub(crate) silent: u64,
+    /// Silent words that an offer, a link going down or a snapshot turned
+    /// back into queued transfers.
+    pub(crate) woken: u64,
+}
+
+impl LoadWordCounts {
+    /// The `--profile` line: `load words  sent N  silent M  woken K`.
+    pub(crate) fn profile_line(&self) -> (&'static str, Vec<(&'static str, u64)>) {
+        (
+            "load words",
+            vec![
+                ("sent", self.sent),
+                ("silent", self.silent),
+                ("woken", self.woken),
+            ],
+        )
+    }
 }
 
 impl SilentWords {
@@ -119,7 +144,7 @@ impl SilentWords {
         self.sorted = len;
     }
 
-    /// The listed words, woken and retired ones included.
+    /// The listed words, woken ones included.
     pub(crate) fn listed(&self) -> &VecDeque<(u64, u64)> {
         &self.words
     }
@@ -205,29 +230,10 @@ impl Core {
         self.channel(ch).holds_silent(key as u32).then_some(ch)
     }
 
-    /// Retire the listed word `(done_at, key)` unless it was woken or has
-    /// retired already; returns whether it did. The caller counts the
-    /// event.
-    #[inline]
-    fn retire_listed(&mut self, done_at: u64, key: u64) -> bool {
-        let ch = self.key_channel(key);
-        let c = self.channel_mut(ch);
-        if !c.holds_silent(key as u32) {
-            return false;
-        }
-        c.retire_silent(SimTime(done_at));
-        self.account_retired(ch);
-        true
-    }
-
     /// Offer `flight` to `ch`, which holds a silent word (see the module
     /// docs).
     #[inline(never)]
     pub(crate) fn offer_behind_silent_word(&mut self, ch: ChannelId, flight: Flight) {
-        if self.retire_if_complete(ch) {
-            self.offer_to_channel(ch, flight);
-            return;
-        }
         let (done_at, _) = self.silent_word_on(ch);
         let now = self.events.now();
         let c = self.channel_mut(ch);
@@ -253,17 +259,9 @@ impl Core {
         }
     }
 
-    /// `ch` holds a silent word and is about to change: retire it if it
-    /// completed before the event being handled, else wake it.
-    pub(crate) fn touch_silent_word(&mut self, ch: ChannelId) {
-        if !self.retire_if_complete(ch) {
-            self.wake_silent_word(ch);
-        }
-    }
-
     /// Queue the completion of the silent word on `ch` under the key it
     /// reserved: it becomes an ordinary transfer.
-    fn wake_silent_word(&mut self, ch: ChannelId) {
+    pub(crate) fn wake_silent_word(&mut self, ch: ChannelId) {
         let (done_at, key) = self.silent_word_on(ch);
         self.channel_mut(ch).silent = false;
         self.events
@@ -271,63 +269,10 @@ impl Core {
         self.silent.counts.woken += 1;
     }
 
-    /// Retire the silent word on `ch` if it completed before the event
-    /// being handled; returns whether it did.
-    fn retire_if_complete(&mut self, ch: ChannelId) -> bool {
-        let (done_at, key) = self.silent_word_on(ch);
-        if (done_at, key) > (self.events.now().units(), self.event_key) {
-            return false;
-        }
-        self.retire_listed(done_at, key);
-        self.events.count_unqueued();
-        true
-    }
-
-    /// Retire every silent word that completes before instant `t`.
-    #[inline]
-    pub(crate) fn retire_silent_words_before(&mut self, t: u64) {
-        while let Some((done_at, key)) = self.silent.front() {
-            if done_at >= t {
-                break;
-            }
-            self.silent.pop_front();
-            if self.retire_listed(done_at, key) {
-                self.events.count_unqueued();
-            }
-        }
-        self.silent.unsettled = self.silent.front().is_some_and(|(at, _)| at == t);
-    }
-
-    /// Retire every silent word that completes before the last handled
-    /// event, so the machine's state is exactly the state after it.
-    pub(crate) fn settle_silent_words(&mut self) {
-        if !std::mem::take(&mut self.silent.unsettled) {
-            return;
-        }
-        let last = (self.events.now().units(), self.event_key);
-        for i in 0..self.silent.words.len() {
-            let (done_at, key) = self.silent.words[i];
-            if done_at > last.0 {
-                break;
-            }
-            if (done_at, key) < last && self.retire_listed(done_at, key) {
-                self.events.count_unqueued();
-            }
-        }
-        while let Some((_, key)) = self.silent.front() {
-            if self.silent_channel(key).is_some() {
-                break;
-            }
-            self.silent.pop_front();
-        }
-    }
-
-    /// Settle, then wake every silent word. A snapshot records queued
-    /// events only, so before one every silent word becomes the queued
-    /// transfer it stands for; [`Core::unqueue_successors`] finishes the
-    /// job.
+    /// Wake every silent word. A snapshot records queued events only, so
+    /// before one every silent word becomes the queued transfer it stands
+    /// for; [`Core::unqueue_successors`] finishes the job.
     pub(crate) fn wake_silent_words(&mut self) {
-        self.settle_silent_words();
         while let Some((_, key)) = self.silent.pop_front() {
             if let Some(ch) = self.silent_channel(key) {
                 self.wake_silent_word(ch);
@@ -357,7 +302,7 @@ impl Core {
     }
 
     /// True when the next event in `(time, key)` order is a listed silent
-    /// word rather than a queued event. Words must be settled.
+    /// word rather than a queued event.
     pub(crate) fn silent_word_is_next(&mut self) -> bool {
         let Some((done_at, _)) = self.silent.front() else {
             return false;
@@ -374,29 +319,22 @@ impl Core {
     }
 
     /// Take the next listed silent word off the list and, unless it was
-    /// woken or has retired, retire it as the event being handled: the
-    /// clock moves to its instant. Returns that instant, or `None` for a
-    /// word that is no event.
+    /// woken, retire it as the event being handled: the clock moves to its
+    /// instant, and the channel, `load_updates` and the event count grow
+    /// as its completion would have grown them. Returns that instant, or
+    /// `None` for a woken word, which is no event.
     pub(crate) fn retire_next_silent_word(&mut self) -> Option<SimTime> {
         let (done_at, key) = self.silent.pop_front().expect("a silent word is next");
-        if !self.retire_listed(done_at, key) {
-            return None;
-        }
+        let ch = self.silent_channel(key)?;
         let at = SimTime(done_at);
-        self.events.advance_unqueued(at);
-        self.event_key = key;
-        Some(at)
-    }
-
-    /// The silent word on `ch` has retired: count its transfer as its
-    /// completion would.
-    #[inline]
-    fn account_retired(&mut self, ch: ChannelId) {
+        self.channel_mut(ch).retire_silent(at);
         self.traffic.load_updates += 1;
-        self.silent.counts.retired += 1;
         if let Some(p) = self.profiler.as_mut() {
             p.count_only(Event::ChannelDone(ch).kind());
         }
+        self.events.advance_unqueued(at);
+        self.event_key = key;
+        Some(at)
     }
 
     /// `from` forwarded a goal to the neighbour at `slot` of its list:
@@ -547,28 +485,6 @@ impl Machine {
         self.core.broadcast_packet(pe, Packet::LoadUpdate);
         let period = self.broadcast_period();
         self.core.schedule_event_after(period, Event::LoadBcast(pe));
-    }
-
-    /// True when the listed silent words must retire one by one in
-    /// `(time, key)` order: when nothing is queued, when the next queued
-    /// event together with every listed word could reach the next audit,
-    /// watchdog check or the event limit, or when a listed word completes
-    /// at or after `time_limit` (the pause instant or an open run's
-    /// horizon).
-    #[inline]
-    pub(crate) fn silent_words_in_order(&self, time_limit: u64) -> bool {
-        let core = &self.core;
-        let Some(&(last, _)) = core.silent.words.back() else {
-            return false;
-        };
-        let event_limit = core
-            .next_audit
-            .min(core.next_check)
-            .min(core.config.max_events);
-        let listed = core.silent.words.len() as u64;
-        core.events.is_empty()
-            || core.events.events_processed() + listed + 1 >= event_limit
-            || last >= time_limit
     }
 
     /// The progress watchdog's window in events. One load-broadcast round
@@ -812,7 +728,6 @@ mod tests {
         assert_eq!((words.sent, words.silent), (2, 2));
         // The goal from PE 1 bumped its view of PE 0: that word woke.
         assert_eq!(words.woken, 1);
-        assert_eq!(words.retired, 1);
         for (a, b) in silent.core.channels.iter().zip(sent.core.channels.iter()) {
             assert_eq!(a.1.transfers, b.1.transfers);
             assert_eq!(
@@ -912,7 +827,10 @@ mod tests {
         assert_eq!(err, queued.advance_until(None).unwrap_err());
         assert_eq!(silent.events_processed(), queued.events_processed());
         let words = silent.core.silent.counts;
-        assert!(words.retired * 10 > words.sent * 6, "{words:?}");
+        assert!(
+            (words.silent - words.woken) * 10 > words.sent * 6,
+            "{words:?}"
+        );
         assert_eq!(queued.core.silent.counts.silent, 0);
     }
 

@@ -185,8 +185,9 @@ pub struct Core {
     /// Silent load words on the wire: completions that hold a reserved key
     /// but no queued event (`crate::loadinfo`).
     pub(crate) silent: SilentWords,
-    /// Ordering key of the event being handled (or last handled): a touch
-    /// of a channel holding a silent word compares the word against it.
+    /// Ordering key of the event being handled (or last handled): the
+    /// auditor checks that no silent word listed at or before it is still
+    /// on the wire.
     pub(crate) event_key: u64,
     /// Scratch for a completed transfer: each receiver with the slot of
     /// the sender in its neighbour-load table (`Topology::receivers`).
@@ -1292,31 +1293,16 @@ impl Machine {
     /// event boundary the paused machine's state is exactly the state an
     /// uninterrupted run passes through.
     pub fn advance_until(&mut self, pause_at: Option<u64>) -> Result<bool, SimError> {
-        let outcome = self.run_events(pause_at);
-        self.core.settle_silent_words();
-        outcome
-    }
-
-    /// [`Machine::advance_until`], leaving silent load words that complete
-    /// before the last handled event possibly unretired.
-    fn run_events(&mut self, pause_at: Option<u64>) -> Result<bool, SimError> {
-        let horizon = self.core.open.as_deref().map_or(u64::MAX, |o| o.duration);
-        let time_limit = pause_at.unwrap_or(u64::MAX).min(horizon);
         loop {
-            let next = if self.core.silent.is_empty() {
-                self.handle_next_event(false)
-            } else if !self.silent_words_in_order(time_limit) {
-                self.handle_next_event(true)
-            } else {
-                self.core.settle_silent_words();
-                if self.core.silent_word_is_next() {
-                    match self.core.retire_next_silent_word() {
-                        Some(at) => Some(at),
-                        None => continue,
-                    }
-                } else {
-                    self.handle_next_event(false)
+            // A silent load word that comes before the next queued event
+            // retires as the event handled (`crate::loadinfo`).
+            let next = if !self.core.silent.is_empty() && self.core.silent_word_is_next() {
+                match self.core.retire_next_silent_word() {
+                    Some(at) => Some(at),
+                    None => continue,
                 }
+            } else {
+                self.handle_next_event()
             };
             let Some(at) = next else {
                 break;
@@ -1377,15 +1363,11 @@ impl Machine {
     }
 
     /// Pop and handle the next queued event, and return its instant;
-    /// `None` when nothing is queued. With `retire_before`, the silent
-    /// words that complete before the event retire first.
-    fn handle_next_event(&mut self, retire_before: bool) -> Option<SimTime> {
+    /// `None` when nothing is queued.
+    fn handle_next_event(&mut self) -> Option<SimTime> {
         if self.core.profiler.is_none() {
             let (at, key, ev) = self.core.events.pop_keyed()?;
             self.core.event_key = key;
-            if retire_before {
-                self.core.retire_silent_words_before(at.units());
-            }
             self.handle_event(ev);
             return Some(at);
         }
@@ -1395,9 +1377,6 @@ impl Machine {
         let pop_started = std::time::Instant::now();
         let (at, key, ev) = self.core.events.pop_keyed()?;
         self.core.event_key = key;
-        if retire_before {
-            self.core.retire_silent_words_before(at.units());
-        }
         let kind = ev.kind();
         let depth = self.core.events.len();
         let t0 = std::time::Instant::now();
@@ -1575,7 +1554,6 @@ impl Machine {
             let open = self.core.open.as_deref_mut().expect("open mode");
             open.arrivals_total += 1;
             open.shed_total += 1;
-            open.shed_dead_edge += 1;
             return;
         };
         // Edge admission control: an arrival that fails the configured
@@ -1869,7 +1847,7 @@ impl Machine {
             return;
         }
         if self.core.channel(ch).silent {
-            self.core.touch_silent_word(ch);
+            self.core.wake_silent_word(ch);
         }
         self.core.channel_mut(ch).down = true;
         self.core.rebuild_live_routes();
@@ -2378,7 +2356,6 @@ impl Machine {
                 None if open.arrivals_total > 0 && open.shed_total * 2 > open.arrivals_total => {
                     OpenOutcome::Overloaded {
                         shed: open.shed_total,
-                        dead_edge: open.shed_dead_edge,
                         arrivals: open.arrivals_total,
                     }
                 }
@@ -2479,7 +2456,7 @@ impl Machine {
             profile: core.profiler.as_ref().map(|p| {
                 let mut profile = p.report();
                 profile.state = vec![core.pes.footprint("pe"), core.channels.footprint("channel")];
-                profile.load_words = core.silent.counts;
+                profile.lines = vec![core.silent.counts.profile_line()];
                 profile
             }),
             open: open_metrics,

@@ -76,15 +76,11 @@ pub enum OpenOutcome {
     /// at time `at`, so the offered load exceeds what the machine can
     /// sustain. The statistics cover the run up to that instant.
     Saturated { at: u64, inflight: u64 },
-    /// The majority of arrivals were refused at the door: `shed` of
-    /// `arrivals`, `dead_edge` of them because every edge PE had crashed
-    /// and the rest by admission control (which protected the machine from
-    /// an offered load far past what it could carry).
-    Overloaded {
-        shed: u64,
-        dead_edge: u64,
-        arrivals: u64,
-    },
+    /// The majority of arrivals were refused at the door (`shed` of
+    /// `arrivals`): admission control protected the machine from an
+    /// offered load far past what it could carry, or every edge PE had
+    /// crashed.
+    Overloaded { shed: u64, arrivals: u64 },
     /// A deadline was configured and *no* request ever completed within
     /// it (`abandoned` blew their budget): the deadline is unservable at
     /// this load.
@@ -619,7 +615,6 @@ mod tests {
         assert!(!OpenOutcome::Completed.is_degraded());
         assert!(OpenOutcome::Overloaded {
             shed: 8,
-            dead_edge: 0,
             arrivals: 10
         }
         .is_degraded());

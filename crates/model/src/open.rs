@@ -686,8 +686,6 @@ pub(crate) struct OpenState {
     // --- overload counters ---
     /// Arrivals refused at injection (admission control, or no live edge).
     pub(crate) shed_total: u64,
-    /// Of those, arrivals refused because every edge PE had crashed.
-    pub(crate) shed_dead_edge: u64,
     /// Requests whose sojourn exceeded the deadline (dead losses).
     pub(crate) abandoned_deadline: u64,
     /// Deadline abandonments inside the measurement window (the carried —
@@ -799,7 +797,6 @@ impl OpenState {
             retry_pending: FastHashMap::default(),
             breaker: FastHashMap::default(),
             shed_total: 0,
-            shed_dead_edge: 0,
             abandoned_deadline: 0,
             abandoned_deadline_measured: 0,
             abandoned_retries: 0,

@@ -75,10 +75,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D53_4E50;
 /// v7 dropped the load update's payload and the presence byte of a flight's
 /// load word: every flight carries its sender's word, and a load update is
 /// its packet tag alone.
-///
-/// v8 added the open-traffic count of arrivals shed because every edge PE
-/// had crashed.
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a restore failed: the blob itself was undecodable, or it decoded
 /// fine but does not belong to this machine.
@@ -593,7 +590,6 @@ fn put_open(w: &mut SnapWriter, open: &OpenState) {
         w.u64(open.breaker[&key]);
     }
     w.u64(open.shed_total);
-    w.u64(open.shed_dead_edge);
     w.u64(open.abandoned_deadline);
     w.u64(open.abandoned_deadline_measured);
     w.u64(open.abandoned_retries);
@@ -686,7 +682,6 @@ fn get_open(r: &mut SnapReader, open: &mut OpenState) -> Result<(), RestoreFail>
         open.breaker.insert(key, until);
     }
     open.shed_total = r.u64()?;
-    open.shed_dead_edge = r.u64()?;
     open.abandoned_deadline = r.u64()?;
     open.abandoned_deadline_measured = r.u64()?;
     open.abandoned_retries = r.u64()?;

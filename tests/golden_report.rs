@@ -33,18 +33,12 @@ fn check(name: &str, mut config: oracle::builder::RunConfig) {
 }
 
 fn check_report(name: &str, config: oracle::builder::RunConfig) {
-    check_audited(name, config, &[50]);
+    check_audited(name, config, 50);
 }
 
-/// Check the run against its golden once per auditor period in `periods`
-/// (0: no auditor).
-fn check_audited(name: &str, config: oracle::builder::RunConfig, periods: &[u64]) {
-    for &audit_every in periods {
-        check_once(name, config.clone(), audit_every);
-    }
-}
-
-fn check_once(name: &str, mut config: oracle::builder::RunConfig, audit_every: u64) {
+/// Check the run against its golden with the auditor running every
+/// `audit_every` events.
+fn check_audited(name: &str, mut config: oracle::builder::RunConfig, audit_every: u64) {
     // The invariant auditor is pure observation: running every golden with
     // it enabled both proves these configurations audit clean and pins the
     // guarantee that auditing never perturbs simulated results.
@@ -65,9 +59,9 @@ fn check_once(name: &str, mut config: oracle::builder::RunConfig, audit_every: u
     });
     assert!(
         rendered == golden,
-        "{name} (audit every {audit_every}): Report diverged from golden {} — \
-         the optimization changed simulated results. If the change is \
-         intentional, regenerate with UPDATE_GOLDEN=1.",
+        "{name}: Report diverged from golden {} — the optimization changed \
+         simulated results. If the change is intentional, regenerate with \
+         UPDATE_GOLDEN=1.",
         path.display()
     );
 }
@@ -194,10 +188,8 @@ fn golden_cwn_torus300_fib3_top_pes_fill() {
 #[test]
 fn golden_cwn_grid32_fib20_load_words() {
     // The `grid_1k` benchmark cell: 1,024 PEs broadcasting load words every
-    // 40 units, most of them to neighbours that already hold the word. The
-    // auditor makes silent words retire in order, so the golden is also
-    // checked without it.
-    check_audited(
+    // 40 units, most of them to neighbours that already hold the word.
+    check_report(
         "cwn_grid32_fib20",
         SimulationBuilder::new()
             .topology("grid:32".parse().unwrap())
@@ -206,15 +198,14 @@ fn golden_cwn_grid32_fib20_load_words() {
             .coprocessor(true)
             .seed(1)
             .config(),
-        &[0, 50],
     );
 }
 
 #[test]
 fn golden_cwn_grid10_fib15_load_period_3() {
     // A broadcast every 3 units: many load words find their channel still
-    // busy with the previous round or with goal traffic. Checked without
-    // the auditor and with it after every event.
+    // busy with the previous round or with goal traffic. Audited after
+    // every event.
     let mut machine = oracle_model::MachineConfig::default().with_seed(1);
     machine.load_info = oracle_model::LoadInfoMode::Piggyback { period: 3 };
     check_audited(
@@ -225,7 +216,7 @@ fn golden_cwn_grid10_fib15_load_period_3() {
             .workload(WorkloadSpec::fib(15))
             .machine(machine)
             .config(),
-        &[0, 1],
+        1,
     );
 }
 
@@ -233,8 +224,7 @@ fn golden_cwn_grid10_fib15_load_period_3() {
 fn golden_cwn_dlm10_fib15_softroute_faults() {
     // Buses (every member snoops every word), no co-processor, a crashed
     // receiver and a link window that drops under words on the wire; no
-    // message loss. Checked without the auditor and with it after every
-    // event.
+    // message loss. Audited after every event.
     let mut machine = oracle_model::MachineConfig::default().with_seed(1);
     machine.coprocessor = false;
     machine.fault_plan = "crash:7@400+link:3@200..900+recover:500x6".parse().unwrap();
@@ -246,6 +236,6 @@ fn golden_cwn_dlm10_fib15_softroute_faults() {
             .workload(WorkloadSpec::fib(15))
             .machine(machine)
             .config(),
-        &[0, 1],
+        1,
     );
 }

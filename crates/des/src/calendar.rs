@@ -284,14 +284,38 @@ impl<E> CalendarQueue<E> {
 
     /// Remove and return the next event together with its ordering key,
     /// advancing the clock.
+    #[inline]
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.len == 0 {
-            return None;
-        }
+        self.pop_keyed_before(u64::MAX, u64::MAX)
+    }
+
+    /// [`CalendarQueue::pop_keyed`], but only an event that comes before
+    /// `(at, key)` in `(time, key)` order: the place of an event the caller
+    /// handles without queueing it. `None` when no such event is pending;
+    /// the clock then stays at or before `at`.
+    pub fn pop_keyed_before(&mut self, at: u64, key: u64) -> Option<(SimTime, u64, E)> {
         if self.due.is_empty() {
+            if self.len == 0 {
+                return None;
+            }
+            let next = if self.wheel_len == 0 {
+                match self.overflow.peek() {
+                    Some(Reverse(d)) => d.at,
+                    None => unreachable!("len > 0 with empty wheel, due heap and overflow"),
+                }
+            } else {
+                self.next_wheel_instant()
+            };
+            if next > at {
+                return None;
+            }
             self.advance_to_next_instant();
         }
-        let Reverse((key, idx)) = self.due.pop().expect("the next instant is loaded");
+        let &Reverse((next_key, _)) = self.due.peek().expect("the next instant is loaded");
+        if (self.now.units(), next_key) >= (at, key) {
+            return None;
+        }
+        let Reverse((key, idx)) = self.due.pop().expect("peeked");
         let node = &mut self.pool[idx as usize];
         let payload = node.payload.take().expect("due node holds a payload");
         node.next = self.free;
@@ -349,30 +373,6 @@ impl<E> CalendarQueue<E> {
             );
         }
         t
-    }
-
-    /// Time and ordering key of the next event, without popping it. Walks
-    /// to the next occupied slot and scans its list when nothing is due at
-    /// `now`, so it suits occasional use, not every event.
-    pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
-        if let Some(Reverse((key, _))) = self.due.peek() {
-            return Some((self.now, *key));
-        }
-        if self.wheel_len == 0 {
-            return self
-                .overflow
-                .peek()
-                .map(|Reverse(d)| (SimTime(d.at), d.key));
-        }
-        let t = self.next_wheel_instant();
-        let mut cur = self.head[(t & MASK) as usize];
-        let mut key = u64::MAX;
-        while cur != NIL {
-            let node = &self.pool[cur as usize];
-            key = key.min(node.key);
-            cur = node.next;
-        }
-        Some((SimTime(t), key))
     }
 
     /// Count one event that was handled without ever being queued, at `at`:
@@ -691,46 +691,58 @@ mod tests {
     }
 
     #[test]
-    fn peeks_and_unqueued_events_match_heap() {
-        // The machine's silent-word loop: peek the next event, sometimes
-        // count an unqueued event at or before it (often at its very
-        // instant), and schedule from the new clock, across the wheel
-        // window and into the overflow.
+    fn pops_before_a_limit_and_unqueued_events_match_heap() {
+        // The machine's silent-word loop: pop the next event only if it
+        // comes before a limit (the next unqueued event), otherwise count
+        // the unqueued event at the limit's instant, and schedule from the
+        // new clock, across the wheel window and into the overflow.
         let mut rng = Rng::seed_from_u64(7);
         let mut cal = CalendarQueue::new();
         let mut heap = EventQueue::new();
+        let mut pending = std::collections::BTreeSet::new();
         let mut key = 0u64;
-        let mut schedule = |d: u64, c: &mut CalendarQueue<u64>, h: &mut EventQueue<u64>| {
-            key += 1;
-            let k = (rng.below(1 << 20) << 32) | key;
-            assert_eq!(c.now(), h.now());
-            c.schedule_keyed_at(c.now() + d, k, key);
-            h.schedule_keyed_at(h.now() + d, k, key);
-        };
+        let mut schedule =
+            |d: u64,
+             c: &mut CalendarQueue<u64>,
+             h: &mut EventQueue<u64>,
+             p: &mut std::collections::BTreeSet<(u64, u64)>| {
+                key += 1;
+                let k = (rng.below(1 << 20) << 32) | key;
+                assert_eq!(c.now(), h.now());
+                c.schedule_keyed_at(c.now() + d, k, key);
+                h.schedule_keyed_at(h.now() + d, k, key);
+                p.insert(((c.now() + d).units(), k));
+            };
         let mut delays = Rng::seed_from_u64(8);
         for _ in 0..40 {
-            schedule(delays.below(3_000), &mut cal, &mut heap);
+            schedule(delays.below(3_000), &mut cal, &mut heap, &mut pending);
         }
         for step in 0..20_000u64 {
-            let next = heap.peek_keyed();
-            assert_eq!(cal.peek_keyed(), next, "peek diverged at step {step}");
-            match delays.below(4) {
-                0 => {
-                    // An unqueued event somewhere in [now, next], often at
-                    // the next event's own instant.
-                    let now = cal.now().units();
-                    let hi = next.map_or(now + 5_000, |(t, _)| t.units());
-                    let at = match delays.below(2) {
-                        0 => hi,
-                        _ => now + delays.below(hi - now + 1),
-                    };
+            // A limit short of the next event, at its instant (before,
+            // on or after its key), or far past it.
+            let now = cal.now().units();
+            let next = pending.first().copied();
+            let (at, lkey) = match (delays.below(4), next) {
+                (0, _) | (_, None) => (now + delays.below(20), delays.below(1 << 52)),
+                (1, Some((t, k))) => (t, k),
+                (2, Some((t, _))) => (t, delays.below(1 << 52)),
+                _ => (now + 60_000, 0),
+            };
+            let popped = heap.pop_keyed_before(at, lkey);
+            assert_eq!(
+                cal.pop_keyed_before(at, lkey),
+                popped,
+                "pop diverged at step {step}"
+            );
+            match popped {
+                Some((t, k, _)) => {
+                    assert!((t.units(), k) < (at, lkey));
+                    pending.remove(&(t.units(), k));
+                }
+                None => {
+                    assert!(next.is_none_or(|n| n >= (at, lkey)));
                     cal.advance_unqueued(SimTime(at));
                     heap.advance_unqueued(SimTime(at));
-                }
-                _ => {
-                    if cal.pop_keyed() != heap.pop_keyed() {
-                        panic!("pop diverged at step {step}");
-                    }
                 }
             }
             assert_eq!(cal.now(), heap.now());
@@ -740,7 +752,7 @@ mod tests {
                 1 | 2 => 2_000 + delays.below(50_000),
                 _ => delays.below(40),
             };
-            schedule(d, &mut cal, &mut heap);
+            schedule(d, &mut cal, &mut heap, &mut pending);
         }
         loop {
             let want = heap.pop_keyed();

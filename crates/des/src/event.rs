@@ -170,9 +170,14 @@ impl<E> EventQueue<E> {
         Some((s.at, s.key, s.payload))
     }
 
-    /// Time and ordering key of the next event, without popping it.
-    pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|Reverse(s)| (s.at, s.key))
+    /// [`EventQueue::pop_keyed`], but only an event that comes before
+    /// `(at, key)` in `(time, key)` order (the calendar queue's twin).
+    pub fn pop_keyed_before(&mut self, at: u64, key: u64) -> Option<(SimTime, u64, E)> {
+        let Reverse(s) = self.heap.peek()?;
+        if (s.at.units(), s.key) >= (at, key) {
+            return None;
+        }
+        self.pop_keyed()
     }
 
     /// Count one event that was handled without ever being queued, at `at`:

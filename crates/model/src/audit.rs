@@ -24,8 +24,9 @@
 //!   exactly when a transfer is in flight, and a non-empty backlog implies
 //!   the channel is either occupied or held down by a fault window. A
 //!   silent load word (`crate::loadinfo`) is a load update on an up
-//!   channel, and every one has exactly one listed retirement, still after
-//!   the last handled event; a successor queued ahead of time has a
+//!   channel, every one has exactly one listed retirement, still after
+//!   the last handled event, and the list is in `(time, key)` order with
+//!   every word on its channel; a successor queued ahead of time has a
 //!   backlog to promote.
 //! - `task-conservation` — every goal ever created is accounted for:
 //!   started executing, queued on a PE, inside a message-handling work
@@ -192,12 +193,20 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
     }
 
     let last = (now, core.event_key);
-    let mut listed = 0;
-    for &(done_at, key) in core.silent.listed() {
+    let listed = core.silent.listed();
+    if let Some(i) = (1..listed.len()).find(|&i| listed[i - 1] >= listed[i]) {
+        return fail(
+            "channel-accounting",
+            format!("silent words listed out of (time, key) order at {i}"),
+        );
+    }
+    for &(done_at, key) in listed {
         if core.silent_channel(key).is_none() {
-            continue;
+            return fail(
+                "channel-accounting",
+                format!("silent word key={key:#x} is listed but not on its channel"),
+            );
         }
-        listed += 1;
         if (done_at, key) <= last {
             return fail(
                 "channel-accounting",
@@ -205,10 +214,13 @@ pub(crate) fn audit(core: &Core, strategy: &dyn Strategy) -> Result<(), SimError
             );
         }
     }
-    if listed != silent_words {
+    if listed.len() != silent_words {
         return fail(
             "channel-accounting",
-            format!("{silent_words} channels hold silent words but {listed} are listed"),
+            format!(
+                "{silent_words} channels hold silent words but {} are listed",
+                listed.len()
+            ),
         );
     }
 

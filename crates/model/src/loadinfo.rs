@@ -31,11 +31,11 @@
 //!   link window that may take the channel down first), the link going
 //!   down, and a snapshot, which records queued events only. A down
 //!   channel takes no silent word, so a link coming up never finds one.
-//! - *Retire.* Words retire one by one in `(time, key)` order: while any
-//!   is listed, the run loop peeks the queue before each pop, and a word
-//!   that comes first retires as its own event, with the clock at its
-//!   instant. The auditor, the progress watchdog, the event limit, a
-//!   checkpoint pause and the end of an open run therefore see the same
+//! - *Retire.* Words retire one by one in `(time, key)` order: the run
+//!   loop pops a queued event only if it comes before the first listed
+//!   word, and otherwise retires the word as its own event, with the clock
+//!   at its instant. The auditor, the progress watchdog, the event limit,
+//!   a checkpoint pause and the end of an open run therefore see the same
 //!   events at the same instants as with every word queued, and a touch
 //!   never finds a word that should have completed already.
 //!
@@ -59,18 +59,16 @@ use crate::faults::FaultPlan;
 use crate::machine::{hop_cost, Core, Event, Machine};
 use crate::message::{Flight, FlightDest, Packet};
 
-/// The silent load words on the wire, in broadcast order, and the
+/// The silent load words on the wire, in retirement order, and the
 /// load-word counters of `--profile`.
 #[derive(Default)]
 pub(crate) struct SilentWords {
     /// `(done_at, key)`: the completion instant and reserved ordering key
-    /// of each silent word. Every word takes `control_hop_cost`, so
-    /// broadcast order is completion-time order. The first `sorted` words,
-    /// when any, are the words of the front instant sorted by key. A listed
-    /// word whose channel no longer claims its key was woken, and is
-    /// skipped.
+    /// of each silent word on the wire, in `(time, key)` order. Every word
+    /// takes `control_hop_cost`, so broadcast order is completion-time
+    /// order, and a word only has to find its place among the words of its
+    /// own instant.
     words: VecDeque<(u64, u64)>,
-    sorted: usize,
     /// Words of this run may be silent (see the module docs).
     allowed: bool,
     pub(crate) counts: LoadWordCounts,
@@ -114,37 +112,33 @@ impl SilentWords {
         }
     }
 
-    /// True when no word is listed.
+    /// `(done_at, key)` of the next word to retire, or `(u64::MAX,
+    /// u64::MAX)`, after every event, when none is on the wire.
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.words.is_empty()
+    pub(crate) fn next(&self) -> (u64, u64) {
+        self.words.front().copied().unwrap_or((u64::MAX, u64::MAX))
     }
 
-    fn front(&self) -> Option<(u64, u64)> {
-        self.words.front().copied()
-    }
-
-    fn pop_front(&mut self) -> Option<(u64, u64)> {
-        self.sorted = self.sorted.saturating_sub(1);
-        self.words.pop_front()
-    }
-
-    /// Sort the front instant's words by key. Call only once no more words
-    /// can join that instant: every event before it has been handled.
-    fn sort_front_instant(&mut self) {
-        let Some((at, _)) = self.front() else {
-            return;
-        };
-        if self.sorted > 0 {
-            return;
+    /// List a word behind every word of an earlier instant and, within its
+    /// instant, in key order.
+    fn push(&mut self, word: (u64, u64)) {
+        let mut at = self.words.len();
+        while at > 0 && self.words[at - 1] > word {
+            at -= 1;
         }
-        let run = self.words.make_contiguous();
-        let len = run.partition_point(|&(t, _)| t == at);
-        run[..len].sort_unstable();
-        self.sorted = len;
+        self.words.insert(at, word);
     }
 
-    /// The listed words, woken ones included.
+    /// Take `word` off the list.
+    fn remove(&mut self, word: (u64, u64)) {
+        let at = self
+            .words
+            .binary_search(&word)
+            .expect("a silent word on the wire is listed");
+        self.words.remove(at);
+    }
+
+    /// The listed words, in `(time, key)` order.
     pub(crate) fn listed(&self) -> &VecDeque<(u64, u64)> {
         &self.words
     }
@@ -203,7 +197,7 @@ impl Core {
         let seq = c.occupy_silently(*flight, now);
         let key = self.channel_key(ch, seq);
         let done_at = now.units() + self.costs.control_hop_cost;
-        self.silent.words.push_back((done_at, key));
+        self.silent.push((done_at, key));
         self.silent.counts.silent += 1;
         true
     }
@@ -260,9 +254,14 @@ impl Core {
     }
 
     /// Queue the completion of the silent word on `ch` under the key it
-    /// reserved: it becomes an ordinary transfer.
+    /// reserved, and take it off the list: it becomes an ordinary transfer.
     pub(crate) fn wake_silent_word(&mut self, ch: ChannelId) {
-        let (done_at, key) = self.silent_word_on(ch);
+        let word = self.silent_word_on(ch);
+        self.silent.remove(word);
+        self.queue_silent_completion(ch, word);
+    }
+
+    fn queue_silent_completion(&mut self, ch: ChannelId, (done_at, key): (u64, u64)) {
         self.channel_mut(ch).silent = false;
         self.events
             .schedule_keyed_at(SimTime(done_at), key, Event::ChannelDone(ch));
@@ -273,10 +272,8 @@ impl Core {
     /// before one every silent word becomes the queued transfer it stands
     /// for; [`Core::unqueue_successors`] finishes the job.
     pub(crate) fn wake_silent_words(&mut self) {
-        while let Some((_, key)) = self.silent.pop_front() {
-            if let Some(ch) = self.silent_channel(key) {
-                self.wake_silent_word(ch);
-            }
+        while let Some(word) = self.silent.words.pop_front() {
+            self.queue_silent_completion(self.key_channel(word.1), word);
         }
     }
 
@@ -301,31 +298,14 @@ impl Core {
         }
     }
 
-    /// True when the next event in `(time, key)` order is a listed silent
-    /// word rather than a queued event.
-    pub(crate) fn silent_word_is_next(&mut self) -> bool {
-        let Some((done_at, _)) = self.silent.front() else {
-            return false;
-        };
-        let next = self.events.peek_keyed();
-        if next.is_some_and(|(at, _)| at.units() < done_at) {
-            return false;
-        }
-        // Every event before `done_at` has been handled, so no word can
-        // still join that instant.
-        self.silent.sort_front_instant();
-        let word = self.silent.front().expect("checked above");
-        next.is_none_or(|(at, key)| word < (at.units(), key))
-    }
-
-    /// Take the next listed silent word off the list and, unless it was
-    /// woken, retire it as the event being handled: the clock moves to its
-    /// instant, and the channel, `load_updates` and the event count grow
-    /// as its completion would have grown them. Returns that instant, or
-    /// `None` for a woken word, which is no event.
+    /// Retire the first listed silent word as the event being handled: the
+    /// clock moves to its instant, and the channel, `load_updates` and the
+    /// event count grow as its completion would have grown them. Returns
+    /// that instant, or `None` when no word is listed. Call only when no
+    /// queued event comes before the word.
     pub(crate) fn retire_next_silent_word(&mut self) -> Option<SimTime> {
-        let (done_at, key) = self.silent.pop_front().expect("a silent word is next");
-        let ch = self.silent_channel(key)?;
+        let (done_at, key) = self.silent.words.pop_front()?;
+        let ch = self.key_channel(key);
         let at = SimTime(done_at);
         self.channel_mut(ch).retire_silent(at);
         self.traffic.load_updates += 1;

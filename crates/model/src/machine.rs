@@ -1293,20 +1293,7 @@ impl Machine {
     /// event boundary the paused machine's state is exactly the state an
     /// uninterrupted run passes through.
     pub fn advance_until(&mut self, pause_at: Option<u64>) -> Result<bool, SimError> {
-        loop {
-            // A silent load word that comes before the next queued event
-            // retires as the event handled (`crate::loadinfo`).
-            let next = if !self.core.silent.is_empty() && self.core.silent_word_is_next() {
-                match self.core.retire_next_silent_word() {
-                    Some(at) => Some(at),
-                    None => continue,
-                }
-            } else {
-                self.handle_next_event()
-            };
-            let Some(at) = next else {
-                break;
-            };
+        while let Some(at) = self.handle_next_event() {
             if self.core.completed() {
                 return Ok(true);
             }
@@ -1362,11 +1349,15 @@ impl Machine {
         Ok(true)
     }
 
-    /// Pop and handle the next queued event, and return its instant;
-    /// `None` when nothing is queued.
+    /// Handle the next event in `(time, key)` order, a queued one or a
+    /// silent load word that comes first (`crate::loadinfo`), and return
+    /// its instant; `None` when nothing is pending.
     fn handle_next_event(&mut self) -> Option<SimTime> {
+        let (word_at, word_key) = self.core.silent.next();
         if self.core.profiler.is_none() {
-            let (at, key, ev) = self.core.events.pop_keyed()?;
+            let Some((at, key, ev)) = self.core.events.pop_keyed_before(word_at, word_key) else {
+                return self.core.retire_next_silent_word();
+            };
             self.core.event_key = key;
             self.handle_event(ev);
             return Some(at);
@@ -1375,7 +1366,9 @@ impl Machine {
         // plus the queue-depth high-water mark. The unprofiled path pays
         // exactly one branch.
         let pop_started = std::time::Instant::now();
-        let (at, key, ev) = self.core.events.pop_keyed()?;
+        let Some((at, key, ev)) = self.core.events.pop_keyed_before(word_at, word_key) else {
+            return self.core.retire_next_silent_word();
+        };
         self.core.event_key = key;
         let kind = ev.kind();
         let depth = self.core.events.len();
